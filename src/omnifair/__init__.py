@@ -30,7 +30,6 @@ from .omniscience import (
     decompose,
     dilworth_truncation,
     f_alpha,
-    iter_partitions,
     l1_size,
     min_sum_rate,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "is_intersecting_submodular",
     "is_locally_optimal",
     "is_submodular",
-    "iter_partitions",
     "l1_size",
     "load_source",
     "min_sum_rate",

@@ -6,8 +6,9 @@ serialized losslessly as "p/q" strings; reports are byte-stable across runs
 for a fixed config (seed included) apart from the timing block.
 
 Exit codes: 0 success, 2 parse or flag error, 3 verification failure,
-4 numerical non-convergence.  The ``OMNIFAIR_THREADS`` environment variable
-caps the internal worker count.
+4 numerical non-convergence, 5 instance too large for an exhaustive routine,
+6 internal invariant violated.  Codes 4-6, and code 2 once the flags have
+parsed, write a JSON error record in place of the report.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .omniscience import (
     decompose,
     min_sum_rate,
 )
-from .setfn import SetFunction, is_submodular
+from .setfn import GroundSetTooLarge, SetFunction, is_submodular
 from .shapley import shapley_approx, shapley_decomposed, shapley_exact
 from .sources import SourceSpecError, load_source
 
@@ -44,6 +45,8 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VERIFY = 3
 EXIT_NONCONVERGENCE = 4
+EXIT_TOO_LARGE = 5
+EXIT_INTERNAL = 6
 
 #: Submodularity verification enumerates subset pairs; skip beyond this size.
 VERIFY_SUBMODULAR_LIMIT = 12
@@ -346,29 +349,35 @@ def _emit(report: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _fail(head: dict, exc: Exception, output: str | None, status: int, **details) -> int:
+    """Emit the JSON error record for ``exc`` and return ``status``."""
+    error = {"type": type(exc).__name__, "message": str(exc), **details}
+    _emit({**head, "error": error}, output)
+    print(f"error: {exc}", file=sys.stderr)
+    return status
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
     except ConfigError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, getattr(args, "output", None))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail({}, exc, getattr(args, "output", None), EXIT_PARSE)
+    head = {"config": cfg.echo()}
     try:
         report, status = run(cfg)
+    except GroundSetTooLarge as exc:
+        return _fail(head, exc, cfg.output, EXIT_TOO_LARGE)
+    except SplitError as exc:
+        return _fail(head, exc, cfg.output, EXIT_PARSE,
+                     offending_users=exc.offenders, minimal_valid_K=exc.minimal_chunks)
     except (SourceSpecError, ConfigError, ValueError) as exc:
-        error: dict = {"type": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, SplitError):
-            error["offending_users"] = exc.offenders
-            error["minimal_valid_K"] = exc.minimal_chunks
-        _emit({"config": cfg.echo(), "error": error}, cfg.output)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(head, exc, cfg.output, EXIT_PARSE)
     except ConvergenceError as exc:
-        _emit({"config": cfg.echo(), "error": {"type": type(exc).__name__, "message": str(exc)}}, cfg.output)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        return _fail(head, exc, cfg.output, EXIT_NONCONVERGENCE)
+    except (ArithmeticError, DecompositionError) as exc:
+        return _fail(head, exc, cfg.output, EXIT_INTERNAL)
     _emit(report, cfg.output)
     return status
 

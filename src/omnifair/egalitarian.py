@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import ceil, lcm
 from typing import Mapping
 
-from ._concurrency import parallel_map
 from .omniscience import GameContext, RateVector, core_membership, decompose
 from .setfn import SetFunction, sfm_min
 
@@ -62,14 +61,14 @@ def objective_g(r: RateVector, weights: Mapping[int, Fraction | float] | None = 
     return sum(r[u] * r[u] / w[u] for u in r.users)
 
 
-def dep(ctx: GameContext, r: RateVector, i: int, *, sfm_backend: str = "exhaustive") -> frozenset:
+def dep(ctx: GameContext, r: RateVector, i: int) -> frozenset:
     """Dependence set of user ``i`` at ``r``: the minimal minimizer of
     f(X) - r(X) over subsets containing ``i``.  These are the users ``i``
     can take rate from while staying in the core; always contains ``i``."""
     if i not in ctx.ground:
         raise ValueError(f"user {i} is not in this game")
     slack = SetFunction(ctx.ground, lambda X: ctx.f(X) - r.mass(X))
-    return sfm_min(slack, forced_in={i}, backend=sfm_backend, tol=ctx.tol).minimal
+    return sfm_min(slack, forced_in={i}, tol=ctx.tol).minimal
 
 
 @dataclass
@@ -144,8 +143,6 @@ def sda(
     r0: RateVector | None = None,
     K: int | None = None,
     weights=None,
-    *,
-    sfm_backend: str = "exhaustive",
 ) -> tuple[RateVector, SdaTrace]:
     """Steepest descent to the grid-restricted egalitarian solution.
 
@@ -186,8 +183,7 @@ def sda(
     decrease_floor = 0 if ctx.source.is_exact else 1e-12
 
     for _ in range(_iteration_budget(ctx, K)):
-        dep_sets = parallel_map(
-            lambda i: dep(ctx, current, i, sfm_backend=sfm_backend), ctx.users)
+        dep_sets = [dep(ctx, current, i) for i in ctx.users]
         best = None
         for i, dset in zip(ctx.users, dep_sets):
             for j in sorted(dset):
@@ -231,14 +227,6 @@ def egalitarian_continuous(
     users = ctx.users
     w = {u: float(v) for u, v in _check_weights(weights, users).items()}
 
-    hat_float: dict[frozenset, float] = {}
-
-    def hatf(X: frozenset) -> float:
-        value = hat_float.get(X)
-        if value is None:
-            value = hat_float.setdefault(X, float(ctx.hat(X)))
-        return value
-
     def greedy_vertex(grad: tuple[float, ...]) -> tuple[float, ...]:
         by_user = dict(zip(users, grad))
         order = sorted(users, key=lambda u: (by_user[u], u))
@@ -247,7 +235,7 @@ def egalitarian_continuous(
         prev = 0.0
         for u in order:
             prefix = prefix | {u}
-            value = hatf(prefix)
+            value = float(ctx.hat(prefix))
             coords[u] = value - prev
             prev = value
         return tuple(coords[u] for u in users)
@@ -307,7 +295,7 @@ def egalitarian_decomposed(
     r0: RateVector | None = None,
 ) -> RateVector:
     """Solve each fundamental-partition subgame separately and fuse the
-    results; subgames run in parallel when workers are configured."""
+    results."""
     if mode not in ("sda", "continuous"):
         raise ValueError(f"unknown mode {mode!r}")
     w = _check_weights(weights, ctx.users)
@@ -321,7 +309,7 @@ def egalitarian_decomposed(
             return out
         return egalitarian_continuous(sub, w_sub, tol=tol)
 
-    return RateVector.direct_sum(parallel_map(solve_block, subgames))
+    return RateVector.direct_sum([solve_block(sub) for sub in subgames])
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,8 @@ Given a multi-user source, this module computes the minimum total coding
 rate at which every user can recover the whole source, the fundamental
 partition that certifies it, and the optimal rate region (the core of the
 associated cost-sharing game).  The characteristic cost of a user subset is
-the Dilworth truncation of the sum-rate-parameterized cost function, with a
-partition-enumeration oracle backend and an incremental one-SFM-per-element
-backend behind the same contract.
+the Dilworth truncation of the sum-rate-parameterized cost function,
+computed incrementally with one constrained SFM per element.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .setfn import GroundSetTooLarge, SetFunction, sfm_min, subsets
+from .setfn import SetFunction, sfm_min, subsets
 from .sources import Source
 
 
@@ -156,19 +155,6 @@ class Partition:
         return f"Partition({self.to_lists()})"
 
 
-def iter_partitions(items: Iterable[int]):
-    """Yield every partition of ``items`` as a tuple of frozensets."""
-    items = list(items)
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in iter_partitions(rest):
-        for k in range(len(sub)):
-            yield sub[:k] + (sub[k] | {first},) + sub[k + 1:]
-        yield sub + (frozenset({first}),)
-
-
 def f_alpha(source: Source, alpha, X: Iterable[int]):
     """Sum-rate-parameterized cost: zero on the empty set, else
     ``alpha - H(V) + H(X)`` (equivalently ``alpha - H(V∖X | X)``)."""
@@ -181,32 +167,14 @@ def f_alpha(source: Source, alpha, X: Iterable[int]):
 # --- Dilworth truncation ---------------------------------------------------
 
 
-def _dilworth_enumerate(fa: Callable[[frozenset], Fraction | float], X: frozenset, tol):
-    """Oracle backend: minimize over every partition of X, return the finest
-    minimizer (selected by maximal block count, verified by refinement)."""
-    if len(X) > 10:
-        raise GroundSetTooLarge(
-            f"partition enumeration is limited to 10 elements, got {len(X)}")
-    scored = [(sum(fa(B) for B in P), P) for P in iter_partitions(sorted(X))]
-    best = min(v for v, _ in scored)
-    minimizers = [P for v, P in scored if v <= best + tol]
-    most_blocks = max(len(P) for P in minimizers)
-    finest = [Partition(P) for P in minimizers if len(P) == most_blocks]
-    if len(finest) != 1 or not all(finest[0].refines(Partition(P)) for P in minimizers):
-        raise ArithmeticError(
-            "minimizing partitions do not form a lattice; "
-            "the cost function is not intersecting submodular")
-    return best, finest[0]
-
-
 def _dilworth_incremental(
     fa: Callable[[frozenset], Fraction | float],
     order: Iterable[int],
     sfm_backend: str,
     tol,
 ):
-    """Incremental backend: grow the ground set one element at a time, merging
-    the new element into existing blocks via one constrained SFM per element.
+    """Grow the ground set one element at a time, merging the new element
+    into existing blocks via one constrained SFM per element.
 
     Returns ``(value, finest_partition, per_element_increments)`` where the
     increments follow ``order`` and telescope to the truncation value.
@@ -240,14 +208,12 @@ def dilworth_truncation(
     alpha,
     X: Iterable[int],
     *,
-    backend: str = "incremental",
     sfm_backend: str = "exhaustive",
 ):
     """Partition-wise minimum of the parameterized cost over ``X``.
 
-    Returns ``(value, finest_minimizing_partition)``.  ``backend`` is
-    ``"incremental"`` (one constrained SFM per element) or ``"enumerate"``
-    (explicit minimum over all partitions, the correctness oracle).
+    Returns ``(value, finest_minimizing_partition)``, computed with one
+    constrained SFM per element of ``X``.
     """
     X = source.subset(X)
     if not X:
@@ -256,28 +222,11 @@ def dilworth_truncation(
     def fa(S: frozenset):
         return f_alpha(source, alpha, S)
 
-    if backend == "enumerate":
-        return _dilworth_enumerate(fa, X, source.tol)
-    if backend == "incremental":
-        value, part, _ = _dilworth_incremental(fa, sorted(X), sfm_backend, source.tol)
-        return value, part
-    raise ValueError(f"unknown Dilworth backend {backend!r}")
+    value, part, _ = _dilworth_incremental(fa, sorted(X), sfm_backend, source.tol)
+    return value, part
 
 
 # --- solving the minimum sum-rate problem ----------------------------------
-
-
-def _bruteforce_min_sum_rate(source: Source):
-    """Maximize sum(H(V) - H(C)) / (|P| - 1) over partitions with >= 2 blocks."""
-    hv = source.entropy(source.ground)
-    best = None
-    for P in iter_partitions(source.users):
-        if len(P) < 2:
-            continue
-        candidate = sum(hv - source.entropy(C) for C in P) / (len(P) - 1)
-        if best is None or candidate > best:
-            best = candidate
-    return best
 
 
 def _newton_min_sum_rate(source: Source, sfm_backend: str):
@@ -288,8 +237,7 @@ def _newton_min_sum_rate(source: Source, sfm_backend: str):
     tol = source.tol
     alpha = sum(hv - source.entropy(frozenset({u})) for u in users) / (len(users) - 1)
     for _ in range(len(users) + 2):
-        value, part = dilworth_truncation(
-            source, alpha, users, backend="incremental", sfm_backend=sfm_backend)
+        value, part = dilworth_truncation(source, alpha, users, sfm_backend=sfm_backend)
         if _eq(value, alpha, tol):
             return alpha, part
         if len(part) < 2:
@@ -304,8 +252,8 @@ class GameContext:
 
     Subgame contexts (from :func:`decompose`) reuse the same cache and cost
     function restricted to their block; their ``sum_cost`` is the block's
-    characteristic cost.  Contexts are immutable after construction and safe
-    for concurrent queries.
+    characteristic cost.  ``vertex`` is assigned once the context is built;
+    the truncation cache fills as :meth:`hat` is queried.
     """
 
     def __init__(
@@ -377,27 +325,15 @@ class GameContext:
                 f"sum_cost={self.sum_cost}, partition={self.fundamental_partition})")
 
 
-def min_sum_rate(source: Source, *, method: str = "auto", sfm_backend: str = "exhaustive") -> GameContext:
-    """Solve the minimum sum-rate problem.
+def min_sum_rate(source: Source, *, sfm_backend: str = "exhaustive") -> GameContext:
+    """Solve the minimum sum-rate problem by iterated truncation evaluation
+    with candidate sum-rate updates (at most |V| truncations).
 
-    ``method`` is ``"bruteforce"`` (maximize the partition formula directly,
-    desk scale), ``"newton"`` (iterated truncation evaluation with candidate
-    sum-rate updates), or ``"auto"`` which picks by ground set size.  Both
-    must agree; the returned context carries the fundamental partition, the
-    shared randomness amount, and one core vertex (greedy on the identity
+    The returned context carries the fundamental partition, the shared
+    randomness amount, and one core vertex (greedy on the identity
     permutation).
     """
-    if method == "auto":
-        method = "bruteforce" if len(source.users) <= 8 else "newton"
-    if method == "bruteforce":
-        rco = _bruteforce_min_sum_rate(source)
-        _, part = dilworth_truncation(
-            source, rco, source.users, backend="incremental", sfm_backend=sfm_backend)
-    elif method == "newton":
-        rco, part = _newton_min_sum_rate(source, sfm_backend)
-    else:
-        raise ValueError(f"unknown solve method {method!r}")
-
+    rco, part = _newton_min_sum_rate(source, sfm_backend)
     shared = source.entropy(source.ground) - rco
     if shared < -source.tol:
         raise ArithmeticError(f"shared randomness came out negative: {shared}")

@@ -30,8 +30,7 @@ class SetFunction:
     """A memoized function on subsets of a finite ground set.
 
     The oracle must be deterministic: repeated evaluation of one subset
-    returns the identical value.  The memo cache only ever receives
-    idempotent writes, so concurrent readers are safe in CPython.
+    returns the identical value.
     """
 
     __slots__ = ("ground", "_fn", "_cache")

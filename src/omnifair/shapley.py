@@ -1,9 +1,11 @@
 """Extreme points of the optimal rate region and Shapley-value allocation.
 
 The Shapley value charges each user their permutation-averaged marginal
-characteristic cost.  It equals the mean of the core's distinct vertices,
-which yields an approximation scheme: average the greedy vertices of a
-random sample of permutations.  Both combine with the fundamental-partition
+characteristic cost, i.e. the mean greedy vertex over all permutations,
+counted with multiplicity.  That yields an approximation scheme: average the
+greedy vertices of a random sample of permutations.  The centroid of the
+distinct vertices is a different point unless every vertex arises from
+equally many permutations.  All combine with the fundamental-partition
 decomposition for distributed computation.
 """
 
@@ -15,7 +17,6 @@ from math import factorial
 from itertools import permutations as iter_permutations
 from typing import Iterable, Mapping, Sequence
 
-from ._concurrency import parallel_map
 from .omniscience import GameContext, RateVector, decompose
 from .setfn import GroundSetTooLarge, subsets
 
@@ -84,7 +85,11 @@ def shapley_exact(ctx: GameContext) -> RateVector:
 
 
 def shapley_mean_of_vertices(ctx: GameContext) -> RateVector:
-    """Shapley value as the arithmetic mean of the distinct core vertices."""
+    """Centroid of the distinct core vertices.
+
+    This is the Shapley value only when every vertex arises from equally
+    many permutations; otherwise the two differ (use :func:`shapley_exact`).
+    """
     vertices = enumerate_extreme_points(ctx)
     return _mean(vertices, ctx)
 
@@ -139,7 +144,7 @@ def shapley_approx(
     perms = [tuple(p) for p in permutations]
     if not perms:
         raise ValueError("empty permutation list")
-    vertices = parallel_map(ctx.greedy_vertex, perms)
+    vertices = [ctx.greedy_vertex(p) for p in perms]
     return _mean(vertices, ctx)
 
 
@@ -176,4 +181,4 @@ def shapley_decomposed(
             raise ValueError("approx mode needs a seed or explicit permutations")
         return shapley_approx(sub, count=count or len(sub.users), seed=child_seeds[sub.ground])
 
-    return RateVector.direct_sum(parallel_map(solve_block, subgames))
+    return RateVector.direct_sum([solve_block(sub) for sub in subgames])

@@ -77,11 +77,7 @@ def gf_rank(rows: Sequence[Sequence[int]], q: int) -> int:
 
 
 class Source:
-    """Base class: a memoized entropy oracle over subsets of users.
-
-    Instances are read-only after construction and safe to query from
-    multiple threads (cache writes are idempotent).
-    """
+    """Base class: a memoized entropy oracle over subsets of users."""
 
     is_exact: bool = True
 

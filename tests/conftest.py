@@ -1,6 +1,7 @@
 """Shared fixtures: the five-user demo instance, a seeded random-instance
-corpus, and the property battery both the property suite and the acceptance
-gate assert against (computed once per session)."""
+corpus, brute-force oracles for the solver, and the property battery both the
+property suite and the acceptance gate assert against (computed once per
+session)."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import pytest
 
 from omnifair import (
     LinearSource,
+    Partition,
     PmfSource,
     RateVector,
     core_membership,
@@ -33,6 +35,7 @@ from omnifair import (
 from omnifair.egalitarian import dep
 from omnifair.omniscience import GameContext
 from omnifair.setfn import SetFunction, is_submodular, subsets
+from omnifair.sources import Source
 
 DEMO_HOLDINGS = {
     1: ("b", "c", "d", "h", "i"),
@@ -73,6 +76,47 @@ def demo_ctx(demo_source) -> GameContext:
 @pytest.fixture(scope="session")
 def demo_subgames(demo_ctx):
     return decompose(demo_ctx)
+
+
+# --- brute-force oracles -----------------------------------------------------
+
+
+def iter_partitions(items):
+    """Yield every partition of ``items`` as a tuple of frozensets."""
+    items = list(items)
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for sub in iter_partitions(rest):
+        for k in range(len(sub)):
+            yield sub[:k] + (sub[k] | {first},) + sub[k + 1:]
+        yield sub + (frozenset({first}),)
+
+
+def dilworth_enumerate(source: Source, alpha, X):
+    """Oracle truncation: minimize the parameterized cost over every partition
+    of X, return ``(value, finest_minimizer)`` (selected by maximal block
+    count, verified by refinement)."""
+    X = source.subset(X)
+    assert 0 < len(X) <= 10, "partition enumeration is limited to 10 elements"
+    scored = [(sum(f_alpha(source, alpha, B) for B in P), P) for P in iter_partitions(sorted(X))]
+    best = min(v for v, _ in scored)
+    minimizers = [P for v, P in scored if v <= best + source.tol]
+    most_blocks = max(len(P) for P in minimizers)
+    finest = [Partition(P) for P in minimizers if len(P) == most_blocks]
+    assert len(finest) == 1 and all(finest[0].refines(Partition(P)) for P in minimizers), (
+        "minimizing partitions do not form a lattice")
+    return best, finest[0]
+
+
+def bruteforce_min_sum_rate(source: Source):
+    """Oracle sum-rate: maximize sum(H(V) - H(C)) / (|P| - 1) over partitions
+    with >= 2 blocks."""
+    hv = source.entropy(source.ground)
+    return max(
+        sum(hv - source.entropy(C) for C in P) / (len(P) - 1)
+        for P in iter_partitions(source.users) if len(P) >= 2)
 
 
 def random_linear_source(seed: int, min_users=3, max_users=6, max_packets=12) -> LinearSource:
@@ -198,7 +242,7 @@ def check_membership_equivalence(ctx: GameContext, samples: int, seed: int) -> b
 def run_instance_battery(seed: int) -> dict:
     """Every randomized-suite property for one generated instance."""
     src = random_linear_source(seed)
-    ctx = min_sum_rate(src, method="bruteforce")
+    ctx = min_sum_rate(src)
     users = src.users
     n = len(users)
     K = ctx.grid_denominator
@@ -207,20 +251,20 @@ def run_instance_battery(seed: int) -> dict:
     entropy = SetFunction(src.ground, src.entropy)
     out["entropy_submodular"] = is_submodular(entropy)[0]
 
-    newton = min_sum_rate(src, method="newton")
+    oracle_rate = bruteforce_min_sum_rate(src)
     out["methods_agree"] = (
-        newton.min_sum_rate == ctx.min_sum_rate
-        and newton.fundamental_partition == ctx.fundamental_partition)
+        oracle_rate == ctx.min_sum_rate
+        and dilworth_enumerate(src, oracle_rate, users)[1] == ctx.fundamental_partition)
 
     quarter_less = ctx.min_sum_rate - F(1, 4)
     out["threshold_strict"] = (
         f_alpha(src, ctx.min_sum_rate, src.ground) == ctx.hat(src.ground)
         and f_alpha(src, quarter_less, src.ground)
-        > dilworth_truncation(src, quarter_less, users, backend="enumerate")[0])
+        > dilworth_enumerate(src, quarter_less, users)[0])
 
     out["dilworth_backends_agree"] = all(
-        dilworth_truncation(src, ctx.min_sum_rate, X, backend="enumerate")
-        == dilworth_truncation(src, ctx.min_sum_rate, X, backend="incremental")
+        dilworth_enumerate(src, ctx.min_sum_rate, X)
+        == dilworth_truncation(src, ctx.min_sum_rate, X)
         for X in subsets(users) if X)
 
     subgames = decompose(ctx)  # raises DecompositionError on identity failure

@@ -27,7 +27,7 @@ from omnifair import (
 from omnifair.egalitarian import dep
 from omnifair.setfn import subsets
 
-from conftest import battery_failures, random_linear_source, rv
+from conftest import battery_failures, dilworth_enumerate, random_linear_source, rv
 
 
 def report(name: str) -> None:
@@ -115,8 +115,8 @@ def test_criterion_7_backend_equivalence(demo_source, demo_ctx, property_battery
     for X in subsets(demo_source.users):
         if not X:
             continue
-        assert (dilworth_truncation(demo_source, demo_ctx.min_sum_rate, X, backend="enumerate")
-                == dilworth_truncation(demo_source, demo_ctx.min_sum_rate, X, backend="incremental"))
+        assert (dilworth_enumerate(demo_source, demo_ctx.min_sum_rate, X)
+                == dilworth_truncation(demo_source, demo_ctx.min_sum_rate, X))
     # and across the randomized corpus (checked per instance in the battery)
     assert all(r["dilworth_backends_agree"] for r in property_battery)
     # SFM backends on random submodular instances, up to eight users

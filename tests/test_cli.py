@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omnifair import DecompositionError
 from omnifair.cli import (
+    EXIT_INTERNAL,
     EXIT_NONCONVERGENCE,
     EXIT_PARSE,
+    EXIT_TOO_LARGE,
     EXIT_VERIFY,
     emit_value,
     main,
@@ -137,6 +140,39 @@ def test_nonconvergence_exit_code(capsys, spec_path, monkeypatch):
         capsys, "egalitarian", "--input", spec_path, "--mode", "continuous")
     assert status == EXIT_NONCONVERGENCE
     assert report["error"]["type"] == "ConvergenceError"
+
+
+def test_too_large_instance_exit_code(capsys, tmp_path):
+    # 20 users sharing two packets plus one holding a third: the solve stays
+    # cheap (the first 20 users merge into one block), exact Shapley refuses
+    spec = {
+        "model": "linear",
+        "field": 2,
+        "packets": ["a", "b", "c"],
+        "users": {**{str(u): ["a", "b"] for u in range(1, 21)}, "21": ["c"]},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    status, report = run_cli(capsys, "shapley", "--input", str(path), "--mode", "exact")
+    assert status == EXIT_TOO_LARGE
+    assert report["error"]["type"] == "GroundSetTooLarge"
+    assert report["config"]["command"] == "shapley"
+
+
+@pytest.mark.parametrize("exc_type", [ArithmeticError, DecompositionError])
+def test_internal_invariant_exit_code(capsys, spec_path, monkeypatch, exc_type):
+    import omnifair.cli as cli_module
+
+    def explode(*args, **kwargs):
+        raise exc_type("invariant broken")
+
+    monkeypatch.setattr(cli_module, "min_sum_rate", explode)
+    status = main(["solve", "--input", spec_path])
+    captured = capsys.readouterr()
+    assert status == EXIT_INTERNAL
+    assert json.loads(captured.out)["error"] == {
+        "type": exc_type.__name__, "message": "invariant broken"}
+    assert "Traceback" not in captured.err
 
 
 def test_split_plan_minimal(capsys):

@@ -191,28 +191,6 @@ class TestDecomposed:
             egalitarian_decomposed(demo_ctx, mode="newton")
 
 
-class TestWorkerPoolParity:
-    def test_threaded_runs_match_sequential(self, demo_ctx, monkeypatch):
-        from omnifair import shapley_approx
-
-        sequential_sda, _ = sda(demo_ctx, r0=rv(R0))
-        sequential_dec = egalitarian_decomposed(demo_ctx, mode="sda", r0=rv(R0))
-        sequential_appr = shapley_approx(demo_ctx, count=4, seed=9)
-        monkeypatch.setenv("OMNIFAIR_THREADS", "3")
-        threaded_sda, _ = sda(demo_ctx, r0=rv(R0))
-        assert threaded_sda == sequential_sda
-        assert egalitarian_decomposed(demo_ctx, mode="sda", r0=rv(R0)) == sequential_dec
-        assert shapley_approx(demo_ctx, count=4, seed=9) == sequential_appr
-
-    def test_malformed_thread_env_falls_back(self, monkeypatch):
-        from omnifair._concurrency import worker_count
-
-        monkeypatch.setenv("OMNIFAIR_THREADS", "many")
-        assert worker_count() == 1
-        monkeypatch.setenv("OMNIFAIR_THREADS", "4")
-        assert worker_count() == 4
-
-
 class TestPacketSplitPlan:
     def test_two_chunk_plan(self):
         plan = packet_split_plan(rv({1: 1, 2: F(1, 2), 3: F(1, 2), 4: 4, 5: F(1, 2)}), K=2)

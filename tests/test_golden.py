@@ -1,0 +1,100 @@
+"""Whole-report regression: every README command-line invocation on
+``scripts/example_source.json`` must reproduce its stored report under
+``tests/golden/`` byte for byte, apart from the ``timings`` block and the
+machine-specific ``config.input``/``config.output`` paths.
+
+Regenerate the stored reports (only when a report change is intended) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from omnifair.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXAMPLE = ROOT / "scripts" / "example_source.json"
+
+#: stands for the example source path in :data:`INVOCATIONS`
+INPUT = "<input>"
+
+#: name -> argv
+INVOCATIONS = {
+    "solve": ["solve", "--input", INPUT],
+    "shapley-exact": ["shapley", "--input", INPUT, "--mode", "exact"],
+    "shapley-approx": ["shapley", "--input", INPUT, "--mode", "approx",
+                       "--seed", "7", "--permutations", "10"],
+    "shapley-decomposed": ["shapley", "--input", INPUT, "--mode", "decomposed"],
+    "shapley-decomposed-approx": ["shapley", "--input", INPUT, "--mode", "decomposed",
+                                  "--seed", "7", "--permutations", "2"],
+    "egalitarian-sda": ["egalitarian", "--input", INPUT, "--mode", "sda", "--K", "2",
+                        "--rates", '{"1":"1","2":"1/2","3":"1/2","4":"9/2","5":"0"}',
+                        "--trace", "--trace-csv", "error_curve.csv"],
+    "egalitarian-continuous": ["egalitarian", "--input", INPUT, "--mode", "continuous",
+                               "--weights", '{"1":6,"2":1,"3":1,"4":3,"5":2}'],
+    "egalitarian-decomposed": ["egalitarian", "--input", INPUT, "--mode", "decomposed"],
+    "verify": ["verify", "--input", INPUT,
+               "--rates", '{"1":"1","2":"1/2","3":"1/2","4":"4","5":"1/2"}'],
+    "split-plan": ["split-plan", "--rates", '{"1":"5/4","2":"1/2","3":"1/2","4":"3","5":"5/4"}'],
+}
+
+#: invocations that also write a trace CSV into the working directory
+CSV_OUTPUTS = {"egalitarian-sda": "error_curve.csv"}
+
+
+def normalized_report(name: str, workdir: Path) -> tuple[int, str]:
+    """Run one invocation inside ``workdir``; return its exit status and the
+    report text with timings dropped and file paths replaced."""
+    out = workdir / f"{name}.json"
+    argv = [str(EXAMPLE) if arg == INPUT else arg for arg in INVOCATIONS[name]]
+    argv += ["--output", str(out)]
+    previous = os.getcwd()
+    os.chdir(workdir)
+    try:
+        status = main(argv)
+    finally:
+        os.chdir(previous)
+    report = json.loads(out.read_text())
+    report.pop("timings", None)
+    config = report["config"]
+    if config["input"] is not None:
+        config["input"] = "scripts/example_source.json"
+    config["output"] = None
+    return status, json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+def test_report_matches_golden(name, tmp_path):
+    status, text = normalized_report(name, tmp_path)
+    assert status == 0
+    assert text == (GOLDEN / f"{name}.json").read_text()
+    if name in CSV_OUTPUTS:
+        csv = CSV_OUTPUTS[name]
+        assert (tmp_path / csv).read_text() == (GOLDEN / f"{name}.csv").read_text()
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for name in sorted(INVOCATIONS):
+            status, text = normalized_report(name, workdir)
+            if status != 0:
+                raise SystemExit(f"{name} exited {status}")
+            (GOLDEN / f"{name}.json").write_text(text)
+            if name in CSV_OUTPUTS:
+                csv = (workdir / CSV_OUTPUTS[name]).read_text()
+                (GOLDEN / f"{name}.csv").write_text(csv)
+            print(f"wrote {GOLDEN / name}.json", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    regenerate()

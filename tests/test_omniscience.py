@@ -11,13 +11,18 @@ from omnifair import (
     decompose,
     dilworth_truncation,
     f_alpha,
-    iter_partitions,
     l1_size,
     min_sum_rate,
 )
 from omnifair.setfn import subsets
 
-from conftest import DEMO_HOLDINGS, rv
+from conftest import (
+    DEMO_HOLDINGS,
+    bruteforce_min_sum_rate,
+    dilworth_enumerate,
+    iter_partitions,
+    rv,
+)
 
 
 class TestRateVector:
@@ -102,8 +107,8 @@ class TestDilworthTruncation:
             cost[(1, 4, 5)],
         )
         assert by_hand == F(11, 2)
-        for backend in ("enumerate", "incremental"):
-            value, _ = dilworth_truncation(demo_source, F(13, 2), {1, 4, 5}, backend=backend)
+        for truncate in (dilworth_enumerate, dilworth_truncation):
+            value, _ = truncate(demo_source, F(13, 2), {1, 4, 5})
             assert value == by_hand
 
     def test_singleton(self, demo_source):
@@ -124,9 +129,10 @@ class TestMinSumRate:
         assert demo_ctx.grid_denominator == 2
 
     def test_methods_agree(self, demo_source, demo_ctx):
-        newton = min_sum_rate(demo_source, method="newton")
-        assert newton.min_sum_rate == demo_ctx.min_sum_rate
-        assert newton.fundamental_partition == demo_ctx.fundamental_partition
+        oracle_rate = bruteforce_min_sum_rate(demo_source)
+        assert oracle_rate == demo_ctx.min_sum_rate
+        _, oracle_partition = dilworth_enumerate(demo_source, oracle_rate, demo_source.users)
+        assert oracle_partition == demo_ctx.fundamental_partition
 
     def test_vertex_is_identity_greedy_and_in_core(self, demo_ctx):
         from omnifair import edmonds_greedy_vertex

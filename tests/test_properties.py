@@ -90,8 +90,8 @@ def test_minnorm_sfm_through_the_full_solve_stack(seed):
     from omnifair.setfn import subsets
 
     src = random_linear_source(seed, min_users=3, max_users=5)
-    exhaustive = min_sum_rate(src, method="newton", sfm_backend="exhaustive")
-    minnorm = min_sum_rate(src, method="newton", sfm_backend="minnorm")
+    exhaustive = min_sum_rate(src, sfm_backend="exhaustive")
+    minnorm = min_sum_rate(src, sfm_backend="minnorm")
     assert minnorm.min_sum_rate == exhaustive.min_sum_rate
     assert minnorm.fundamental_partition == exhaustive.fundamental_partition
     assert minnorm.vertex == exhaustive.vertex

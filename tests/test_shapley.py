@@ -19,7 +19,7 @@ from omnifair import (
     shapley_mean_of_vertices,
 )
 
-from conftest import rv
+from conftest import random_linear_source, rv
 
 DEMO_VERTICES = {
     (F(3, 2), F(1, 2), F(1, 2), F(4), F(0)),
@@ -116,6 +116,15 @@ class TestMeanOfVertices:
     def test_one_vertex_core(self, demo_subgames):
         single = demo_subgames[1]
         assert shapley_mean_of_vertices(single) == single.vertex
+
+    def test_centroid_is_not_shapley_on_seed_0(self):
+        # vertices of this core arise from unequally many permutations, so
+        # the centroid of the distinct vertices misses the Shapley value
+        ctx = min_sum_rate(random_linear_source(0))
+        assert shapley_exact(ctx) == rv(
+            {1: 0, 2: F(5, 4), 3: F(3, 2), 4: F(1, 4), 5: F(19, 6), 6: F(11, 6)})
+        assert shapley_mean_of_vertices(ctx) == rv(
+            {1: 0, 2: F(3, 2), 3: F(17, 10), 4: F(1, 2), 5: F(11, 5), 6: F(21, 10)})
 
 
 class TestShapleyApprox:
