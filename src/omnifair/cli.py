@@ -33,8 +33,8 @@ from .omniscience import (
     DecompositionError,
     GameContext,
     RateVector,
+    check_decomposition,
     core_membership,
-    decompose,
     min_sum_rate,
 )
 from .setfn import GroundSetTooLarge, SetFunction, is_submodular
@@ -50,6 +50,9 @@ EXIT_INTERNAL = 6
 
 #: Submodularity verification enumerates subset pairs; skip beyond this size.
 VERIFY_SUBMODULAR_LIMIT = 12
+
+#: The separability check evaluates 2^|V| truncations; skip beyond this size.
+VERIFY_DECOMPOSITION_LIMIT = 10
 
 
 class ConfigError(ValueError):
@@ -293,11 +296,15 @@ def _run_verify(cfg: RunConfig, ctx: GameContext) -> list[dict]:
     else:
         verdicts.append({"check": "entropy_submodular", "pass": True,
                          "witness": f"skipped: more than {VERIFY_SUBMODULAR_LIMIT} users"})
-    try:
-        decompose(ctx)
-        verdicts.append({"check": "fundamental_decomposition", "pass": True, "witness": None})
-    except DecompositionError as exc:
-        verdicts.append({"check": "fundamental_decomposition", "pass": False, "witness": str(exc)})
+    if len(source.users) <= VERIFY_DECOMPOSITION_LIMIT:
+        try:
+            check_decomposition(ctx)
+            verdicts.append({"check": "fundamental_decomposition", "pass": True, "witness": None})
+        except DecompositionError as exc:
+            verdicts.append({"check": "fundamental_decomposition", "pass": False, "witness": str(exc)})
+    else:
+        verdicts.append({"check": "fundamental_decomposition", "pass": True,
+                         "witness": f"skipped: more than {VERIFY_DECOMPOSITION_LIMIT} users"})
     ok, witness = core_membership(ctx, ctx.vertex)
     verdicts.append({"check": "solver_vertex_in_core", "pass": ok, "witness": witness})
     if cfg.rates is not None:

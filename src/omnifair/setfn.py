@@ -1,10 +1,11 @@
-"""Set-function toolkit: memoized oracles, submodularity checks, and
+"""Set-function toolkit: set-function oracles, submodularity checks, and
 submodular function minimization (SFM) on sublattices of the subset lattice.
 
 Two SFM backends sit behind one contract: ``exhaustive`` enumerates the
 lattice and is the correctness baseline; ``minnorm`` is a Fujishige-Wolfe
 minimum-norm-point solver in exact rational arithmetic for a growth path
-beyond desk scale.
+beyond desk scale.  Each routine evaluates the oracle at most once per
+subset it needs; callers that want a cache put it behind the oracle.
 """
 
 from __future__ import annotations
@@ -27,31 +28,23 @@ class InfeasibleLattice(ValueError):
 
 
 class SetFunction:
-    """A memoized function on subsets of a finite ground set.
+    """A function on subsets of a finite ground set.
 
-    The oracle must be deterministic: repeated evaluation of one subset
-    returns the identical value.
+    Every call evaluates the oracle; it must be deterministic, returning the
+    identical value for repeated evaluations of one subset.
     """
 
-    __slots__ = ("ground", "_fn", "_cache")
+    __slots__ = ("ground", "_fn")
 
     def __init__(self, ground: Iterable, fn: Callable[[frozenset], Fraction | float]):
         self.ground = frozenset(ground)
         self._fn = fn
-        self._cache: dict[frozenset, Fraction | float] = {}
 
     def __call__(self, X: Iterable) -> Fraction | float:
         X = frozenset(X)
         if not X <= self.ground:
             raise ValueError(f"{sorted(X - self.ground)} not in the ground set")
-        value = self._cache.get(X)
-        if value is None:
-            value = self._cache.setdefault(X, self._fn(X))
-        return value
-
-    def evaluations(self) -> int:
-        """Number of distinct subsets evaluated so far."""
-        return len(self._cache)
+        return self._fn(X)
 
 
 def subsets(items: Iterable) -> Iterable[frozenset]:
@@ -66,31 +59,30 @@ def _check_size(n: int) -> None:
         raise GroundSetTooLarge(f"ground set of size {n} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}")
 
 
+def _first_violation(f: SetFunction, tol, intersecting: bool):
+    _check_size(len(f.ground))
+    table = {X: f(X) for X in subsets(f.ground)}
+    for X in table:
+        for Y in table:
+            if intersecting and not X & Y:
+                continue
+            if table[X] + table[Y] < table[X & Y] + table[X | Y] - tol:
+                return False, (X, Y)
+    return True, None
+
+
 def is_submodular(f: SetFunction, tol=0):
-    """Exhaustively check f(X) + f(Y) >= f(X ∩ Y) + f(X ∪ Y) on all pairs.
+    """Exhaustively check f(X) + f(Y) >= f(X ∩ Y) + f(X ∪ Y) on all pairs,
+    evaluating ``f`` once per subset.
 
     Returns ``(True, None)`` or ``(False, (X, Y))`` with one violating pair.
     """
-    _check_size(len(f.ground))
-    subs = list(subsets(f.ground))
-    for X in subs:
-        for Y in subs:
-            if f(X) + f(Y) < f(X & Y) + f(X | Y) - tol:
-                return False, (X, Y)
-    return True, None
+    return _first_violation(f, tol, intersecting=False)
 
 
 def is_intersecting_submodular(f: SetFunction, tol=0):
     """Like :func:`is_submodular`, restricted to pairs with X ∩ Y nonempty."""
-    _check_size(len(f.ground))
-    subs = list(subsets(f.ground))
-    for X in subs:
-        for Y in subs:
-            if not X & Y:
-                continue
-            if f(X) + f(Y) < f(X & Y) + f(X | Y) - tol:
-                return False, (X, Y)
-    return True, None
+    return _first_violation(f, tol, intersecting=True)
 
 
 @dataclass(frozen=True)
@@ -133,11 +125,12 @@ def sfm_min(
 
 def _sfm_exhaustive(f, forced_in, free, tol) -> SfmResult:
     _check_size(len(free))
-    best = min(f(forced_in | Y) for Y in subsets(free))
+    values = [f(forced_in | Y) for Y in subsets(free)]
+    best = min(values)
     minimal = forced_in | free
     maximal = frozenset(forced_in)
-    for Y in subsets(free):
-        if f(forced_in | Y) <= best + tol:
+    for value, Y in zip(values, subsets(free)):
+        if value <= best + tol:
             minimal &= forced_in | Y
             maximal |= Y
     assert minimal <= maximal, "minimizer collection is empty or inconsistent"
@@ -238,29 +231,21 @@ def _min_norm_base_point(g, elems: list) -> tuple[Fraction, ...]:
     raise ArithmeticError("min-norm point iteration failed to terminate")
 
 
-def _minnorm_min_value(f, forced_in: frozenset, free: frozenset) -> Fraction:
-    """Exact minimum of f over {X : forced_in ⊆ X ⊆ forced_in ∪ free}."""
+def _sfm_minnorm(f, forced_in, free) -> SfmResult:
+    """Minimum of f over {X : forced_in ⊆ X ⊆ forced_in ∪ free} from one
+    min-norm solve.  With x the min-norm base point of the shifted function,
+    {x < 0} is the minimal minimizer and {x <= 0} the maximal one
+    (Fujishige 1980)."""
     base = _exact(f(forced_in))
     if not free:
-        return base
+        return SfmResult(base, forced_in, forced_in)
     elems = sorted(free)
 
     def g(prefix: frozenset) -> Fraction:
         return _exact(f(forced_in | prefix)) - base
 
     x = _min_norm_base_point(g, elems)
-    return base + sum(v for v in x if v < 0)
-
-
-def _sfm_minnorm(f, forced_in, free) -> SfmResult:
-    best = _minnorm_min_value(f, forced_in, free)
-    minimal = set(forced_in)
-    maximal = set(forced_in)
-    # contraction trick: probe each element by re-solving with it pinned
-    for e in sorted(free):
-        rest = free - {e}
-        if _minnorm_min_value(f, forced_in, rest) > best:
-            minimal.add(e)
-        if _minnorm_min_value(f, forced_in | {e}, rest) == best:
-            maximal.add(e)
-    return SfmResult(best, frozenset(minimal), frozenset(maximal))
+    return SfmResult(
+        base + sum(v for v in x if v < 0),
+        forced_in | {e for e, v in zip(elems, x) if v < 0},
+        forced_in | {e for e, v in zip(elems, x) if v <= 0})

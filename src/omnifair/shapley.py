@@ -27,26 +27,14 @@ ENUMERATION_LIMIT = 8
 EXACT_LIMIT = 20
 
 
-def edmonds_greedy_vertex(ctx: GameContext, permutation: Sequence[int], *, method: str = "cache") -> RateVector:
+def edmonds_greedy_vertex(ctx: GameContext, permutation: Sequence[int]) -> RateVector:
     """Core vertex for ``permutation``: each user is charged the marginal
-    characteristic cost over the preceding prefix.
-
-    ``method="cache"`` reads (and fills) the context's truncation cache;
-    ``method="chain"`` runs one incremental truncation pass along the
-    permutation, one constrained SFM per step, and reads the per-step
-    increments.  Both return the same vertex.
-    """
+    characteristic cost over the preceding prefix, read from (and filling)
+    the context's truncation cache."""
     order = tuple(permutation)
     if frozenset(order) != ctx.ground or len(order) != len(ctx.ground):
         raise ValueError(f"{order} is not a permutation of {ctx.users}")
-    if method == "cache":
-        return ctx.greedy_vertex(order)
-    if method == "chain":
-        from .omniscience import _dilworth_incremental
-
-        _, _, increments = _dilworth_incremental(ctx.f, order, ctx._sfm_backend, ctx.tol)
-        return RateVector(dict(zip(order, increments)))
-    raise ValueError(f"unknown method {method!r}")
+    return ctx.greedy_vertex(order)
 
 
 def enumerate_extreme_points(ctx: GameContext) -> tuple[RateVector, ...]:

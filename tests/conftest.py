@@ -1,7 +1,7 @@
 """Shared fixtures: the five-user demo instance, a seeded random-instance
-corpus, brute-force oracles for the solver, and the property battery both the
-property suite and the acceptance gate assert against (computed once per
-session)."""
+corpus, brute-force oracles for the solver (and the cross-checks the solver
+does not run on itself), and the property battery both the property suite and
+the acceptance gate assert against (computed once per session)."""
 
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from omnifair import (
     shapley_mean_of_vertices,
 )
 from omnifair.egalitarian import dep
-from omnifair.omniscience import GameContext
+from omnifair.omniscience import GameContext, _dilworth_incremental, check_decomposition
 from omnifair.setfn import SetFunction, is_submodular, subsets
 from omnifair.sources import Source
 
@@ -223,9 +223,35 @@ def random_core_direction(rng: random.Random, users) -> dict:
     return {u: d - shift for u, d in deltas.items()}
 
 
+def hat_membership(ctx: GameContext, r: RateVector) -> bool:
+    """Oracle membership from the characteristic-cost bounds: ``r`` is
+    efficient and r(X) <= hat(X) on every nonempty subset."""
+    return abs(r.total() - ctx.sum_cost) <= ctx.tol and all(
+        r.mass(X) <= ctx.hat(X) + ctx.tol for X in subsets(ctx.users) if X)
+
+
+def cross_checked_membership(ctx: GameContext, r: RateVector) -> bool:
+    """Verdict of core_membership, which checks the defining rate
+    constraints, after asserting that hat_membership agrees."""
+    ok, _ = core_membership(ctx, r)
+    if ok != hat_membership(ctx, r):
+        raise ArithmeticError(
+            "membership cross-check disagreement between the defining "
+            "constraints and the characteristic-cost bounds")
+    return ok
+
+
+def chain_greedy_vertex(ctx: GameContext, permutation) -> RateVector:
+    """Oracle vertex: one incremental truncation pass along ``permutation``,
+    one constrained SFM per step, read off the per-step increments."""
+    order = tuple(permutation)
+    _, _, increments = _dilworth_incremental(ctx.f, order, ctx._sfm_backend, ctx.tol)
+    return RateVector(dict(zip(order, increments)))
+
+
 def check_membership_equivalence(ctx: GameContext, samples: int, seed: int) -> bool:
-    """core_membership cross-checks its two constraint forms internally and
-    raises on disagreement; drive it with mixed in/out random vectors."""
+    """Drive core_membership and hat_membership with mixed in/out random
+    vectors; cross_checked_membership raises on any disagreement."""
     rng = random.Random(seed)
     users = ctx.users
     for k in range(samples):
@@ -235,7 +261,7 @@ def check_membership_equivalence(ctx: GameContext, samples: int, seed: int) -> b
             r = RateVector({u: base[u] + direction[u] for u in users})
         else:
             r = RateVector({u: F(rng.randint(-4, 24), rng.choice((1, 2, 4))) for u in users})
-        core_membership(ctx, r)
+        cross_checked_membership(ctx, r)
     return True
 
 
@@ -267,12 +293,13 @@ def run_instance_battery(seed: int) -> dict:
         == dilworth_truncation(src, ctx.min_sum_rate, X)
         for X in subsets(users) if X)
 
-    subgames = decompose(ctx)  # raises DecompositionError on identity failure
+    check_decomposition(ctx)  # raises DecompositionError on identity failure
     out["decomposition_identity"] = True
+    subgames = decompose(ctx)
     out["subgame_costs_sum"] = sum(sub.sum_cost for sub in subgames) == ctx.min_sum_rate
 
     vertices = enumerate_extreme_points(ctx)
-    out["vertices_in_core"] = all(core_membership(ctx, v)[0] for v in vertices)
+    out["vertices_in_core"] = all(cross_checked_membership(ctx, v) for v in vertices)
     out["vertex_denominators"] = all(
         K % F(v[u]).denominator == 0 for v in vertices for u in users)
     base = vertices[0]
@@ -313,12 +340,11 @@ def run_instance_battery(seed: int) -> dict:
         vec.total() == ctx.min_sum_rate
         for vec in (exact, mean_vertices, approx, approx_dec))
     out["approx_in_core"] = (
-        core_membership(ctx, approx)[0] and core_membership(ctx, approx_dec)[0])
+        cross_checked_membership(ctx, approx) and cross_checked_membership(ctx, approx_dec))
 
     some_perms = [tuple(random.Random(seed * 1009 + k).sample(users, n)) for k in range(3)]
     out["chain_matches_cache"] = all(
-        edmonds_greedy_vertex(ctx, p, method="chain")
-        == edmonds_greedy_vertex(ctx, p, method="cache")
+        chain_greedy_vertex(ctx, p) == edmonds_greedy_vertex(ctx, p)
         for p in some_perms)
 
     out["dep_within_block"] = all(
@@ -331,7 +357,7 @@ def run_instance_battery(seed: int) -> dict:
 
     endpoint, trace = sda(ctx)
     out["sda_path_feasible"] = all(
-        core_membership(ctx, it)[0]
+        cross_checked_membership(ctx, it)
         and all((it[u] * K).denominator == 1 for u in users)
         for it in trace.iterates)
     out["sda_monotone"] = all(

@@ -1,4 +1,6 @@
 import json
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +14,7 @@ from omnifair.cli import (
     EXIT_PARSE,
     EXIT_TOO_LARGE,
     EXIT_VERIFY,
+    VERIFY_DECOMPOSITION_LIMIT,
     emit_value,
     main,
     parse_rational,
@@ -101,6 +104,26 @@ def test_verify_passes(capsys, spec_path):
         "solver_vertex_in_core": True,
         "rate_vector_in_core": True,
     }
+
+
+def test_verify_skips_decomposition_above_its_limit(capsys, tmp_path):
+    rng = random.Random(13)
+    packets = [f"p{k}" for k in range(16)]
+    spec = {
+        "model": "linear",
+        "field": 2,
+        "packets": packets,
+        "users": {str(u): rng.sample(packets, rng.randint(1, 6)) for u in range(1, 14)},
+    }
+    path = tmp_path / "thirteen.json"
+    path.write_text(json.dumps(spec))
+    started = time.perf_counter()
+    status, report = run_cli(capsys, "verify", "--input", str(path))
+    assert time.perf_counter() - started < 15
+    assert status == 0
+    verdict = {v["check"]: v for v in report["verification"]}["fundamental_decomposition"]
+    assert verdict == {"check": "fundamental_decomposition", "pass": True,
+                       "witness": f"skipped: more than {VERIFY_DECOMPOSITION_LIMIT} users"}
 
 
 def test_verify_fails_on_zero_vector(capsys, spec_path):

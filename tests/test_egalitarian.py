@@ -6,7 +6,6 @@ from omnifair import (
     ConvergenceError,
     LinearSource,
     SplitError,
-    core_membership,
     dep,
     egalitarian_continuous,
     egalitarian_decomposed,
@@ -17,7 +16,7 @@ from omnifair import (
     sda,
 )
 
-from conftest import rv
+from conftest import cross_checked_membership, rv
 
 R0 = {1: 1, 2: F(1, 2), 3: F(1, 2), 4: F(9, 2), 5: 0}
 OPTIMUM = {1: F(3, 2), 2: F(1, 2), 3: F(1, 2), 4: 2, 5: 2}
@@ -123,7 +122,7 @@ class TestSda:
         assert trace.warnings and "may be suboptimal" in trace.warnings[0]
         assert trace.left_core is not None
         assert trace.locally_optimal is not None
-        assert core_membership(demo_ctx, out)[0] or trace.left_core
+        assert cross_checked_membership(demo_ctx, out) or trace.left_core
 
     def test_endpoint_locally_optimal(self, demo_ctx):
         out, _ = sda(demo_ctx, r0=rv(R0))

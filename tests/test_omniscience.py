@@ -19,7 +19,9 @@ from omnifair.setfn import subsets
 from conftest import (
     DEMO_HOLDINGS,
     bruteforce_min_sum_rate,
+    cross_checked_membership,
     dilworth_enumerate,
+    hat_membership,
     iter_partitions,
     rv,
 )
@@ -138,7 +140,7 @@ class TestMinSumRate:
         from omnifair import edmonds_greedy_vertex
 
         assert demo_ctx.vertex == edmonds_greedy_vertex(demo_ctx, demo_ctx.users)
-        assert core_membership(demo_ctx, demo_ctx.vertex)[0]
+        assert cross_checked_membership(demo_ctx, demo_ctx.vertex)
 
     def test_shared_single_packet_needs_no_exchange(self):
         src = LinearSource.from_packets({1: ["a"], 2: ["a"]})
@@ -160,21 +162,22 @@ class TestMinSumRate:
 
 class TestCoreMembership:
     def test_solver_style_vertex(self, demo_ctx):
-        assert core_membership(demo_ctx, rv({1: 1, 2: F(1, 2), 3: F(1, 2), 4: F(9, 2), 5: 0}))[0]
+        assert cross_checked_membership(demo_ctx, rv({1: 1, 2: F(1, 2), 3: F(1, 2), 4: F(9, 2), 5: 0}))
 
     def test_fairer_point(self, demo_ctx):
-        assert core_membership(demo_ctx, rv({1: 1, 2: F(1, 2), 3: F(1, 2), 4: 4, 5: F(1, 2)}))[0]
+        assert cross_checked_membership(demo_ctx, rv({1: 1, 2: F(1, 2), 3: F(1, 2), 4: 4, 5: F(1, 2)}))
 
     def test_all_zeros_fails_on_sum(self, demo_ctx):
-        ok, witness = core_membership(demo_ctx, rv({u: 0 for u in demo_ctx.users}))
-        assert not ok
+        zeros = rv({u: 0 for u in demo_ctx.users})
+        ok, witness = core_membership(demo_ctx, zeros)
+        assert not ok and not hat_membership(demo_ctx, zeros)
         assert "sum rate" in witness
 
     def test_lower_bound_witness(self, demo_ctx):
         # take the fairer point and push user 4 below its conditional entropy
-        ok, witness = core_membership(
-            demo_ctx, rv({1: 1, 2: F(1, 2), 3: F(1, 2), 4: 0, 5: F(9, 2)}))
-        assert not ok
+        r = rv({1: 1, 2: F(1, 2), 3: F(1, 2), 4: 0, 5: F(9, 2)})
+        ok, witness = core_membership(demo_ctx, r)
+        assert not ok and not hat_membership(demo_ctx, r)
         assert "H(X | V∖X)" in witness
 
     def test_wrong_users_rejected(self, demo_ctx):
@@ -216,8 +219,8 @@ class TestDecomposition:
     def test_singleton_core_is_one_point(self, demo_subgames):
         single = demo_subgames[1]
         assert single.users == (2,)
-        assert core_membership(single, rv({2: F(1, 2)}))[0]
-        assert not core_membership(single, rv({2: F(1, 4)}))[0]
+        assert cross_checked_membership(single, rv({2: F(1, 2)}))
+        assert not cross_checked_membership(single, rv({2: F(1, 4)}))
 
     def test_all_singleton_partition(self):
         src = LinearSource.from_packets({1: ["a"], 2: ["a"]})

@@ -5,12 +5,13 @@ every instance so failures point at the broken property and seed."""
 
 import pytest
 
-from omnifair import LinearSource, core_membership, decompose, min_sum_rate, shapley_exact
+from omnifair import LinearSource, decompose, min_sum_rate, shapley_exact
 from omnifair.egalitarian import dep
 
 from conftest import (
     PROPERTY_SEEDS,
     check_membership_equivalence,
+    cross_checked_membership,
     random_linear_source,
 )
 
@@ -77,7 +78,7 @@ def test_dep_within_block_at_random_core_points(seed):
     blocks = ctx.fundamental_partition
     points = [ctx.vertex, shapley_exact(ctx)]
     for sub in decompose(ctx):
-        assert core_membership(sub, sub.vertex)[0]
+        assert cross_checked_membership(sub, sub.vertex)
     for r in points:
         for i in ctx.users:
             assert dep(ctx, r, i) <= blocks.block_of(i)

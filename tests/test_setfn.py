@@ -7,6 +7,7 @@ from omnifair import (
     GroundSetTooLarge,
     InfeasibleLattice,
     SetFunction,
+    SfmResult,
     f_alpha,
     is_intersecting_submodular,
     is_submodular,
@@ -145,16 +146,24 @@ def test_minimizer_lattice(seed):
             assert f(A | B) == best
 
 
-def test_memoization_calls_oracle_once_per_subset():
+def counting_oracle(ground):
     calls = []
 
     def oracle(X):
         calls.append(X)
-        return F(len(X))
+        return F(min(len(X), 2))
 
-    f = SetFunction({1, 2, 3}, oracle)
-    for _ in range(3):
-        for X in subsets(f.ground):
-            f(X)
-    assert len(calls) == 8
-    assert f.evaluations() == 8
+    return SetFunction(ground, oracle), calls
+
+
+def test_sfm_min_evaluates_each_lattice_point_once():
+    f, calls = counting_oracle({1, 2, 3, 4})
+    assert sfm_min(f, forced_in={1}) == SfmResult(F(1), frozenset({1}), frozenset({1}))
+    assert sorted(map(sorted, calls)) == sorted(
+        sorted({1} | Y) for Y in subsets({2, 3, 4}))
+
+
+def test_is_submodular_evaluates_each_subset_once():
+    f, calls = counting_oracle({1, 2, 3})
+    assert is_submodular(f) == (True, None)
+    assert sorted(map(sorted, calls)) == sorted(map(sorted, subsets({1, 2, 3})))

@@ -8,7 +8,6 @@ from omnifair import (
     GroundSetTooLarge,
     LinearSource,
     RateVector,
-    core_membership,
     edmonds_greedy_vertex,
     enumerate_extreme_points,
     min_sum_rate,
@@ -19,7 +18,7 @@ from omnifair import (
     shapley_mean_of_vertices,
 )
 
-from conftest import random_linear_source, rv
+from conftest import chain_greedy_vertex, cross_checked_membership, random_linear_source, rv
 
 DEMO_VERTICES = {
     (F(3, 2), F(1, 2), F(1, 2), F(4), F(0)),
@@ -53,14 +52,13 @@ class TestGreedyVertex:
     def test_chain_method_agrees(self, demo_ctx, block_ctx):
         for ctx in (demo_ctx, block_ctx):
             for perm in ((ctx.users), tuple(reversed(ctx.users))):
-                assert (edmonds_greedy_vertex(ctx, perm, method="chain")
-                        == edmonds_greedy_vertex(ctx, perm, method="cache"))
+                assert chain_greedy_vertex(ctx, perm) == edmonds_greedy_vertex(ctx, perm)
 
     def test_every_vertex_in_core(self, demo_ctx):
         import itertools
 
         for perm in itertools.permutations(demo_ctx.users):
-            assert core_membership(demo_ctx, edmonds_greedy_vertex(demo_ctx, perm))[0]
+            assert cross_checked_membership(demo_ctx, edmonds_greedy_vertex(demo_ctx, perm))
 
     def test_not_a_permutation(self, demo_ctx):
         with pytest.raises(ValueError, match="permutation"):
@@ -97,7 +95,7 @@ class TestShapleyExact:
         assert shapley_exact(demo_subgames[2]) == rv({3: F(1, 2)})
 
     def test_in_core(self, demo_ctx):
-        assert core_membership(demo_ctx, shapley_exact(demo_ctx))[0]
+        assert cross_checked_membership(demo_ctx, shapley_exact(demo_ctx))
 
     def test_size_limit(self):
         src = LinearSource.from_packets({u: [f"p{u}"] for u in range(1, 22)})
@@ -148,7 +146,7 @@ class TestShapleyApprox:
     def test_always_in_core(self, demo_ctx):
         for seed in range(6):
             approx = shapley_approx(demo_ctx, count=3, seed=seed)
-            assert core_membership(demo_ctx, approx)[0]
+            assert cross_checked_membership(demo_ctx, approx)
             assert approx.total() == demo_ctx.min_sum_rate
 
     def test_empty_list_rejected(self, demo_ctx):
