@@ -256,6 +256,8 @@ def _run_egalitarian(cfg: RunConfig, ctx: GameContext) -> dict:
         r0 = _rate_vector_from(cfg.rates, ctx.users, "--rates") if cfg.rates else None
         try:
             vector, trace = sda(ctx, r0=r0, K=cfg.K, weights=weights)
+        except GroundSetTooLarge:
+            raise
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         record["iterations"] = trace.iterations

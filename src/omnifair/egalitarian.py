@@ -3,9 +3,11 @@
 The weighted quadratic objective sum(r_i^2 / w_i) is minimized two ways:
 
 * :func:`sda` -- steepest descent over the 1/K grid inside the core, the
-  steepest direction found through a dependence-function oracle (one
-  constrained SFM per user per iteration).  With K one less than the size of
-  the fundamental partition the output is the exact grid optimum.
+  steepest direction found through the dependence sets of all users.  The
+  cost f is tabulated once per run over every user bitmask; each iteration
+  forms the slack f(X) - r(X) from it with one doubling pass, and :func:`dep`
+  reads every user's dependence set off that one slack table.  With K one less than the size
+  of the fundamental partition the output is the exact grid optimum.
 * :func:`egalitarian_continuous` -- Frank-Wolfe with away steps over the
   core, the linear subproblems solved by the greedy vertex rule.
 
@@ -21,8 +23,10 @@ from fractions import Fraction
 from math import ceil, lcm
 from typing import Mapping
 
+import numpy as np
+
 from .omniscience import GameContext, RateVector, core_membership, decompose
-from .setfn import SetFunction, sfm_min
+from .setfn import tabulate, widen
 
 
 class ConvergenceError(RuntimeError):
@@ -61,14 +65,70 @@ def objective_g(r: RateVector, weights: Mapping[int, Fraction | float] | None = 
     return sum(r[u] * r[u] / w[u] for u in r.users)
 
 
-def dep(ctx: GameContext, r: RateVector, i: int) -> frozenset:
+class _SlackTable:
+    """The cost ``ctx.f`` over every subset of the users, indexed by bitmask
+    (bit k is ``ctx.users[k]``, see :func:`~omnifair.setfn.tabulate`), from
+    which the slack f(X) - r(X) of a rate vector is formed and minimized.
+
+    Exact games scale f and the rates by D = lcm(K, denominators of f and of
+    ``r``) to integers, so rates on the 1/K grid around ``r`` stay exact;
+    float games use float64 and compare within ``ctx.tol``.  Each dependence
+    SFM forces its user in and leaves n - 1 free, and the table is refused,
+    before it is built, where that exceeds the exhaustive limit.
+    """
+
+    def __init__(self, ctx: GameContext, r: RateVector, K: int = 1):
+        self.users = ctx.users
+        self.bit = {u: k for k, u in enumerate(ctx.users)}
+        self.tol = ctx.tol
+        self.f, self.scale = tabulate(ctx.f, ctx.users, Fraction(1, K),
+                                      *(r[u] for u in ctx.users), forced=1)
+        self._at = None
+
+    def slack(self, r: RateVector) -> np.ndarray:
+        """f(X) - r(X) over every mask; r(X) by the doubling pass
+        mass[2^k:2^(k+1)] = mass[:2^k] + r_k."""
+        f = self.f
+        if self.scale is not None:
+            scaled = [r[u] * self.scale for u in self.users]
+            if any(v.denominator != 1 for v in scaled):
+                raise ArithmeticError(f"rates {r} are off the 1/{self.scale} grid of the slack table")
+            rates = [int(v) for v in scaled]
+            f = widen(f, sum(map(abs, rates)))
+        else:
+            rates = [float(r[u]) for u in self.users]
+        mass = np.zeros_like(f)
+        for k, rate in enumerate(rates):
+            mass[1 << k:2 << k] = mass[:1 << k] + rate
+        return f - mass
+
+    def dependence_set(self, r: RateVector, i: int) -> frozenset:
+        """dep(r, i): the AND of the masks containing ``i`` whose slack is
+        within ``tol`` of the least such slack.  The slack of the last ``r``
+        asked about is kept, so the n users of one iterate share it."""
+        if self._at is None or self._at[0] is not r:
+            self._at = (r, self.slack(r))
+        k = self.bit[i]
+        # masks with bit k set, as (bits above k, bits below k)
+        half = self._at[1].reshape(-1, 2, 1 << k)[:, 1, :]
+        high, low = np.nonzero(half <= half.min() + self.tol)
+        minimal = int(np.bitwise_and.reduce(high << (k + 1) | low)) | 1 << k
+        return frozenset(u for b, u in enumerate(self.users) if minimal >> b & 1)
+
+
+def dep(ctx: GameContext, r: RateVector, i: int, table: _SlackTable | None = None) -> frozenset:
     """Dependence set of user ``i`` at ``r``: the minimal minimizer of
     f(X) - r(X) over subsets containing ``i``.  These are the users ``i``
-    can take rate from while staying in the core; always contains ``i``."""
+    can take rate from while staying in the core; always contains ``i``.
+
+    The minimization runs over a dense table of f on every user bitmask:
+    ``table``, which :func:`sda` builds once per run, or else one built for
+    this call."""
     if i not in ctx.ground:
         raise ValueError(f"user {i} is not in this game")
-    slack = SetFunction(ctx.ground, lambda X: ctx.f(X) - r.mass(X))
-    return sfm_min(slack, forced_in={i}, tol=ctx.tol).minimal
+    if table is None:
+        table = _SlackTable(ctx, r)
+    return table.dependence_set(r, i)
 
 
 @dataclass
@@ -182,8 +242,10 @@ def sda(
     trace.objectives.append(current_obj)
     decrease_floor = 0 if ctx.source.is_exact else 1e-12
 
-    for _ in range(_iteration_budget(ctx, K)):
-        dep_sets = [dep(ctx, current, i) for i in ctx.users]
+    budget = _iteration_budget(ctx, K)
+    table = _SlackTable(ctx, r0, K)
+    for _ in range(budget):
+        dep_sets = [dep(ctx, current, i, table) for i in ctx.users]
         best = None
         for i, dset in zip(ctx.users, dep_sets):
             for j in sorted(dset):

@@ -6,6 +6,13 @@ lattice and is the correctness baseline; ``minnorm`` is a Fujishige-Wolfe
 minimum-norm-point solver in exact rational arithmetic for a growth path
 beyond desk scale.  Each routine evaluates the oracle at most once per
 subset it needs; callers that want a cache put it behind the oracle.
+
+The submodularity checks tabulate the function once into a dense array
+indexed by subset bitmask and test one set against all others per array
+operation.  Exact values are scaled to integers by the least common
+multiple of their denominators (:func:`tabulate`, the one dense-table
+format, which :mod:`omnifair.egalitarian` shares), so no comparison rounds;
+float values stay float64.
 """
 
 from __future__ import annotations
@@ -13,10 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Callable, Iterable
+from math import floor, lcm
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 #: The exhaustive paths refuse ground sets beyond this size (2^20 evaluations).
 EXHAUSTIVE_LIMIT = 20
+
+#: Exact tables hold int64 while every entry stays below this magnitude, so
+#: sums of a few entries cannot overflow; beyond it they hold Python ints.
+INT64_SAFE = 2 ** 61
 
 
 class GroundSetTooLarge(ValueError):
@@ -59,23 +73,69 @@ def _check_size(n: int) -> None:
         raise GroundSetTooLarge(f"ground set of size {n} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}")
 
 
+def tabulate(f: Callable[[frozenset], Fraction | float], ground: Sequence, *numbers,
+             forced: int = 0) -> tuple[np.ndarray, int | None]:
+    """``f`` on every subset of ``ground``, indexed by bitmask: bit k of the
+    index is ``ground[k]``.
+
+    Exact values are scaled by D, the least common multiple of their
+    denominators and of those of ``numbers`` (rationals that must stay
+    exact on the table's scale), into int64 while every entry stays below
+    :data:`INT64_SAFE` in magnitude, else into Python ints, which are exact
+    at any size; returns the table and D.  If any value or number is a
+    float, the table is float64 and D is None.  The table is refused, before
+    ``f`` is evaluated, where the ``len(ground) - forced`` members its
+    queries leave free exceed the exhaustive limit.
+    """
+    _check_size(len(ground) - forced)
+    values = [f(frozenset(u for k, u in enumerate(ground) if m >> k & 1))
+              for m in range(1 << len(ground))]
+    if any(isinstance(v, float) for v in chain(values, numbers)):
+        return np.array(values, dtype=float), None
+    scale = lcm(*(v.denominator for v in chain(values, numbers)))
+    ints = [int(v * scale) for v in values]
+    wide = any(abs(v) >= INT64_SAFE for v in ints)
+    return np.array(ints, dtype=object if wide else np.int64), scale
+
+
+def widen(table: np.ndarray, magnitude: int) -> np.ndarray:
+    """``table`` as Python ints if it holds int64 and a term of
+    ``magnitude`` could overflow sums of its entries, else unchanged."""
+    if table.dtype == np.int64 and magnitude >= INT64_SAFE:
+        return table.astype(object)
+    return table
+
+
 def _first_violation(f: SetFunction, tol, intersecting: bool):
-    _check_size(len(f.ground))
-    table = {X: f(X) for X in subsets(f.ground)}
-    for X in table:
-        for Y in table:
-            if intersecting and not X & Y:
-                continue
-            if table[X] + table[Y] < table[X & Y] + table[X | Y] - tol:
-                return False, (X, Y)
+    ground = sorted(f.ground)
+    table, scale = tabulate(f, ground)
+    if scale is None:
+        margin = float(tol)
+    else:
+        # integer sums: a < b - tol*D  <=>  a < b - floor(tol*D)
+        margin = floor(Fraction(tol) * scale)
+        table = widen(table, margin)
+    bit = {u: 1 << k for k, u in enumerate(ground)}
+    order = list(subsets(ground))
+    masks = np.array([sum(bit[u] for u in X) for X in order], dtype=np.int64)
+    vals = table[masks]
+    for x, mx in enumerate(masks):
+        meet = masks & mx
+        bad = vals[x] + vals < table[meet] + table[masks | mx] - margin
+        if intersecting:
+            bad &= meet != 0
+        y = int(bad.argmax())
+        if bad[y]:
+            return False, (order[x], order[y])
     return True, None
 
 
 def is_submodular(f: SetFunction, tol=0):
-    """Exhaustively check f(X) + f(Y) >= f(X ∩ Y) + f(X ∪ Y) on all pairs,
-    evaluating ``f`` once per subset.
+    """Exhaustively check f(X) + f(Y) >= f(X ∩ Y) + f(X ∪ Y) - tol on all
+    pairs, evaluating ``f`` once per subset.
 
-    Returns ``(True, None)`` or ``(False, (X, Y))`` with one violating pair.
+    Returns ``(True, None)`` or ``(False, (X, Y))`` with the first violating
+    pair, both sets ranging over :func:`subsets` order.
     """
     return _first_violation(f, tol, intersecting=False)
 

@@ -32,9 +32,9 @@ from omnifair import (
     shapley_exact,
     shapley_mean_of_vertices,
 )
-from omnifair.egalitarian import dep
+from omnifair.egalitarian import _SlackTable, dep
 from omnifair.omniscience import GameContext, _dilworth_incremental, check_decomposition
-from omnifair.setfn import SetFunction, is_submodular, subsets
+from omnifair.setfn import SetFunction, is_submodular, sfm_min, subsets
 from omnifair.sources import Source
 
 DEMO_HOLDINGS = {
@@ -249,6 +249,42 @@ def chain_greedy_vertex(ctx: GameContext, permutation) -> RateVector:
     return RateVector(dict(zip(order, increments)))
 
 
+def sfm_dep(ctx: GameContext, r: RateVector, i: int) -> frozenset:
+    """Oracle dependence set: the minimal minimizer of the slack
+    f(X) - r(X) over the subsets containing ``i``, by one exhaustive
+    constrained SFM that evaluates each lattice point as a set."""
+    slack = SetFunction(ctx.ground, lambda X: ctx.f(X) - r.mass(X))
+    return sfm_min(slack, forced_in={i}, tol=ctx.tol).minimal
+
+
+def pairwise_first_violation(f: SetFunction, tol=0, intersecting: bool = False):
+    """Oracle submodularity check: every pair of a subset table in
+    subsets() order; ``(True, None)`` or the first violating pair."""
+    table = {X: f(X) for X in subsets(f.ground)}
+    for X in table:
+        for Y in table:
+            if intersecting and not X & Y:
+                continue
+            if table[X] + table[Y] < table[X & Y] + table[X | Y] - tol:
+                return False, (X, Y)
+    return True, None
+
+
+def dep_matches_oracle(ctx: GameContext, points, K: int | None = None) -> bool:
+    """Dependence sets of every user at every point of ``points`` agree
+    three ways: the table sda builds (once, at the first point, on the 1/K
+    grid), the public ``dep``, and the :func:`sfm_dep` oracle."""
+    points = list(points)
+    table = _SlackTable(ctx, points[0], ctx.grid_denominator if K is None else K)
+    for r in points:
+        want = [sfm_dep(ctx, r, i) for i in ctx.users]
+        if [dep(ctx, r, i, table) for i in ctx.users] != want:
+            return False
+        if [dep(ctx, r, i) for i in ctx.users] != want:
+            return False
+    return True
+
+
 def check_membership_equivalence(ctx: GameContext, samples: int, seed: int) -> bool:
     """Drive core_membership and hat_membership with mixed in/out random
     vectors; cross_checked_membership raises on any disagreement."""
@@ -356,6 +392,7 @@ def run_instance_battery(seed: int) -> dict:
         ctx, MEMBERSHIP_SAMPLES, seed)
 
     endpoint, trace = sda(ctx)
+    out["dep_matches_oracle"] = dep_matches_oracle(ctx, trace.iterates, K)
     out["sda_path_feasible"] = all(
         cross_checked_membership(ctx, it)
         and all((it[u] * K).denominator == 1 for u in users)

@@ -126,6 +126,31 @@ def test_verify_skips_decomposition_above_its_limit(capsys, tmp_path):
                        "witness": f"skipped: more than {VERIFY_DECOMPOSITION_LIMIT} users"}
 
 
+def test_verify_checks_submodularity_of_eleven_users_quickly(capsys, tmp_path):
+    # verify checks all 4^11 subset pairs of the entropy; the time bound
+    # holds only while one subset is tested against all others per array op
+    rng = random.Random(11)
+    packets = [f"p{k}" for k in range(22)]
+    spec = {
+        "model": "linear",
+        "field": 2,
+        "packets": packets,
+        "users": {str(u): rng.sample(packets, rng.randint(1, 8)) for u in range(1, 12)},
+    }
+    path = tmp_path / "eleven.json"
+    path.write_text(json.dumps(spec))
+    started = time.perf_counter()
+    status, report = run_cli(capsys, "verify", "--input", str(path))
+    assert time.perf_counter() - started < 15
+    assert status == 0
+    assert report["verification"] == [
+        {"check": "entropy_submodular", "pass": True, "witness": None},
+        {"check": "fundamental_decomposition", "pass": True,
+         "witness": f"skipped: more than {VERIFY_DECOMPOSITION_LIMIT} users"},
+        {"check": "solver_vertex_in_core", "pass": True, "witness": None},
+    ]
+
+
 def test_verify_fails_on_zero_vector(capsys, spec_path):
     status, report = run_cli(
         capsys, "verify", "--input", spec_path,
@@ -180,6 +205,33 @@ def test_too_large_instance_exit_code(capsys, tmp_path):
     assert status == EXIT_TOO_LARGE
     assert report["error"]["type"] == "GroundSetTooLarge"
     assert report["config"]["command"] == "shapley"
+
+
+@pytest.mark.parametrize(("command", "free_users"), [("verify", 6), ("egalitarian", 5)])
+def test_exhaustive_limit_boundary_exit_code(capsys, tmp_path, monkeypatch, command, free_users):
+    # users 1-5 share two packets and user 6 holds a third, so the solve's
+    # truncation SFMs stay small; verify's submodularity check enumerates
+    # all 6 users and each sda dependence SFM has 5 free users
+    from omnifair import setfn
+
+    spec = {
+        "model": "linear",
+        "field": 2,
+        "packets": ["a", "b", "c"],
+        "users": {**{str(u): ["a", "b"] for u in range(1, 6)}, "6": ["c"]},
+    }
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(spec))
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", free_users)
+    status, _ = run_cli(capsys, command, "--input", str(path))
+    assert status == 0
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", free_users - 1)
+    status, report = run_cli(capsys, command, "--input", str(path))
+    assert status == EXIT_TOO_LARGE
+    assert report["error"] == {
+        "type": "GroundSetTooLarge",
+        "message": f"ground set of size {free_users} exceeds the exhaustive limit {free_users - 1}"}
+    assert report["config"]["command"] == command
 
 
 @pytest.mark.parametrize("exc_type", [ArithmeticError, DecompositionError])

@@ -1,9 +1,12 @@
 from fractions import Fraction as F
+from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
 from omnifair import (
     ConvergenceError,
+    GroundSetTooLarge,
     LinearSource,
     SplitError,
     dep,
@@ -14,9 +17,17 @@ from omnifair import (
     objective_g,
     packet_split_plan,
     sda,
+    shapley_exact,
 )
 
-from conftest import cross_checked_membership, rv
+from conftest import (
+    cross_checked_membership,
+    dep_matches_oracle,
+    pmf_from_packets,
+    random_linear_source,
+    rv,
+    sfm_dep,
+)
 
 R0 = {1: 1, 2: F(1, 2), 3: F(1, 2), 4: F(9, 2), 5: 0}
 OPTIMUM = {1: F(3, 2), 2: F(1, 2), 3: F(1, 2), 4: 2, 5: 2}
@@ -67,6 +78,89 @@ class TestDependenceFunction:
     def test_unknown_user(self, demo_ctx):
         with pytest.raises(ValueError, match="not in this game"):
             dep(demo_ctx, demo_ctx.vertex, 42)
+
+
+class TestDependenceTable:
+    """The dense slack table against the per-lattice-point SFM oracle; the
+    50-seed battery checks every sda iterate of the linear corpus."""
+
+    def test_pmf_source_matches_oracle(self):
+        holdings = {1: ["a", "b", "d"], 2: ["a"], 3: ["e"], 4: ["c", "e"]}
+        ctx = min_sum_rate(pmf_from_packets(holdings, ["a", "b", "c", "d", "e"]))
+        assert not ctx.source.is_exact
+        points = [ctx.vertex, shapley_exact(ctx)]
+        points += [ctx.greedy_vertex(p) for p in permutations(ctx.users)]
+        assert dep_matches_oracle(ctx, points)
+        # some minimizers tie only within tol, so the float comparison is exercised
+        untolerant = SimpleNamespace(ground=ctx.ground, users=ctx.users, f=ctx.f, tol=0)
+        assert any(sfm_dep(untolerant, r, i) != dep(ctx, r, i)
+                   for r in points for i in ctx.users)
+
+    def test_finer_grid_matches_oracle(self, demo_ctx):
+        start = rv({1: 1, 2: F(1, 2), 3: F(1, 2), 4: 4, 5: F(1, 2)})
+        _, trace = sda(demo_ctx, r0=start, K=4)
+        assert demo_ctx.grid_denominator == 2
+        assert any(it[u].denominator == 4 for it in trace.iterates for u in it.users)
+        assert dep_matches_oracle(demo_ctx, trace.iterates, K=4)
+
+    @pytest.mark.parametrize("bits", [58, 70])
+    def test_wide_denominators_stay_exact(self, demo_ctx, bits):
+        # scaled by 2^58 the costs fit int64 but masses of rates 64 away from
+        # the core do not; by 2^70 neither does: both fall back to Python ints
+        tiny = F(1, 2 ** bits)
+        points = [demo_ctx.vertex.exchange(i, j, step)
+                  for step in (tiny, 64 + tiny)
+                  for i in demo_ctx.users for j in demo_ctx.users if i != j]
+        for r in points:
+            assert [dep(demo_ctx, r, i) for i in demo_ctx.users] == [
+                sfm_dep(demo_ctx, r, i) for i in demo_ctx.users]
+
+    def test_sda_tabulates_f_once_and_runs_no_sfm(self, monkeypatch):
+        from omnifair import egalitarian, omniscience, setfn, shapley
+
+        ctx = min_sum_rate(random_linear_source(1, min_users=8, max_users=8, max_packets=12))
+        sda(ctx)  # fills the truncation cache that the iteration budget reads
+        sfm_calls, f_calls = [], []
+        for module in (setfn, omniscience, egalitarian, shapley):
+            if hasattr(module, "sfm_min"):
+                def counted(*args, _sfm=module.sfm_min, **kwargs):
+                    sfm_calls.append(args)
+                    return _sfm(*args, **kwargs)
+                monkeypatch.setattr(module, "sfm_min", counted)
+        cost = ctx.f
+        monkeypatch.setattr(ctx, "f", lambda X: f_calls.append(X) or cost(X))
+        dep_calls = []
+        monkeypatch.setattr(egalitarian, "dep",
+                            lambda *args, _dep=egalitarian.dep: dep_calls.append(args) or _dep(*args))
+        _, trace = sda(ctx)
+        n = len(ctx.users)
+        # one SFM per user per iteration would evaluate f n 2^(n-1) times each
+        assert n == 8 and trace.iterations == 12
+        assert sfm_calls == []
+        assert len(f_calls) <= 2 ** n
+        # every user's set still goes through the public dep, off one table
+        assert len(dep_calls) == n * (trace.iterations + 1)
+        assert len({id(args[3]) for args in dep_calls}) == 1
+
+    def test_refusal_boundary(self, demo_source, monkeypatch):
+        # each dependence SFM has n - 1 free users; the refusal comes before
+        # f is tabulated
+        from omnifair import setfn
+
+        ctx = min_sum_rate(demo_source)
+        n = len(ctx.users)
+        monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", n - 1)
+        assert dep(ctx, ctx.vertex, 1) == frozenset({1})
+        assert sda(ctx)[0] == rv(OPTIMUM)
+        monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", n - 2)
+        f_calls = []
+        cost = ctx.f
+        monkeypatch.setattr(ctx, "f", lambda X: f_calls.append(X) or cost(X))
+        with pytest.raises(GroundSetTooLarge, match=f"size {n - 1} exceeds"):
+            dep(ctx, ctx.vertex, 1)
+        with pytest.raises(GroundSetTooLarge, match=f"size {n - 1} exceeds"):
+            sda(ctx)
+        assert f_calls == []
 
 
 class TestSda:

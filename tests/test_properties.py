@@ -38,6 +38,7 @@ def failing_seeds(battery, key):
     "approx_in_core",
     "chain_matches_cache",
     "dep_within_block",
+    "dep_matches_oracle",
     "membership_equivalence",
     "sda_path_feasible",
     "sda_monotone",

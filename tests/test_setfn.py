@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from omnifair import (
@@ -13,9 +14,9 @@ from omnifair import (
     is_submodular,
     sfm_min,
 )
-from omnifair.setfn import subsets
+from omnifair.setfn import INT64_SAFE, subsets, tabulate, widen
 
-from conftest import random_linear_source, rv
+from conftest import pairwise_first_violation, random_linear_source, rv
 
 
 def supermodular_pair():
@@ -167,3 +168,96 @@ def test_is_submodular_evaluates_each_subset_once():
     f, calls = counting_oracle({1, 2, 3})
     assert is_submodular(f) == (True, None)
     assert sorted(map(sorted, calls)) == sorted(map(sorted, subsets({1, 2, 3})))
+
+
+def random_set_function(seed: int, n: int, kind: str, submodular: bool, step=None):
+    """A seeded weighted coverage function on n users (submodular), plus a
+    random perturbation per subset unless ``submodular``.  ``kind`` picks
+    int, Fraction or float values; ``step`` scales the perturbation."""
+    rng = random.Random(seed)
+    ground = sorted(rng.sample(range(1, 3 * n + 1), n))
+    items = range(2 * n)
+    covers = {u: rng.sample(items, rng.randint(0, len(items))) for u in ground}
+    draw = {
+        "int": lambda: rng.randint(0, 4),
+        "fraction": lambda: F(rng.randint(0, 4), rng.randint(1, 6)),
+        "float": lambda: rng.uniform(0, 4),
+    }[kind]
+    weights = [draw() for _ in items]
+    table = {}
+    for X in subsets(ground):
+        value = sum(weights[k] for k in set().union(*(covers[u] for u in X)))
+        if not submodular:
+            value += draw() - draw() if step is None else rng.randint(-2, 2) * step
+        table[X] = value
+    return SetFunction(ground, table.__getitem__)
+
+
+TOLERANCES = {"int": 1, "fraction": F(1, 3), "float": 0.5}
+
+
+@pytest.mark.parametrize("kind", sorted(TOLERANCES))
+@pytest.mark.parametrize("positive_tol", [False, True])
+def test_witness_matches_pairwise_oracle(kind, positive_tol):
+    tol = TOLERANCES[kind] if positive_tol else 0
+    outcomes = set()
+    for n in range(1, 7):
+        for seed in range(4):
+            for submodular in (True, False):
+                f = random_set_function(seed * 7 + n, n, kind, submodular)
+                for check, intersecting in ((is_submodular, False),
+                                            (is_intersecting_submodular, True)):
+                    got = check(f, tol)
+                    assert got == pairwise_first_violation(f, tol, intersecting), (n, seed)
+                    outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
+def test_witness_exact_beyond_int64():
+    step = F(1, 2 ** 70)
+    for seed in range(6):
+        f = random_set_function(seed, 4, "int", submodular=False, step=step)
+        for tol in (0, step):
+            assert is_submodular(f, tol) == pairwise_first_violation(f, tol)
+            assert (is_intersecting_submodular(f, tol)
+                    == pairwise_first_violation(f, tol, intersecting=True))
+    # a violation by one step, invisible in float64
+    table = {frozenset(): 0, frozenset({1}): 1, frozenset({2}): 1, frozenset({1, 2}): 2 + step}
+    exact = SetFunction({1, 2}, table.__getitem__)
+    assert is_submodular(exact) == (False, (frozenset({1}), frozenset({2})))
+    assert is_submodular(exact, step / 2)[0] is False
+    assert is_submodular(exact, step) == (True, None)
+    assert is_submodular(SetFunction({1, 2}, lambda X: float(table[X]))) == (True, None)
+
+
+def test_tabulate_scales_to_int64_and_widens_past_its_headroom():
+    values = {frozenset(): 0, frozenset({"a"}): F(1, 3), frozenset({"b"}): F(5, 6),
+              frozenset({"a", "b"}): 2}
+    table, scale = tabulate(values.__getitem__, ["a", "b"])
+    assert (table.tolist(), scale, table.dtype) == ([0, 2, 5, 12], 6, np.int64)
+    table, scale = tabulate(values.__getitem__, ["b", "a"], F(1, 4))
+    assert (table.tolist(), scale) == ([0, 10, 4, 24], 12)
+    table, scale = tabulate(lambda X: 0.5 * len(X), ["a", "b"])
+    assert (table.tolist(), scale, table.dtype) == ([0, 0.5, 0.5, 1], None, float)
+    assert tabulate(lambda X: len(X), ["a"], 0.5)[1] is None
+    assert tabulate(lambda X: (INT64_SAFE - 1) * len(X), ["a"])[0].dtype == np.int64
+    wide, _ = tabulate(lambda X: -INT64_SAFE * len(X), ["a"])
+    assert wide.dtype == object and wide.tolist() == [0, -INT64_SAFE]
+    assert tabulate(lambda X: F(len(X), 2 ** 70), ["a"])[0].tolist() == [0, 1]
+    narrow = np.array([1], dtype=np.int64)
+    assert widen(narrow, INT64_SAFE - 1) is narrow
+    assert widen(narrow, INT64_SAFE).dtype == object
+
+
+def test_submodularity_check_refusal_boundary(monkeypatch):
+    from omnifair import setfn
+
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 4)
+    f, _ = counting_oracle({1, 2, 3, 4})
+    assert is_submodular(f)[0] and is_intersecting_submodular(f)[0]
+    f, calls = counting_oracle({1, 2, 3, 4, 5})
+    with pytest.raises(GroundSetTooLarge, match="size 5 exceeds the exhaustive limit 4"):
+        is_submodular(f)
+    with pytest.raises(GroundSetTooLarge, match="size 5 exceeds the exhaustive limit 4"):
+        is_intersecting_submodular(f)
+    assert calls == []
