@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,6 +59,10 @@ class ConfigError(ValueError):
     """A flag combination or inline value is invalid."""
 
 
+#: The :class:`RunConfig` fields given as user -> rational maps.
+USER_MAPS = ("weights", "rates")
+
+
 @dataclass
 class RunConfig:
     """Echoed verbatim (minus derived fields) into every report."""
@@ -77,22 +81,11 @@ class RunConfig:
     rates: dict | None = None
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "input": self.input,
-            "output": self.output,
-            "mode": self.mode,
-            "K": self.K,
-            "seed": self.seed,
-            "permutations": self.permutations,
-            "weights": None if self.weights is None
-            else {str(u): emit_value(v) for u, v in sorted(self.weights.items())},
-            "tol": self.tol,
-            "trace": self.trace,
-            "trace_csv": self.trace_csv,
-            "rates": None if self.rates is None
-            else {str(u): emit_value(v) for u, v in sorted(self.rates.items())},
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in USER_MAPS:
+            if out[name] is not None:
+                out[name] = emit_user_map(out[name])
+        return out
 
 
 def emit_value(value):
@@ -121,6 +114,10 @@ def parse_rational(raw) -> Fraction:
 
 def emit_rates(r: RateVector) -> dict:
     return {str(u): emit_value(r[u]) for u in r.users}
+
+
+def emit_user_map(values: dict) -> dict:
+    return {str(u): emit_value(v) for u, v in sorted(values.items())}
 
 
 def _parse_user_map(raw: str, what: str) -> dict[int, Fraction]:
@@ -188,15 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("input", "output", "mode", "K", "seed", "permutations", "tol", "trace", "trace_csv"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "weights", None):
-        cfg.weights = _parse_user_map(args.weights, "weights")
-    if getattr(args, "rates", None):
-        cfg.rates = _parse_user_map(args.rates, "rates")
-    return cfg
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    for name in USER_MAPS:
+        raw = values.get(name)
+        values[name] = _parse_user_map(raw, name) if raw else None
+    return RunConfig(**values)
 
 
 def _rate_vector_from(cfg_rates: dict, users: tuple[int, ...], what: str) -> RateVector:
@@ -243,23 +236,23 @@ def _run_shapley(cfg: RunConfig, ctx: GameContext) -> dict:
 def _run_egalitarian(cfg: RunConfig, ctx: GameContext) -> dict:
     mode = cfg.mode or "sda"
     weights = cfg.weights
-    record: dict = {"method": "egalitarian", "mode": mode, "K": cfg.K,
-                    "weights": None if weights is None
-                    else {str(u): emit_value(v) for u, v in sorted(weights.items())}}
+    record: dict = {"method": "egalitarian", "mode": mode, "K": cfg.K, "iterations": None,
+                    "weights": None if weights is None else emit_user_map(weights)}
+    trace = None
     if mode == "continuous":
         vector = egalitarian_continuous(ctx, weights, tol=cfg.tol or 1e-9)
-        record["iterations"] = None
-    elif mode == "decomposed":
-        vector = egalitarian_decomposed(ctx, weights=weights, K=cfg.K, tol=cfg.tol or 1e-9)
-        record["iterations"] = None
     else:
         r0 = _rate_vector_from(cfg.rates, ctx.users, "--rates") if cfg.rates else None
         try:
-            vector, trace = sda(ctx, r0=r0, K=cfg.K, weights=weights)
+            if mode == "decomposed":
+                vector = egalitarian_decomposed(ctx, weights=weights, K=cfg.K, r0=r0)
+            else:
+                vector, trace = sda(ctx, r0=r0, K=cfg.K, weights=weights)
         except GroundSetTooLarge:
             raise
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    if trace is not None:
         record["iterations"] = trace.iterations
         record["warnings"] = trace.warnings
         if trace.locally_optimal is not None:
@@ -385,7 +378,7 @@ def main(argv=None) -> int:
         return _fail(head, exc, cfg.output, EXIT_PARSE)
     except ConvergenceError as exc:
         return _fail(head, exc, cfg.output, EXIT_NONCONVERGENCE)
-    except (ArithmeticError, DecompositionError) as exc:
+    except ArithmeticError as exc:
         return _fail(head, exc, cfg.output, EXIT_INTERNAL)
     _emit(report, cfg.output)
     return status

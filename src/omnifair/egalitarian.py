@@ -9,7 +9,8 @@ The weighted quadratic objective sum(r_i^2 / w_i) is minimized two ways:
   reads every user's dependence set off that one slack table.  With K one less than the size
   of the fundamental partition the output is the exact grid optimum.
 * :func:`egalitarian_continuous` -- Frank-Wolfe with away steps over the
-  core, the linear subproblems solved by the greedy vertex rule.
+  core, each linear subproblem solved by the greedy rule ranked by the
+  gradient (:func:`~omnifair.setfn.ranked_greedy_vertex`).
 
 Both combine with the fundamental-partition decomposition, and
 :func:`packet_split_plan` turns a fractional rate vector into integer
@@ -26,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .omniscience import GameContext, RateVector, core_membership, decompose
-from .setfn import tabulate, widen
+from .setfn import ranked_greedy_vertex, tabulate, widen
 
 
 class ConvergenceError(RuntimeError):
@@ -289,18 +290,10 @@ def egalitarian_continuous(
     users = ctx.users
     w = {u: float(v) for u, v in _check_weights(weights, users).items()}
 
-    def greedy_vertex(grad: tuple[float, ...]) -> tuple[float, ...]:
-        by_user = dict(zip(users, grad))
-        order = sorted(users, key=lambda u: (by_user[u], u))
-        coords = {}
-        prefix: frozenset = frozenset()
-        prev = 0.0
-        for u in order:
-            prefix = prefix | {u}
-            value = float(ctx.hat(prefix))
-            coords[u] = value - prev
-            prev = value
-        return tuple(coords[u] for u in users)
+    def linear_step(grad: tuple[float, ...]) -> tuple[float, ...]:
+        # rounding each cost before subtracting keeps float arithmetic throughout
+        s = ranked_greedy_vertex(lambda X: float(ctx.hat(X)), dict(zip(users, grad)))
+        return tuple(s[u] for u in users)
 
     x = tuple(float(v) for v in ctx.vertex.as_tuple(users))
     active: dict[tuple[float, ...], float] = {x: 1.0}
@@ -311,7 +304,7 @@ def egalitarian_continuous(
 
     for _ in range(max_iter):
         grad = tuple(2.0 * x[k] / w[u] for k, u in enumerate(users))
-        s = greedy_vertex(grad)
+        s = linear_step(grad)
         gap = sum(g * (a - b) for g, a, b in zip(grad, x, s))
         if gap <= tol:
             return RateVector(dict(zip(users, x)))
@@ -357,7 +350,9 @@ def egalitarian_decomposed(
     r0: RateVector | None = None,
 ) -> RateVector:
     """Solve each fundamental-partition subgame separately and fuse the
-    results."""
+    results.  In ``sda`` mode each block starts from ``r0`` restricted to
+    it (default: the block's greedy vertex); ``tol`` is the duality-gap
+    tolerance of ``continuous`` mode."""
     if mode not in ("sda", "continuous"):
         raise ValueError(f"unknown mode {mode!r}")
     w = _check_weights(weights, ctx.users)

@@ -5,7 +5,8 @@ rate at which every user can recover the whole source, the fundamental
 partition that certifies it, and the optimal rate region (the core of the
 associated cost-sharing game).  The characteristic cost of a user subset is
 the Dilworth truncation of the sum-rate-parameterized cost function,
-computed incrementally with one constrained SFM per element.
+computed incrementally with one constrained SFM per element.  Core vertices
+are Edmonds' greedy rule (:func:`omnifair.setfn.greedy_vertex`) on that cost.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .setfn import SetFunction, sfm_min, subsets
+from .setfn import SetFunction, greedy_vertex, sfm_min, subsets
 from .sources import Source
 
 
@@ -160,7 +161,7 @@ def f_alpha(source: Source, alpha, X: Iterable[int]):
     ``alpha - H(V) + H(X)`` (equivalently ``alpha - H(V∖X | X)``)."""
     X = source.subset(X)
     if not X:
-        return Fraction(0) if source.is_exact else 0.0
+        return source.zero
     return alpha - source.entropy(source.ground) + source.entropy(X)
 
 
@@ -298,7 +299,7 @@ class GameContext:
         if not X <= self.ground:
             raise ValueError(f"{sorted(X - self.ground)} outside this game's ground set")
         if not X:
-            return Fraction(0) if self.source.is_exact else 0.0
+            return self.source.zero
         value = self._hat.get(X)
         if value is None:
             computed, _, _ = _dilworth_incremental(self.f, sorted(X), self._sfm_backend, self.tol)
@@ -306,19 +307,12 @@ class GameContext:
         return value
 
     def greedy_vertex(self, order: Iterable[int]) -> RateVector:
-        """Core vertex from marginal characteristic costs along ``order``."""
+        """Core vertex from marginal characteristic costs along ``order``,
+        read from (and filling) the truncation cache."""
         order = tuple(order)
         if frozenset(order) != self.ground or len(order) != len(self.ground):
-            raise ValueError("order must be a permutation of the ground set")
-        rates = {}
-        prefix: frozenset = frozenset()
-        previous = Fraction(0) if self.source.is_exact else 0.0
-        for u in order:
-            prefix = prefix | {u}
-            value = self.hat(prefix)
-            rates[u] = value - previous
-            previous = value
-        return RateVector(rates)
+            raise ValueError(f"{order} is not a permutation of {self.users}")
+        return RateVector(greedy_vertex(self.hat, order))
 
     def __repr__(self) -> str:
         return (f"GameContext(users={self.users}, min_sum_rate={self.min_sum_rate}, "
@@ -448,7 +442,7 @@ def l1_size(ctx: GameContext):
 
     vertices = enumerate_extreme_points(ctx)
     if len(vertices) < 2:
-        return Fraction(0) if ctx.source.is_exact else 0.0
+        return ctx.source.zero
     return max(
         a.l1_distance(b)
         for i, a in enumerate(vertices)

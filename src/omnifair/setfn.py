@@ -1,5 +1,12 @@
-"""Set-function toolkit: set-function oracles, submodularity checks, and
-submodular function minimization (SFM) on sublattices of the subset lattice.
+"""Set-function toolkit: set-function oracles, submodularity checks, Edmonds'
+greedy rule, and submodular function minimization (SFM) on sublattices of
+the subset lattice.
+
+:func:`greedy_vertex` is the package's one greedy rule: marginal values along
+an order, a base-polytope vertex for submodular functions (Edmonds 1970).
+Ranked by a weight vector (:func:`ranked_greedy_vertex`) it is the linear
+step of Frank-Wolfe and of Wolfe's min-norm solver; core vertices are the
+same rule on the characteristic cost.
 
 Two SFM backends sit behind one contract: ``exhaustive`` enumerates the
 lattice and is the correctness baseline; ``minnorm`` is a Fujishige-Wolfe
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import floor, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -145,6 +152,28 @@ def is_intersecting_submodular(f: SetFunction, tol=0):
     return _first_violation(f, tol, intersecting=True)
 
 
+def greedy_vertex(g: Callable[[frozenset], Fraction | float], order: Iterable) -> dict:
+    """Edmonds' greedy rule: each element of ``order`` mapped to its
+    marginal value g(P + e) - g(P) over the prefix P before it, the first
+    over g(∅)."""
+    coords = {}
+    prefix: frozenset = frozenset()
+    prev = g(prefix)
+    for e in order:
+        prefix = prefix | {e}
+        value = g(prefix)
+        coords[e] = value - prev
+        prev = value
+    return coords
+
+
+def ranked_greedy_vertex(g: Callable[[frozenset], Fraction | float], weights: Mapping) -> dict:
+    """:func:`greedy_vertex` along the elements of ``weights`` sorted by
+    (weight, element): for submodular ``g``, the vertex of its base
+    polytope that minimizes the weights' linear function."""
+    return greedy_vertex(g, sorted(weights, key=lambda e: (weights[e], e)))
+
+
 @dataclass(frozen=True)
 class SfmResult:
     """Minimum value plus the minimal and maximal minimizing subsets."""
@@ -205,19 +234,6 @@ def _exact(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def _greedy_base_vertex(g, order: list) -> tuple[Fraction, ...]:
-    """Vertex of the base polytope of ``g`` along ``order`` (marginal gains)."""
-    coords = {}
-    prefix: frozenset = frozenset()
-    prev = g(prefix)
-    for e in order:
-        prefix = prefix | {e}
-        value = g(prefix)
-        coords[e] = value - prev
-        prev = value
-    return tuple(coords[e] for e in sorted(coords))
-
-
 def _affine_min_norm(points: list[tuple[Fraction, ...]]):
     """Minimum-norm point of the affine hull of ``points``.
 
@@ -258,16 +274,14 @@ def _min_norm_base_point(g, elems: list) -> tuple[Fraction, ...]:
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
 
-    def vertex_for(weights: tuple[Fraction, ...]):
-        by_elem = dict(zip(elems, weights))
-        ranked = sorted(elems, key=lambda e: (by_elem[e], e))
-        return _greedy_base_vertex(g, ranked)
+    def coordinates(vertex: dict) -> tuple[Fraction, ...]:
+        return tuple(vertex[e] for e in elems)
 
-    x = _greedy_base_vertex(g, list(elems))
+    x = coordinates(greedy_vertex(g, elems))
     corral = [x]
     lams = [Fraction(1)]
     for _ in range(100_000):
-        q = vertex_for(x)
+        q = coordinates(ranked_greedy_vertex(g, dict(zip(elems, x))))
         if dot(x, q) >= dot(x, x):
             return x
         corral.append(q)

@@ -29,12 +29,9 @@ EXACT_LIMIT = 20
 
 def edmonds_greedy_vertex(ctx: GameContext, permutation: Sequence[int]) -> RateVector:
     """Core vertex for ``permutation``: each user is charged the marginal
-    characteristic cost over the preceding prefix, read from (and filling)
-    the context's truncation cache."""
-    order = tuple(permutation)
-    if frozenset(order) != ctx.ground or len(order) != len(ctx.ground):
-        raise ValueError(f"{order} is not a permutation of {ctx.users}")
-    return ctx.greedy_vertex(order)
+    characteristic cost over the preceding prefix
+    (:meth:`GameContext.greedy_vertex`)."""
+    return ctx.greedy_vertex(permutation)
 
 
 def enumerate_extreme_points(ctx: GameContext) -> tuple[RateVector, ...]:
@@ -62,11 +59,10 @@ def shapley_exact(ctx: GameContext) -> RateVector:
     rates = {}
     for i in ctx.users:
         others = ctx.ground - {i}
-        acc = Fraction(0) if ctx.source.is_exact else 0.0
+        acc = ctx.source.zero
         for X in subsets(others):
+            # Fraction * float evaluates as float(Fraction) * float
             weight = Fraction(factorial(len(X)) * factorial(n - len(X) - 1), total)
-            if not ctx.source.is_exact:
-                weight = float(weight)
             acc += weight * (ctx.hat(X | {i}) - ctx.hat(X))
         rates[i] = acc
     return RateVector(rates)
@@ -78,17 +74,11 @@ def shapley_mean_of_vertices(ctx: GameContext) -> RateVector:
     This is the Shapley value only when every vertex arises from equally
     many permutations; otherwise the two differ (use :func:`shapley_exact`).
     """
-    vertices = enumerate_extreme_points(ctx)
-    return _mean(vertices, ctx)
+    return _mean(enumerate_extreme_points(ctx))
 
 
-def _mean(vectors: Sequence[RateVector], ctx: GameContext) -> RateVector:
-    count = len(vectors)
-    rates = {}
-    for u in ctx.users:
-        total = sum(v[u] for v in vectors)
-        rates[u] = Fraction(total, count) if ctx.source.is_exact else total / count
-    return RateVector(rates)
+def _mean(vectors: Sequence[RateVector]) -> RateVector:
+    return RateVector({u: sum(v[u] for v in vectors) / len(vectors) for u in vectors[0].users})
 
 
 def sample_permutations(users: Sequence[int], count: int, seed) -> list[tuple[int, ...]]:
@@ -132,8 +122,7 @@ def shapley_approx(
     perms = [tuple(p) for p in permutations]
     if not perms:
         raise ValueError("empty permutation list")
-    vertices = [ctx.greedy_vertex(p) for p in perms]
-    return _mean(vertices, ctx)
+    return _mean([ctx.greedy_vertex(p) for p in perms])
 
 
 def shapley_decomposed(

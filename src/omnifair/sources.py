@@ -99,6 +99,11 @@ class Source:
         """
         return 0 if self.is_exact else FLOAT_TOL
 
+    @property
+    def zero(self) -> Fraction | float:
+        """Zero in this source's number type: ``Fraction`` or ``float``."""
+        return Fraction(0) if self.is_exact else 0.0
+
     def subset(self, X: Iterable[int]) -> frozenset:
         X = frozenset(X)
         unknown = X - self._ground
@@ -110,7 +115,7 @@ class Source:
         """Joint entropy H(X); H of the empty set is zero."""
         X = self.subset(X)
         if not X:
-            return Fraction(0) if self.is_exact else 0.0
+            return self.zero
         cached = self._cache.get(X)
         if cached is None:
             cached = self._cache.setdefault(X, self._entropy(X))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnifair import DecompositionError
+from omnifair import RateVector, egalitarian_decomposed, load_source, min_sum_rate
 from omnifair.cli import (
     EXIT_INTERNAL,
     EXIT_NONCONVERGENCE,
@@ -15,6 +15,7 @@ from omnifair.cli import (
     EXIT_TOO_LARGE,
     EXIT_VERIFY,
     VERIFY_DECOMPOSITION_LIMIT,
+    emit_rates,
     emit_value,
     main,
     parse_rational,
@@ -57,6 +58,27 @@ def test_shapley_exact_vector(capsys, spec_path):
     assert status == 0
     assert report["fairness"]["vector"] == {
         "1": "5/4", "2": "1/2", "3": "1/2", "4": "3", "5": "5/4"}
+
+
+README_RATES = '{"1":"1","2":"1/2","3":"1/2","4":"9/2","5":"0"}'
+
+
+def test_egalitarian_decomposed_starts_at_rates(capsys, spec_path):
+    status, report = run_cli(capsys, "egalitarian", "--input", spec_path, "--mode", "decomposed",
+                             "--K", "2", "--rates", README_RATES)
+    assert status == 0
+    ctx = min_sum_rate(load_source(spec_path))
+    r0 = RateVector({int(u): parse_rational(v) for u, v in json.loads(README_RATES).items()})
+    assert report["fairness"]["vector"] == emit_rates(egalitarian_decomposed(ctx, K=2, r0=r0))
+
+
+@pytest.mark.parametrize("mode", ["sda", "decomposed"])
+def test_egalitarian_rates_outside_core(capsys, spec_path, mode):
+    status, report = run_cli(capsys, "egalitarian", "--input", spec_path, "--mode", mode,
+                             "--rates", '{"1":0,"2":0,"3":0,"4":0,"5":0}')
+    assert status == EXIT_PARSE
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["message"].startswith("initial point is outside the core: sum rate 0 != ")
 
 
 def test_shapley_approx_needs_seed(capsys, spec_path):
@@ -234,7 +256,7 @@ def test_exhaustive_limit_boundary_exit_code(capsys, tmp_path, monkeypatch, comm
     assert report["config"]["command"] == command
 
 
-@pytest.mark.parametrize("exc_type", [ArithmeticError, DecompositionError])
+@pytest.mark.parametrize("exc_type", [ArithmeticError])
 def test_internal_invariant_exit_code(capsys, spec_path, monkeypatch, exc_type):
     import omnifair.cli as cli_module
 

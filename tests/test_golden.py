@@ -1,5 +1,8 @@
 """Whole-report regression: every README command-line invocation on
-``scripts/example_source.json`` must reproduce its stored report under
+``scripts/example_source.json``, and the Shapley and Frank-Wolfe commands on
+the sources under ``tests/golden/sources/`` (a seeded random 4-user pmf
+table, whose answers are floats, and the four-cycle packet source, whose
+rates are in thirds), must reproduce its stored report under
 ``tests/golden/`` byte for byte, apart from the ``timings`` block and the
 machine-specific ``config.input``/``config.output`` paths.
 
@@ -21,30 +24,42 @@ from omnifair.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-EXAMPLE = ROOT / "scripts" / "example_source.json"
+EXAMPLE = "scripts/example_source.json"
+PMF = "tests/golden/sources/pmf-4.json"
+CYCLE = "tests/golden/sources/four-cycle.json"
 
-#: stands for the example source path in :data:`INVOCATIONS`
-INPUT = "<input>"
-
-#: name -> argv
+#: name -> (input spec relative to the repository root, or None; argv
+#: without --input)
 INVOCATIONS = {
-    "solve": ["solve", "--input", INPUT],
-    "shapley-exact": ["shapley", "--input", INPUT, "--mode", "exact"],
-    "shapley-approx": ["shapley", "--input", INPUT, "--mode", "approx",
-                       "--seed", "7", "--permutations", "10"],
-    "shapley-decomposed": ["shapley", "--input", INPUT, "--mode", "decomposed"],
-    "shapley-decomposed-approx": ["shapley", "--input", INPUT, "--mode", "decomposed",
-                                  "--seed", "7", "--permutations", "2"],
-    "egalitarian-sda": ["egalitarian", "--input", INPUT, "--mode", "sda", "--K", "2",
-                        "--rates", '{"1":"1","2":"1/2","3":"1/2","4":"9/2","5":"0"}',
-                        "--trace", "--trace-csv", "error_curve.csv"],
-    "egalitarian-continuous": ["egalitarian", "--input", INPUT, "--mode", "continuous",
-                               "--weights", '{"1":6,"2":1,"3":1,"4":3,"5":2}'],
-    "egalitarian-decomposed": ["egalitarian", "--input", INPUT, "--mode", "decomposed"],
-    "verify": ["verify", "--input", INPUT,
-               "--rates", '{"1":"1","2":"1/2","3":"1/2","4":"4","5":"1/2"}'],
-    "split-plan": ["split-plan", "--rates", '{"1":"5/4","2":"1/2","3":"1/2","4":"3","5":"5/4"}'],
+    "solve": (EXAMPLE, ["solve"]),
+    "shapley-exact": (EXAMPLE, ["shapley", "--mode", "exact"]),
+    "shapley-approx": (EXAMPLE, ["shapley", "--mode", "approx", "--seed", "7",
+                                 "--permutations", "10"]),
+    "shapley-decomposed": (EXAMPLE, ["shapley", "--mode", "decomposed"]),
+    "shapley-decomposed-approx": (EXAMPLE, ["shapley", "--mode", "decomposed",
+                                            "--seed", "7", "--permutations", "2"]),
+    "egalitarian-sda": (EXAMPLE, [
+        "egalitarian", "--mode", "sda", "--K", "2",
+        "--rates", '{"1":"1","2":"1/2","3":"1/2","4":"9/2","5":"0"}',
+        "--trace", "--trace-csv", "error_curve.csv"]),
+    "egalitarian-continuous": (EXAMPLE, ["egalitarian", "--mode", "continuous",
+                                         "--weights", '{"1":6,"2":1,"3":1,"4":3,"5":2}']),
+    "egalitarian-decomposed": (EXAMPLE, ["egalitarian", "--mode", "decomposed"]),
+    "verify": (EXAMPLE, ["verify",
+                         "--rates", '{"1":"1","2":"1/2","3":"1/2","4":"4","5":"1/2"}']),
+    "split-plan": (None, ["split-plan",
+                          "--rates", '{"1":"5/4","2":"1/2","3":"1/2","4":"3","5":"5/4"}']),
 }
+#: the commands run on every source under ``tests/golden/sources/``
+SOURCE_COMMANDS = {
+    "shapley-exact": ["shapley", "--mode", "exact"],
+    "shapley-approx": ["shapley", "--mode", "approx", "--seed", "7", "--permutations", "10"],
+    "egalitarian-continuous": ["egalitarian", "--mode", "continuous",
+                               "--weights", '{"1":3,"2":1,"3":2,"4":1}'],
+}
+INVOCATIONS |= {f"{label}-{command}": (spec, argv)
+                for label, spec in (("pmf-4", PMF), ("four-cycle", CYCLE))
+                for command, argv in SOURCE_COMMANDS.items()}
 
 #: invocations that also write a trace CSV into the working directory
 CSV_OUTPUTS = {"egalitarian-sda": "error_curve.csv"}
@@ -54,8 +69,10 @@ def normalized_report(name: str, workdir: Path) -> tuple[int, str]:
     """Run one invocation inside ``workdir``; return its exit status and the
     report text with timings dropped and file paths replaced."""
     out = workdir / f"{name}.json"
-    argv = [str(EXAMPLE) if arg == INPUT else arg for arg in INVOCATIONS[name]]
-    argv += ["--output", str(out)]
+    spec, argv = INVOCATIONS[name]
+    argv = [*argv, "--output", str(out)]
+    if spec is not None:
+        argv += ["--input", str(ROOT / spec)]
     previous = os.getcwd()
     os.chdir(workdir)
     try:
@@ -64,10 +81,7 @@ def normalized_report(name: str, workdir: Path) -> tuple[int, str]:
         os.chdir(previous)
     report = json.loads(out.read_text())
     report.pop("timings", None)
-    config = report["config"]
-    if config["input"] is not None:
-        config["input"] = "scripts/example_source.json"
-    config["output"] = None
+    report["config"].update(input=spec, output=None)
     return status, json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 

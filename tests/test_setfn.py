@@ -14,7 +14,14 @@ from omnifair import (
     is_submodular,
     sfm_min,
 )
-from omnifair.setfn import INT64_SAFE, subsets, tabulate, widen
+from omnifair.setfn import (
+    INT64_SAFE,
+    greedy_vertex,
+    ranked_greedy_vertex,
+    subsets,
+    tabulate,
+    widen,
+)
 
 from conftest import pairwise_first_violation, random_linear_source, rv
 
@@ -63,6 +70,36 @@ class TestSubmodularityChecks:
         big = SetFunction(range(21), lambda X: F(len(X)))
         with pytest.raises(GroundSetTooLarge):
             is_submodular(big)
+
+
+def capped_plus_c(X):
+    """min(|X|, 2) + [c in X] + 1: submodular, not modular, g(empty) = 1."""
+    return F(min(len(X), 2) + ("c" in X) + 1)
+
+
+class TestGreedyVertex:
+    def test_marginals_along_the_order(self):
+        vertex = greedy_vertex(capped_plus_c, ["c", "a", "b"])
+        assert list(vertex) == ["c", "a", "b"]
+        assert vertex == {"c": 2, "a": 1, "b": 0}
+        assert greedy_vertex(capped_plus_c, ["a", "b", "c"]) == {"a": 1, "b": 1, "c": 1}
+
+    def test_marginals_telescope_to_the_whole_set(self):
+        for order in (["a", "b", "c"], ["b", "c", "a"], ["c", "b", "a"]):
+            vertex = greedy_vertex(capped_plus_c, order)
+            assert sum(vertex.values()) == capped_plus_c({"a", "b", "c"}) - capped_plus_c(set())
+
+    def test_ranked_form_sorts_by_weight(self):
+        vertex = ranked_greedy_vertex(capped_plus_c, {"a": F(1, 2), "b": -1, "c": 3})
+        assert list(vertex) == ["b", "a", "c"]
+        assert vertex == {"b": 1, "a": 1, "c": 1}
+
+    def test_ranked_form_breaks_equal_weights_by_element(self):
+        for weights in ({"b": 0, "c": 0, "a": 0}, {"c": 0.0, "a": 0.0, "b": 0.0}):
+            assert list(ranked_greedy_vertex(capped_plus_c, weights)) == ["a", "b", "c"]
+        vertex = ranked_greedy_vertex(capped_plus_c, {"c": 1, "b": 1, "a": 2})
+        assert list(vertex) == ["b", "c", "a"]
+        assert vertex == greedy_vertex(capped_plus_c, ["b", "c", "a"])
 
 
 class TestSfmMin:

@@ -64,6 +64,13 @@ class TestGreedyVertex:
         with pytest.raises(ValueError, match="permutation"):
             edmonds_greedy_vertex(demo_ctx, (1, 2, 3))
 
+    def test_one_message_for_a_non_permutation(self, demo_ctx):
+        message = "(1, 2, 3) is not a permutation of (1, 2, 3, 4, 5)"
+        for greedy in (edmonds_greedy_vertex, GameContext.greedy_vertex):
+            with pytest.raises(ValueError) as caught:
+                greedy(demo_ctx, (1, 2, 3))
+            assert str(caught.value) == message
+
 
 class TestEnumerateExtremePoints:
     def test_whole_game(self, demo_ctx):
