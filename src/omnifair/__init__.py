@@ -44,13 +44,11 @@ from .setfn import (
     subsets,
 )
 from .shapley import (
-    edmonds_greedy_vertex,
     enumerate_extreme_points,
     sample_permutations,
     shapley_approx,
     shapley_decomposed,
     shapley_exact,
-    shapley_mean_of_vertices,
 )
 from .sources import (
     LinearSource,
@@ -85,7 +83,6 @@ __all__ = [
     "decompose",
     "dep",
     "dilworth_truncation",
-    "edmonds_greedy_vertex",
     "egalitarian_continuous",
     "egalitarian_decomposed",
     "enumerate_extreme_points",
@@ -105,6 +102,5 @@ __all__ = [
     "shapley_approx",
     "shapley_decomposed",
     "shapley_exact",
-    "shapley_mean_of_vertices",
     "subsets",
 ]

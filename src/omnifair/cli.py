@@ -5,6 +5,7 @@ pipelines, and emits machine-readable JSON reports.  Exact rationals are
 serialized losslessly as "p/q" strings; reports are byte-stable across runs
 for a fixed config (seed included) apart from the timing block.
 
+A flag that the chosen mode never reads is a flag error, not ignored.
 Exit codes: 0 success, 2 parse or flag error, 3 verification failure,
 4 numerical non-convergence, 5 instance too large for an exhaustive routine,
 6 internal invariant violated.  Codes 4-6, and code 2 once the flags have
@@ -61,6 +62,15 @@ class ConfigError(ValueError):
 
 #: The :class:`RunConfig` fields given as user -> rational maps.
 USER_MAPS = ("weights", "rates")
+
+#: (command, mode) -> the flags that mode never reads; giving one is a flag
+#: error rather than a silently ignored, echoed value.
+UNREAD_FLAGS = {
+    ("shapley", "exact"): ("seed", "permutations"),
+    ("egalitarian", "sda"): ("tol",),
+    ("egalitarian", "decomposed"): ("tol", "trace", "trace_csv"),
+    ("egalitarian", "continuous"): ("K", "rates", "trace", "trace_csv"),
+}
 
 
 @dataclass
@@ -192,6 +202,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
+def _refuse_unread_flags(cfg: RunConfig) -> None:
+    unread = UNREAD_FLAGS.get((cfg.command, cfg.mode), ())
+    if (cfg.command, cfg.mode) == ("shapley", "decomposed") and cfg.seed is None:
+        unread = ("permutations",)  # only sampling reads it, and sampling needs --seed
+    given = [name for name in unread if getattr(cfg, name) not in (None, False)]
+    if given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise ConfigError(f"{cfg.command} --mode {cfg.mode} does not read {flags}")
+
+
 def _rate_vector_from(cfg_rates: dict, users: tuple[int, ...], what: str) -> RateVector:
     missing = set(users) - set(cfg_rates)
     unknown = set(cfg_rates) - set(users)
@@ -312,6 +332,7 @@ def _run_verify(cfg: RunConfig, ctx: GameContext) -> list[dict]:
 def run(cfg: RunConfig) -> tuple[dict, int]:
     """Execute one command; returns (report, exit_status)."""
     started = time.perf_counter()
+    _refuse_unread_flags(cfg)
     report: dict = {"config": cfg.echo()}
     status = EXIT_OK
 

@@ -5,8 +5,11 @@ rate at which every user can recover the whole source, the fundamental
 partition that certifies it, and the optimal rate region (the core of the
 associated cost-sharing game).  The characteristic cost of a user subset is
 the Dilworth truncation of the sum-rate-parameterized cost function,
-computed incrementally with one constrained SFM per element.  Core vertices
-are Edmonds' greedy rule (:func:`omnifair.setfn.greedy_vertex`) on that cost.
+computed incrementally on user bitmasks: one enumeration over the subsets of
+the current blocks per element.  For linear sources the pass runs on
+integers (the cost scaled by the sum-rate's denominator), so no ``Fraction``
+appears until a value leaves it.  Core vertices are Edmonds' greedy rule
+(:func:`omnifair.setfn.greedy_vertex`) on that cost.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .setfn import SetFunction, greedy_vertex, sfm_min, subsets
+from .setfn import _check_size, greedy_vertex, subsets
 from .sources import Source
 
 
@@ -168,69 +171,72 @@ def f_alpha(source: Source, alpha, X: Iterable[int]):
 # --- Dilworth truncation ---------------------------------------------------
 
 
-def _dilworth_incremental(
-    fa: Callable[[frozenset], Fraction | float],
-    order: Iterable[int],
-    sfm_backend: str,
-    tol,
-):
-    """Grow the ground set one element at a time, merging the new element
-    into existing blocks via one constrained SFM per element.
+def _mask_cost(source: Source, alpha):
+    """:func:`f_alpha` on nonempty user bitmasks, plus the map from its
+    values back to f_alpha's.  For a linear source with alpha = p/q the cost
+    is q·H(X) - q·H(V) + p, an integer, and the map divides by q; for a pmf
+    source it is (alpha - H(V)) + H(X) in floats, and the map is the
+    identity."""
+    h = source.raw_entropy
+    whole = h(source.mask(source.users))
+    if not source.is_exact:
+        shift = alpha - whole
+        return (lambda m: shift + h(m)), (lambda v: v)
+    alpha = Fraction(alpha)
+    q = alpha.denominator
+    shift = alpha.numerator - q * whole
+    return (lambda m: q * h(m) + shift), (lambda v: Fraction(v, q))
 
-    Returns ``(value, finest_partition, per_element_increments)`` where the
-    increments follow ``order`` and telescope to the truncation value.
+
+def _dilworth_incremental(cost: Callable[[int], int | float], mask: int, tol):
+    """Dilworth truncation of ``cost`` over the bits of ``mask``, grown one
+    bit at a time in ascending order.
+
+    Blocks are (mask, cost) pairs.  Each step enumerates the subsets S of
+    the current blocks by one doubling pass and takes the minimum of
+    cost(bit ∪ S) - Σ_S cost; the merge keeps the minimal minimizer, the AND
+    of every block-subset index within ``tol`` of the minimum.  Returns the
+    summed step minima and the block masks of the finest minimizing
+    partition.
     """
-    blocks: list[tuple[frozenset, Fraction | float]] = []
-    increments = []
+    blocks: list[tuple[int, int | float]] = []
     total = None
-    for u in order:
-        snapshot = tuple(blocks)
-
-        def gain(S: frozenset, u=u, snapshot=snapshot):
-            merged = {u}
-            absorbed = 0
-            for idx in S:
-                merged |= snapshot[idx][0]
-                absorbed += snapshot[idx][1]
-            return fa(frozenset(merged)) - absorbed
-
-        fused = SetFunction(range(len(snapshot)), gain)
-        result = sfm_min(fused, backend=sfm_backend, tol=tol)
-        merged = frozenset({u}).union(*(snapshot[i][0] for i in result.minimal))
-        increments.append(result.value)
-        total = result.value if total is None else total + result.value
-        blocks = [b for i, b in enumerate(blocks) if i not in result.minimal]
-        blocks.append((merged, fa(merged)))
-    return total, Partition(b for b, _ in blocks), increments
+    for bit in (1 << k for k in range(mask.bit_length()) if mask >> k & 1):
+        _check_size(len(blocks))
+        unions, absorbed = [bit], [0]
+        for block, value in blocks:
+            unions += [u | block for u in unions]
+            absorbed += [a + value for a in absorbed]
+        gains = [cost(u) - a for u, a in zip(unions, absorbed)]
+        best = min(gains)
+        pick = len(gains) - 1
+        for index, gain in enumerate(gains):
+            if gain <= best + tol:
+                pick &= index
+        total = best if total is None else total + best
+        blocks = [b for i, b in enumerate(blocks) if not pick >> i & 1]
+        blocks.append((unions[pick], cost(unions[pick])))
+    return total, [block for block, _ in blocks]
 
 
-def dilworth_truncation(
-    source: Source,
-    alpha,
-    X: Iterable[int],
-    *,
-    sfm_backend: str = "exhaustive",
-):
+def dilworth_truncation(source: Source, alpha, X: Iterable[int]):
     """Partition-wise minimum of the parameterized cost over ``X``.
 
     Returns ``(value, finest_minimizing_partition)``, computed with one
-    constrained SFM per element of ``X``.
+    enumeration over the current blocks per element of ``X``.
     """
     X = source.subset(X)
     if not X:
         raise ValueError("the truncation is evaluated on nonempty subsets")
-
-    def fa(S: frozenset):
-        return f_alpha(source, alpha, S)
-
-    value, part, _ = _dilworth_incremental(fa, sorted(X), sfm_backend, source.tol)
-    return value, part
+    cost, value_of = _mask_cost(source, alpha)
+    value, blocks = _dilworth_incremental(cost, source.mask(X), source.tol)
+    return value_of(value), Partition(source.members(b) for b in blocks)
 
 
 # --- solving the minimum sum-rate problem ----------------------------------
 
 
-def _newton_min_sum_rate(source: Source, sfm_backend: str):
+def _newton_min_sum_rate(source: Source):
     """Raise a candidate sum-rate along finest truncation minimizers until the
     whole-set cost matches its truncation; converges in at most |V| rounds."""
     users = source.users
@@ -238,7 +244,7 @@ def _newton_min_sum_rate(source: Source, sfm_backend: str):
     tol = source.tol
     alpha = sum(hv - source.entropy(frozenset({u})) for u in users) / (len(users) - 1)
     for _ in range(len(users) + 2):
-        value, part = dilworth_truncation(source, alpha, users, sfm_backend=sfm_backend)
+        value, part = dilworth_truncation(source, alpha, users)
         if _eq(value, alpha, tol):
             return alpha, part
         if len(part) < 2:
@@ -249,7 +255,8 @@ def _newton_min_sum_rate(source: Source, sfm_backend: str):
 
 class GameContext:
     """A solved instance: the minimum sum-rate, the fundamental partition,
-    a shared cache of truncation values, and one vertex of the core.
+    a shared cache of truncation values keyed by user bitmask, and one
+    vertex of the core.
 
     Subgame contexts (from :func:`decompose`) reuse the same cache and cost
     function restricted to their block; their ``sum_cost`` is the block's
@@ -267,7 +274,6 @@ class GameContext:
         shared_randomness,
         grid_denominator: int,
         hat_cache: dict | None = None,
-        sfm_backend: str = "exhaustive",
     ):
         self.source = source
         self.ground = frozenset(ground)
@@ -280,7 +286,7 @@ class GameContext:
         self.tol = source.tol
         self.vertex: RateVector | None = None
         self._hat = hat_cache if hat_cache is not None else {}
-        self._sfm_backend = sfm_backend
+        self._cost, self._value_of = _mask_cost(source, min_sum_rate)
 
     @property
     def is_whole_game(self) -> bool:
@@ -300,10 +306,11 @@ class GameContext:
             raise ValueError(f"{sorted(X - self.ground)} outside this game's ground set")
         if not X:
             return self.source.zero
-        value = self._hat.get(X)
+        mask = self.source.mask(X)
+        value = self._hat.get(mask)
         if value is None:
-            computed, _, _ = _dilworth_incremental(self.f, sorted(X), self._sfm_backend, self.tol)
-            value = self._hat.setdefault(X, computed)
+            computed, _ = _dilworth_incremental(self._cost, mask, self.tol)
+            value = self._hat[mask] = self._value_of(computed)
         return value
 
     def greedy_vertex(self, order: Iterable[int]) -> RateVector:
@@ -319,7 +326,7 @@ class GameContext:
                 f"sum_cost={self.sum_cost}, partition={self.fundamental_partition})")
 
 
-def min_sum_rate(source: Source, *, sfm_backend: str = "exhaustive") -> GameContext:
+def min_sum_rate(source: Source) -> GameContext:
     """Solve the minimum sum-rate problem by iterated truncation evaluation
     with candidate sum-rate updates (at most |V| truncations).
 
@@ -327,7 +334,7 @@ def min_sum_rate(source: Source, *, sfm_backend: str = "exhaustive") -> GameCont
     randomness amount, and one core vertex (greedy on the identity
     permutation).
     """
-    rco, part = _newton_min_sum_rate(source, sfm_backend)
+    rco, part = _newton_min_sum_rate(source)
     shared = source.entropy(source.ground) - rco
     if shared < -source.tol:
         raise ArithmeticError(f"shared randomness came out negative: {shared}")
@@ -339,7 +346,6 @@ def min_sum_rate(source: Source, *, sfm_backend: str = "exhaustive") -> GameCont
         fundamental_partition=part,
         shared_randomness=shared,
         grid_denominator=max(len(part) - 1, 1),
-        sfm_backend=sfm_backend,
     )
     ctx.vertex = ctx.greedy_vertex(ctx.users)
     return ctx
@@ -428,7 +434,6 @@ def decompose(ctx: GameContext) -> list[GameContext]:
             shared_randomness=None,
             grid_denominator=ctx.grid_denominator,
             hat_cache=ctx._hat,
-            sfm_backend=ctx._sfm_backend,
         )
         sub.vertex = sub.greedy_vertex(sub.users)
         subgames.append(sub)

@@ -5,14 +5,13 @@ the subset lattice.
 :func:`greedy_vertex` is the package's one greedy rule: marginal values along
 an order, a base-polytope vertex for submodular functions (Edmonds 1970).
 Ranked by a weight vector (:func:`ranked_greedy_vertex`) it is the linear
-step of Frank-Wolfe and of Wolfe's min-norm solver; core vertices are the
-same rule on the characteristic cost.
+step of Frank-Wolfe; core vertices are the same rule on the characteristic
+cost.
 
-Two SFM backends sit behind one contract: ``exhaustive`` enumerates the
-lattice and is the correctness baseline; ``minnorm`` is a Fujishige-Wolfe
-minimum-norm-point solver in exact rational arithmetic for a growth path
-beyond desk scale.  Each routine evaluates the oracle at most once per
-subset it needs; callers that want a cache put it behind the oracle.
+:func:`sfm_min` enumerates the lattice, evaluating the oracle once per
+subset; callers that want a cache put it behind the oracle.  The solver's
+own truncation does not go through it: it enumerates block subsets on
+bitmasks (:mod:`omnifair.omniscience`).
 
 The submodularity checks tabulate the function once into a dense array
 indexed by subset bitmask and test one set against all others per array
@@ -188,7 +187,6 @@ def sfm_min(
     forced_in: Iterable = (),
     forced_out: Iterable = (),
     *,
-    backend: str = "exhaustive",
     tol=0,
 ) -> SfmResult:
     """Minimize ``f`` over the lattice {X : forced_in ⊆ X ⊆ V ∖ forced_out}.
@@ -196,7 +194,9 @@ def sfm_min(
     ``f`` must be submodular on that lattice.  The minimizers of a submodular
     function form a lattice, so the minimal minimizer (intersection of all
     minimizers) and the maximal one (their union) are well defined; both are
-    returned alongside the minimum value.
+    returned alongside the minimum value.  The lattice is enumerated, each
+    point evaluated once; values within ``tol`` of the minimum count as
+    minimizers.
     """
     forced_in = frozenset(forced_in)
     forced_out = frozenset(forced_out)
@@ -204,12 +204,7 @@ def sfm_min(
         raise InfeasibleLattice("forced sets must lie inside the ground set")
     if forced_in & forced_out:
         raise InfeasibleLattice(f"forced-in and forced-out overlap on {sorted(forced_in & forced_out)}")
-    free = f.ground - forced_in - forced_out
-    if backend == "exhaustive":
-        return _sfm_exhaustive(f, forced_in, free, tol)
-    if backend == "minnorm":
-        return _sfm_minnorm(f, forced_in, free)
-    raise ValueError(f"unknown SFM backend {backend!r}")
+    return _sfm_exhaustive(f, forced_in, f.ground - forced_in - forced_out, tol)
 
 
 def _sfm_exhaustive(f, forced_in, free, tol) -> SfmResult:
@@ -224,102 +219,3 @@ def _sfm_exhaustive(f, forced_in, free, tol) -> SfmResult:
             maximal |= Y
     assert minimal <= maximal, "minimizer collection is empty or inconsistent"
     return SfmResult(best, minimal, maximal)
-
-
-# --- Fujishige-Wolfe minimum-norm-point backend (exact rationals) ---------
-
-
-def _exact(value) -> Fraction:
-    # floats are dyadic rationals, so this conversion is lossless
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def _affine_min_norm(points: list[tuple[Fraction, ...]]):
-    """Minimum-norm point of the affine hull of ``points``.
-
-    Solves the KKT system for min ||Σ μ_i p_i||² with Σ μ_i = 1 by rational
-    Gaussian elimination; returns (coefficients, point).
-    """
-    k = len(points)
-    grams = [[sum(a * b for a, b in zip(p, q)) for q in points] for p in points]
-    size = k + 1
-    m = [[Fraction(0)] * size + [Fraction(0)] for _ in range(size)]
-    m[0][0] = Fraction(0)
-    for j in range(k):
-        m[0][j + 1] = Fraction(1)
-        m[j + 1][0] = Fraction(1)
-    for i in range(k):
-        for j in range(k):
-            m[i + 1][j + 1] = grams[i][j]
-    m[0][size] = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("affinely dependent corral in min-norm solve")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        m[col] = [v / inv for v in m[col]]
-        for r in range(size):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    mu = [m[i + 1][size] for i in range(k)]
-    point = tuple(sum(mu[i] * points[i][d] for i in range(k)) for d in range(len(points[0])))
-    return mu, point
-
-
-def _min_norm_base_point(g, elems: list) -> tuple[Fraction, ...]:
-    """Wolfe's algorithm for the minimum-norm point in the base polytope of g."""
-
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
-
-    def coordinates(vertex: dict) -> tuple[Fraction, ...]:
-        return tuple(vertex[e] for e in elems)
-
-    x = coordinates(greedy_vertex(g, elems))
-    corral = [x]
-    lams = [Fraction(1)]
-    for _ in range(100_000):
-        q = coordinates(ranked_greedy_vertex(g, dict(zip(elems, x))))
-        if dot(x, q) >= dot(x, x):
-            return x
-        corral.append(q)
-        lams.append(Fraction(0))
-        while True:
-            mu, y = _affine_min_norm(corral)
-            if min(mu) > 0:
-                lams, x = mu, y
-                break
-            theta = min(
-                lam / (lam - m) for lam, m in zip(lams, mu) if m <= 0 and lam > m
-            )
-            lams = [theta * m + (1 - theta) * lam for lam, m in zip(lams, mu)]
-            keep = [i for i, lam in enumerate(lams) if lam > 0]
-            corral = [corral[i] for i in keep]
-            lams = [lams[i] for i in keep]
-            x = tuple(
-                sum(lams[i] * corral[i][d] for i in range(len(corral)))
-                for d in range(len(x))
-            )
-    raise ArithmeticError("min-norm point iteration failed to terminate")
-
-
-def _sfm_minnorm(f, forced_in, free) -> SfmResult:
-    """Minimum of f over {X : forced_in ⊆ X ⊆ forced_in ∪ free} from one
-    min-norm solve.  With x the min-norm base point of the shifted function,
-    {x < 0} is the minimal minimizer and {x <= 0} the maximal one
-    (Fujishige 1980)."""
-    base = _exact(f(forced_in))
-    if not free:
-        return SfmResult(base, forced_in, forced_in)
-    elems = sorted(free)
-
-    def g(prefix: frozenset) -> Fraction:
-        return _exact(f(forced_in | prefix)) - base
-
-    x = _min_norm_base_point(g, elems)
-    return SfmResult(
-        base + sum(v for v in x if v < 0),
-        forced_in | {e for e, v in zip(elems, x) if v < 0},
-        forced_in | {e for e, v in zip(elems, x) if v <= 0})

@@ -3,10 +3,10 @@
 The Shapley value charges each user their permutation-averaged marginal
 characteristic cost, i.e. the mean greedy vertex over all permutations,
 counted with multiplicity.  That yields an approximation scheme: average the
-greedy vertices of a random sample of permutations.  The centroid of the
-distinct vertices is a different point unless every vertex arises from
-equally many permutations.  All combine with the fundamental-partition
-decomposition for distributed computation.
+greedy vertices (:meth:`GameContext.greedy_vertex`) of a random sample of
+permutations.  The centroid of the distinct vertices is a different point
+unless every vertex arises from equally many permutations.  All combine with
+the fundamental-partition decomposition for distributed computation.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ ENUMERATION_LIMIT = 8
 
 #: Exact Shapley computation needs all 2^|V| characteristic costs.
 EXACT_LIMIT = 20
-
-
-def edmonds_greedy_vertex(ctx: GameContext, permutation: Sequence[int]) -> RateVector:
-    """Core vertex for ``permutation``: each user is charged the marginal
-    characteristic cost over the preceding prefix
-    (:meth:`GameContext.greedy_vertex`)."""
-    return ctx.greedy_vertex(permutation)
 
 
 def enumerate_extreme_points(ctx: GameContext) -> tuple[RateVector, ...]:
@@ -66,15 +59,6 @@ def shapley_exact(ctx: GameContext) -> RateVector:
             acc += weight * (ctx.hat(X | {i}) - ctx.hat(X))
         rates[i] = acc
     return RateVector(rates)
-
-
-def shapley_mean_of_vertices(ctx: GameContext) -> RateVector:
-    """Centroid of the distinct core vertices.
-
-    This is the Shapley value only when every vertex arises from equally
-    many permutations; otherwise the two differ (use :func:`shapley_exact`).
-    """
-    return _mean(enumerate_extreme_points(ctx))
 
 
 def _mean(vectors: Sequence[RateVector]) -> RateVector:

@@ -8,6 +8,10 @@ Two source families are supported:
   in field symbols (bits when the field size is 2).
 * :class:`PmfSource` -- a discrete joint probability mass function.
   Entropies are floats in bits and downstream comparisons use a tolerance.
+
+Each source memoizes H by user bitmask (bit k is ``users[k]``) in its raw
+number type, an int for linear sources and a float for pmf sources; the
+solver's truncation reads that memo directly (:meth:`Source.raw_entropy`).
 """
 
 from __future__ import annotations
@@ -77,14 +81,16 @@ def gf_rank(rows: Sequence[Sequence[int]], q: int) -> int:
 
 
 class Source:
-    """Base class: a memoized entropy oracle over subsets of users."""
+    """Base class: an entropy oracle over subsets of users, memoized by
+    bitmask (bit k is ``users[k]``)."""
 
     is_exact: bool = True
 
     def __init__(self, users: Iterable[int]):
         self.users = _check_users(users)
         self._ground = frozenset(self.users)
-        self._cache: dict[frozenset, Fraction | float] = {}
+        self._bit = {u: 1 << k for k, u in enumerate(self.users)}
+        self._cache: dict[int, int | float] = {}
 
     @property
     def ground(self) -> frozenset:
@@ -111,15 +117,30 @@ class Source:
             raise ValueError(f"unknown user ids: {sorted(unknown)}")
         return X
 
+    def mask(self, X: Iterable[int]) -> int:
+        """Bitmask of the users in ``X``, which must be known users."""
+        return sum(self._bit[u] for u in X)
+
+    def members(self, mask: int) -> frozenset:
+        """The users whose bits are set in ``mask``."""
+        return frozenset(u for k, u in enumerate(self.users) if mask >> k & 1)
+
+    def raw_entropy(self, mask: int) -> int | float:
+        """H of the users in ``mask``, memoized, in the source's raw number
+        type: an int (field symbols) for linear sources, a float (bits) for
+        pmf sources."""
+        value = self._cache.get(mask)
+        if value is None:
+            value = self._cache[mask] = self._entropy(mask)
+        return value
+
     def entropy(self, X: Iterable[int]) -> Fraction | float:
         """Joint entropy H(X); H of the empty set is zero."""
         X = self.subset(X)
         if not X:
             return self.zero
-        cached = self._cache.get(X)
-        if cached is None:
-            cached = self._cache.setdefault(X, self._entropy(X))
-        return cached
+        value = self.raw_entropy(self.mask(X))
+        return Fraction(value) if self.is_exact else value
 
     def conditional_entropy(self, X: Iterable[int], Y: Iterable[int]) -> Fraction | float:
         """H(X | Y) = H(X ∪ Y) - H(Y) for disjoint X and Y."""
@@ -128,7 +149,7 @@ class Source:
             raise ValueError(f"conditional entropy needs disjoint sets, got overlap {sorted(X & Y)}")
         return self.entropy(X | Y) - self.entropy(Y)
 
-    def _entropy(self, X: frozenset) -> Fraction | float:
+    def _entropy(self, mask: int) -> int | float:
         raise NotImplementedError
 
 
@@ -151,6 +172,9 @@ class LinearSource(Source):
         self.universe = universe
         self._packets = packets
         self._vectors = vectors
+        if packets is not None:
+            index = {p: k for k, p in enumerate(universe)}
+            self._packet_bits = [sum(1 << index[p] for p in packets[u]) for u in self.users]
 
     @classmethod
     def from_packets(
@@ -187,11 +211,15 @@ class LinearSource(Source):
         vectors = {u: tuple(tuple(int(c) for c in v) for v in holdings[u]) for u in users}
         return cls(users, field, tuple(range(width)), packets=None, vectors=vectors)
 
-    def _entropy(self, X: frozenset) -> Fraction:
+    def _entropy(self, mask: int) -> int:
+        members = [k for k in range(len(self.users)) if mask >> k & 1]
         if self._packets is not None:
-            return Fraction(len(frozenset().union(*(self._packets[u] for u in X))))
-        rows = [v for u in sorted(X) for v in self._vectors[u]]
-        return Fraction(gf_rank(rows, self.field))
+            held = 0
+            for k in members:
+                held |= self._packet_bits[k]
+            return held.bit_count()
+        rows = [v for k in members for v in self._vectors[self.users[k]]]
+        return gf_rank(rows, self.field)
 
 
 class PmfSource(Source):
@@ -216,8 +244,8 @@ class PmfSource(Source):
             raise SourceSpecError(f"pmf table sums to {total!r}, expected 1")
         self._table = arr
 
-    def _entropy(self, X: frozenset) -> float:
-        drop = tuple(axis for axis, u in enumerate(self.users) if u not in X)
+    def _entropy(self, mask: int) -> float:
+        drop = tuple(axis for axis in range(len(self.users)) if not mask >> axis & 1)
         marginal = self._table.sum(axis=drop) if drop else self._table
         p = marginal.ravel()
         p = p[p > 0]

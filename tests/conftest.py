@@ -19,7 +19,6 @@ from omnifair import (
     core_membership,
     decompose,
     dilworth_truncation,
-    edmonds_greedy_vertex,
     enumerate_extreme_points,
     f_alpha,
     is_locally_optimal,
@@ -30,11 +29,20 @@ from omnifair import (
     shapley_approx,
     shapley_decomposed,
     shapley_exact,
-    shapley_mean_of_vertices,
 )
 from omnifair.egalitarian import _SlackTable, dep
-from omnifair.omniscience import GameContext, _dilworth_incremental, check_decomposition
-from omnifair.setfn import SetFunction, is_submodular, sfm_min, subsets
+from omnifair.omniscience import GameContext, check_decomposition
+from omnifair.setfn import (
+    InfeasibleLattice,
+    SetFunction,
+    SfmResult,
+    greedy_vertex,
+    is_submodular,
+    ranked_greedy_vertex,
+    sfm_min,
+    subsets,
+)
+from omnifair.shapley import _mean
 from omnifair.sources import Source
 
 DEMO_HOLDINGS = {
@@ -119,6 +127,146 @@ def bruteforce_min_sum_rate(source: Source):
         for P in iter_partitions(source.users) if len(P) >= 2)
 
 
+# --- Fujishige-Wolfe minimum-norm-point SFM (exact rationals) ----------------
+
+
+def _exact(value) -> F:
+    # floats are dyadic rationals, so this conversion is lossless
+    return value if isinstance(value, F) else F(value)
+
+
+def _affine_min_norm(points: list[tuple[F, ...]]):
+    """Minimum-norm point of the affine hull of ``points``.
+
+    Solves the KKT system for min ||Σ μ_i p_i||² with Σ μ_i = 1 by rational
+    Gaussian elimination; returns (coefficients, point).
+    """
+    k = len(points)
+    grams = [[sum(a * b for a, b in zip(p, q)) for q in points] for p in points]
+    size = k + 1
+    m = [[F(0)] * size + [F(0)] for _ in range(size)]
+    for j in range(k):
+        m[0][j + 1] = F(1)
+        m[j + 1][0] = F(1)
+    for i in range(k):
+        for j in range(k):
+            m[i + 1][j + 1] = grams[i][j]
+    m[0][size] = F(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
+        if pivot is None:
+            raise ArithmeticError("affinely dependent corral in min-norm solve")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = m[col][col]
+        m[col] = [v / inv for v in m[col]]
+        for r in range(size):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    mu = [m[i + 1][size] for i in range(k)]
+    point = tuple(sum(mu[i] * points[i][d] for i in range(k)) for d in range(len(points[0])))
+    return mu, point
+
+
+def _min_norm_base_point(g, elems: list) -> tuple[F, ...]:
+    """Wolfe's algorithm for the minimum-norm point in the base polytope of g."""
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    def coordinates(vertex: dict) -> tuple[F, ...]:
+        return tuple(vertex[e] for e in elems)
+
+    x = coordinates(greedy_vertex(g, elems))
+    corral = [x]
+    lams = [F(1)]
+    for _ in range(100_000):
+        q = coordinates(ranked_greedy_vertex(g, dict(zip(elems, x))))
+        if dot(x, q) >= dot(x, x):
+            return x
+        corral.append(q)
+        lams.append(F(0))
+        while True:
+            mu, y = _affine_min_norm(corral)
+            if min(mu) > 0:
+                lams, x = mu, y
+                break
+            theta = min(
+                lam / (lam - m) for lam, m in zip(lams, mu) if m <= 0 and lam > m
+            )
+            lams = [theta * m + (1 - theta) * lam for lam, m in zip(lams, mu)]
+            keep = [i for i, lam in enumerate(lams) if lam > 0]
+            corral = [corral[i] for i in keep]
+            lams = [lams[i] for i in keep]
+            x = tuple(
+                sum(lams[i] * corral[i][d] for i in range(len(corral)))
+                for d in range(len(x))
+            )
+    raise ArithmeticError("min-norm point iteration failed to terminate")
+
+
+def _sfm_minnorm(f, forced_in, free) -> SfmResult:
+    """Minimum of f over {X : forced_in ⊆ X ⊆ forced_in ∪ free} from one
+    min-norm solve.  With x the min-norm base point of the shifted function,
+    {x < 0} is the minimal minimizer and {x <= 0} the maximal one
+    (Fujishige 1980)."""
+    base = _exact(f(forced_in))
+    if not free:
+        return SfmResult(base, forced_in, forced_in)
+    elems = sorted(free)
+
+    def g(prefix: frozenset) -> F:
+        return _exact(f(forced_in | prefix)) - base
+
+    x = _min_norm_base_point(g, elems)
+    return SfmResult(
+        base + sum(v for v in x if v < 0),
+        forced_in | {e for e, v in zip(elems, x) if v < 0},
+        forced_in | {e for e, v in zip(elems, x) if v <= 0})
+
+
+def minnorm_sfm(f: SetFunction, forced_in=(), forced_out=(), *, tol=0) -> SfmResult:
+    """Oracle SFM with sfm_min's contract, by Wolfe's minimum-norm-point
+    algorithm in exact rationals instead of enumeration (``tol`` is accepted
+    for the shared signature; the solve is exact)."""
+    forced_in, forced_out = frozenset(forced_in), frozenset(forced_out)
+    if not forced_in <= f.ground or not forced_out <= f.ground or forced_in & forced_out:
+        raise InfeasibleLattice("forced sets overlap or leave the ground set")
+    return _sfm_minnorm(f, forced_in, f.ground - forced_in - forced_out)
+
+
+def frozenset_truncation(fa, order, sfm=sfm_min, tol=0):
+    """Oracle truncation: the incremental pass on frozensets, one SFM by
+    ``sfm`` over the current blocks per element of ``order``.  Returns
+    ``(value, finest_partition, per_element_increments)``; the increments
+    follow ``order`` and telescope to the value."""
+    blocks: list[tuple[frozenset, F | float]] = []
+    increments = []
+    for u in order:
+        snapshot = tuple(blocks)
+
+        def gain(S: frozenset, u=u, snapshot=snapshot):
+            merged = {u}
+            absorbed = 0
+            for idx in sorted(S):
+                merged |= snapshot[idx][0]
+                absorbed += snapshot[idx][1]
+            return fa(frozenset(merged)) - absorbed
+
+        result = sfm(SetFunction(range(len(snapshot)), gain), tol=tol)
+        merged = frozenset({u}).union(*(snapshot[i][0] for i in result.minimal))
+        increments.append(result.value)
+        blocks = [b for i, b in enumerate(blocks) if i not in result.minimal]
+        blocks.append((merged, fa(merged)))
+    return sum(increments[1:], increments[0]), Partition(b for b, _ in blocks), increments
+
+
+def shapley_mean_of_vertices(ctx: GameContext) -> RateVector:
+    """Centroid of the distinct core vertices.  This is the Shapley value
+    only when every vertex arises from equally many permutations."""
+    return _mean(enumerate_extreme_points(ctx))
+
+
 def random_linear_source(seed: int, min_users=3, max_users=6, max_packets=12) -> LinearSource:
     rng = random.Random(seed)
     n = rng.randint(min_users, max_users)
@@ -126,6 +274,19 @@ def random_linear_source(seed: int, min_users=3, max_users=6, max_packets=12) ->
     packets = [f"p{k}" for k in range(m)]
     holdings = {u: rng.sample(packets, rng.randint(0, m)) for u in range(1, n + 1)}
     return LinearSource.from_packets(holdings, universe=packets)
+
+
+def random_vector_source(seed: int, min_users=3, max_users=6, field=3) -> LinearSource:
+    """Seeded vector-form source over GF(field): each user holds 1-2 random
+    coefficient vectors of width 3-6, so ranks see linear dependence."""
+    rng = random.Random(f"vectors:{seed}")
+    n = rng.randint(min_users, max_users)
+    width = rng.randint(3, 6)
+    holdings = {
+        u: [[rng.randrange(field) for _ in range(width)] for _ in range(rng.randint(1, 2))]
+        for u in range(1, n + 1)
+    }
+    return LinearSource.from_vectors(holdings, field=field)
 
 
 def pmf_from_packets(holdings: dict, universe: list) -> PmfSource:
@@ -243,9 +404,9 @@ def cross_checked_membership(ctx: GameContext, r: RateVector) -> bool:
 
 def chain_greedy_vertex(ctx: GameContext, permutation) -> RateVector:
     """Oracle vertex: one incremental truncation pass along ``permutation``,
-    one constrained SFM per step, read off the per-step increments."""
+    one exhaustive SFM per step, read off the per-step increments."""
     order = tuple(permutation)
-    _, _, increments = _dilworth_incremental(ctx.f, order, ctx._sfm_backend, ctx.tol)
+    _, _, increments = frozenset_truncation(ctx.f, order, tol=ctx.tol)
     return RateVector(dict(zip(order, increments)))
 
 
@@ -380,7 +541,7 @@ def run_instance_battery(seed: int) -> dict:
 
     some_perms = [tuple(random.Random(seed * 1009 + k).sample(users, n)) for k in range(3)]
     out["chain_matches_cache"] = all(
-        chain_greedy_vertex(ctx, p) == edmonds_greedy_vertex(ctx, p)
+        chain_greedy_vertex(ctx, p) == ctx.greedy_vertex(p)
         for p in some_perms)
 
     out["dep_within_block"] = all(

@@ -21,13 +21,19 @@ from omnifair import (
     shapley_approx,
     shapley_decomposed,
     shapley_exact,
-    shapley_mean_of_vertices,
     SplitError,
 )
 from omnifair.egalitarian import dep
 from omnifair.setfn import subsets
 
-from conftest import battery_failures, dilworth_enumerate, random_linear_source, rv
+from conftest import (
+    battery_failures,
+    dilworth_enumerate,
+    minnorm_sfm,
+    random_linear_source,
+    rv,
+    shapley_mean_of_vertices,
+)
 
 
 def report(name: str) -> None:
@@ -119,7 +125,8 @@ def test_criterion_7_backend_equivalence(demo_source, demo_ctx, property_battery
                 == dilworth_truncation(demo_source, demo_ctx.min_sum_rate, X))
     # and across the randomized corpus (checked per instance in the battery)
     assert all(r["dilworth_backends_agree"] for r in property_battery)
-    # SFM backends on random submodular instances, up to eight users
+    # exhaustive SFM against the min-norm-point oracle on random submodular
+    # instances, up to eight users
     for seed, size in [(1, 4), (2, 5), (3, 6), (4, 6), (5, 8)]:
         src = random_linear_source(seed, min_users=size, max_users=size, max_packets=10)
         rng = random.Random(seed)
@@ -128,8 +135,7 @@ def test_criterion_7_backend_equivalence(demo_source, demo_ctx, property_battery
         forced_in = frozenset(rng.sample(src.users, rng.randint(0, 1)))
         rest = sorted(set(src.users) - forced_in)
         forced_out = frozenset(rng.sample(rest, rng.randint(0, 1)))
-        assert (sfm_min(f, forced_in, forced_out, backend="exhaustive")
-                == sfm_min(f, forced_in, forced_out, backend="minnorm"))
+        assert sfm_min(f, forced_in, forced_out) == minnorm_sfm(f, forced_in, forced_out)
     report("criterion 7 (truncation and SFM backends agree)")
 
 

@@ -81,6 +81,27 @@ def test_egalitarian_rates_outside_core(capsys, spec_path, mode):
     assert report["error"]["message"].startswith("initial point is outside the core: sum rate 0 != ")
 
 
+@pytest.mark.parametrize(("argv", "flags"), [
+    (["egalitarian", "--mode", "continuous", "--K", "7"], "--K"),
+    (["egalitarian", "--mode", "continuous", "--rates", README_RATES, "--K", "2"], "--K, --rates"),
+    (["egalitarian", "--mode", "continuous", "--trace"], "--trace"),
+    (["egalitarian", "--mode", "sda", "--tol", "1e-6"], "--tol"),
+    (["egalitarian", "--mode", "decomposed", "--tol", "1e-6"], "--tol"),
+    (["egalitarian", "--mode", "decomposed", "--trace-csv", "curve.csv"], "--trace-csv"),
+    (["shapley", "--mode", "exact", "--seed", "7"], "--seed"),
+    (["shapley", "--mode", "exact", "--permutations", "10"], "--permutations"),
+    (["shapley", "--mode", "decomposed", "--permutations", "3"], "--permutations"),
+])
+def test_flags_the_mode_never_reads_are_refused(capsys, spec_path, argv, flags):
+    command, _, mode = argv[:3]
+    status, report = run_cli(capsys, command, "--input", spec_path, *argv[1:])
+    assert status == EXIT_PARSE
+    assert report["error"] == {"type": "ConfigError",
+                               "message": f"{command} --mode {mode} does not read {flags}"}
+    assert report["config"]["command"] == command and report["config"]["mode"] == mode
+    assert "solution" not in report
+
+
 def test_shapley_approx_needs_seed(capsys, spec_path):
     status, report = run_cli(capsys, "shapley", "--input", spec_path, "--mode", "approx")
     assert status == EXIT_PARSE

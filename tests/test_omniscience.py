@@ -137,9 +137,7 @@ class TestMinSumRate:
         assert oracle_partition == demo_ctx.fundamental_partition
 
     def test_vertex_is_identity_greedy_and_in_core(self, demo_ctx):
-        from omnifair import edmonds_greedy_vertex
-
-        assert demo_ctx.vertex == edmonds_greedy_vertex(demo_ctx, demo_ctx.users)
+        assert demo_ctx.vertex == demo_ctx.greedy_vertex(demo_ctx.users)
         assert cross_checked_membership(demo_ctx, demo_ctx.vertex)
 
     def test_shared_single_packet_needs_no_exchange(self):

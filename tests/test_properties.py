@@ -3,16 +3,26 @@
 conftest.run_instance_battery; each test here asserts one property across
 every instance so failures point at the broken property and seed."""
 
+import random
+from fractions import Fraction as F
+
 import pytest
 
-from omnifair import LinearSource, decompose, min_sum_rate, shapley_exact
+from omnifair import LinearSource, decompose, dilworth_truncation, min_sum_rate, shapley_exact
 from omnifair.egalitarian import dep
+from omnifair.setfn import subsets
 
 from conftest import (
     PROPERTY_SEEDS,
+    bruteforce_min_sum_rate,
     check_membership_equivalence,
     cross_checked_membership,
+    dilworth_enumerate,
+    frozenset_truncation,
+    minnorm_sfm,
+    pmf_from_packets,
     random_linear_source,
+    random_vector_source,
 )
 
 
@@ -87,24 +97,63 @@ def test_dep_within_block_at_random_core_points(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_minnorm_sfm_through_the_full_solve_stack(seed):
-    """The scalable stack (candidate-raising solve + incremental truncation
-    over min-norm SFM) must match the exhaustive stack on everything."""
-    from omnifair.setfn import subsets
-
+    """The truncation kernel must match the frozenset incremental pass over
+    the min-norm-point SFM oracle on every subset: the characteristic costs
+    of the solved context and the finest partitions of dilworth_truncation."""
     src = random_linear_source(seed, min_users=3, max_users=5)
-    exhaustive = min_sum_rate(src, sfm_backend="exhaustive")
-    minnorm = min_sum_rate(src, sfm_backend="minnorm")
-    assert minnorm.min_sum_rate == exhaustive.min_sum_rate
-    assert minnorm.fundamental_partition == exhaustive.fundamental_partition
-    assert minnorm.vertex == exhaustive.vertex
+    ctx = min_sum_rate(src)
     for X in subsets(src.users):
         if X:
-            assert minnorm.hat(X) == exhaustive.hat(X)
+            value, partition, _ = frozenset_truncation(ctx.f, sorted(X), minnorm_sfm)
+            assert ctx.hat(X) == value
+            assert dilworth_truncation(src, ctx.min_sum_rate, X) == (value, partition)
+    assert ctx.fundamental_partition == partition
+
+
+def truncations_match_enumeration(source, alpha) -> bool:
+    """dilworth_truncation agrees with partition enumeration on every
+    nonempty subset: values within the source's tolerance, same finest
+    partition."""
+    for X in subsets(source.users):
+        if X:
+            value, partition = dilworth_truncation(source, alpha, X)
+            want, want_partition = dilworth_enumerate(source, alpha, X)
+            if abs(value - want) > source.tol or partition != want_partition:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_vector_sources_over_gf3_match_the_oracles(seed):
+    src = random_vector_source(seed)
+    assert src.field == 3 and len(src.users) <= 6
+    ctx = min_sum_rate(src)
+    assert ctx.min_sum_rate == bruteforce_min_sum_rate(src)
+    for alpha in (ctx.min_sum_rate, ctx.min_sum_rate - F(1, 3)):
+        assert truncations_match_enumeration(src, alpha)
+
+
+def random_pmf_twins(seed: int):
+    """A small packet source (3-5 users, 2-4 packets) and its joint-pmf twin."""
+    rng = random.Random(f"pmf-twins:{seed}")
+    universe = [f"p{k}" for k in range(rng.randint(2, 4))]
+    holdings = {u: rng.sample(universe, rng.randint(0, len(universe)))
+                for u in range(1, rng.randint(3, 5) + 1)}
+    return LinearSource.from_packets(holdings, universe=universe), pmf_from_packets(holdings, universe)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pmf_twins_match_the_oracles_within_tol(seed):
+    linear, pmf = random_pmf_twins(seed)
+    ctx = min_sum_rate(pmf)
+    assert abs(ctx.min_sum_rate - bruteforce_min_sum_rate(pmf)) <= pmf.tol
+    assert abs(ctx.min_sum_rate - float(min_sum_rate(linear).min_sum_rate)) <= pmf.tol
+    assert ctx.fundamental_partition == dilworth_enumerate(pmf, ctx.min_sum_rate, pmf.users)[1]
+    for alpha in (ctx.min_sum_rate, ctx.min_sum_rate - 0.25):
+        assert truncations_match_enumeration(pmf, alpha)
 
 
 def test_pmf_instance_solves_like_its_packet_twin():
-    from conftest import pmf_from_packets
-
     holdings = {1: ["a", "b"], 2: ["b", "c"], 3: ["c"]}
     universe = ["a", "b", "c"]
     linear = min_sum_rate(LinearSource.from_packets(holdings, universe=universe))

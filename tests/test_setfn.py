@@ -23,7 +23,7 @@ from omnifair.setfn import (
     widen,
 )
 
-from conftest import pairwise_first_violation, random_linear_source, rv
+from conftest import minnorm_sfm, pairwise_first_violation, random_linear_source, rv
 
 
 def supermodular_pair():
@@ -139,11 +139,6 @@ class TestSfmMin:
         with pytest.raises(GroundSetTooLarge):
             sfm_min(f)
 
-    def test_unknown_backend(self):
-        f = SetFunction({1}, lambda X: F(0))
-        with pytest.raises(ValueError, match="backend"):
-            sfm_min(f, backend="simplex")
-
 
 def shifted_entropy_instance(seed):
     """Entropy minus a random modular function: submodular with rich minima."""
@@ -161,16 +156,14 @@ def test_backend_equivalence(seed):
     users = sorted(f.ground)
     forced_in = frozenset(rng.sample(users, rng.randint(0, 1)))
     forced_out = frozenset(rng.sample(sorted(set(users) - forced_in), rng.randint(0, 1)))
-    exhaustive = sfm_min(f, forced_in, forced_out, backend="exhaustive")
-    minnorm = sfm_min(f, forced_in, forced_out, backend="minnorm")
-    assert exhaustive == minnorm
+    assert sfm_min(f, forced_in, forced_out) == minnorm_sfm(f, forced_in, forced_out)
 
 
 def test_backend_equivalence_eight_users():
     src = random_linear_source(99, min_users=8, max_users=8, max_packets=10)
     shift = {u: F(u, 2) for u in src.users}
     f = SetFunction(src.ground, lambda X: src.entropy(X) - sum(shift[u] for u in X))
-    assert sfm_min(f, backend="exhaustive") == sfm_min(f, backend="minnorm")
+    assert sfm_min(f) == minnorm_sfm(f)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -8,17 +8,21 @@ from omnifair import (
     GroundSetTooLarge,
     LinearSource,
     RateVector,
-    edmonds_greedy_vertex,
     enumerate_extreme_points,
     min_sum_rate,
     sample_permutations,
     shapley_approx,
     shapley_decomposed,
     shapley_exact,
-    shapley_mean_of_vertices,
 )
 
-from conftest import chain_greedy_vertex, cross_checked_membership, random_linear_source, rv
+from conftest import (
+    chain_greedy_vertex,
+    cross_checked_membership,
+    random_linear_source,
+    rv,
+    shapley_mean_of_vertices,
+)
 
 DEMO_VERTICES = {
     (F(3, 2), F(1, 2), F(1, 2), F(4), F(0)),
@@ -41,35 +45,34 @@ def block_ctx(demo_subgames):
 
 class TestGreedyVertex:
     def test_marginal_order_451(self, block_ctx):
-        assert edmonds_greedy_vertex(block_ctx, (4, 5, 1)) == rv({1: 1, 4: F(9, 2), 5: 0})
+        assert block_ctx.greedy_vertex((4, 5, 1)) == rv({1: 1, 4: F(9, 2), 5: 0})
 
     def test_marginal_order_145(self, block_ctx):
-        assert edmonds_greedy_vertex(block_ctx, (1, 4, 5)) == rv({1: F(3, 2), 4: 4, 5: 0})
+        assert block_ctx.greedy_vertex((1, 4, 5)) == rv({1: F(3, 2), 4: 4, 5: 0})
 
     def test_marginal_order_154(self, block_ctx):
-        assert edmonds_greedy_vertex(block_ctx, (1, 5, 4)) == rv({1: F(3, 2), 4: F(3, 2), 5: F(5, 2)})
+        assert block_ctx.greedy_vertex((1, 5, 4)) == rv({1: F(3, 2), 4: F(3, 2), 5: F(5, 2)})
 
     def test_chain_method_agrees(self, demo_ctx, block_ctx):
         for ctx in (demo_ctx, block_ctx):
             for perm in ((ctx.users), tuple(reversed(ctx.users))):
-                assert chain_greedy_vertex(ctx, perm) == edmonds_greedy_vertex(ctx, perm)
+                assert chain_greedy_vertex(ctx, perm) == ctx.greedy_vertex(perm)
 
     def test_every_vertex_in_core(self, demo_ctx):
         import itertools
 
         for perm in itertools.permutations(demo_ctx.users):
-            assert cross_checked_membership(demo_ctx, edmonds_greedy_vertex(demo_ctx, perm))
+            assert cross_checked_membership(demo_ctx, demo_ctx.greedy_vertex(perm))
 
     def test_not_a_permutation(self, demo_ctx):
         with pytest.raises(ValueError, match="permutation"):
-            edmonds_greedy_vertex(demo_ctx, (1, 2, 3))
+            demo_ctx.greedy_vertex((1, 2, 3))
 
     def test_one_message_for_a_non_permutation(self, demo_ctx):
         message = "(1, 2, 3) is not a permutation of (1, 2, 3, 4, 5)"
-        for greedy in (edmonds_greedy_vertex, GameContext.greedy_vertex):
-            with pytest.raises(ValueError) as caught:
-                greedy(demo_ctx, (1, 2, 3))
-            assert str(caught.value) == message
+        with pytest.raises(ValueError) as caught:
+            demo_ctx.greedy_vertex((1, 2, 3))
+        assert str(caught.value) == message
 
 
 class TestEnumerateExtremePoints:
