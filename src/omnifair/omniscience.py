@@ -5,8 +5,9 @@ rate at which every user can recover the whole source, the fundamental
 partition that certifies it, and the optimal rate region (the core of the
 associated cost-sharing game).  The characteristic cost of a user subset is
 the Dilworth truncation of the sum-rate-parameterized cost function,
-computed incrementally on user bitmasks: one enumeration over the subsets of
-the current blocks per element.  For linear sources the pass runs on
+computed incrementally on user bitmasks, one step per element in ascending
+bit order; a context memoizes each mask's truncation state, so a miss costs
+one step per missing ancestor.  For linear sources the pass runs on
 integers (the cost scaled by the sum-rate's denominator), so no ``Fraction``
 appears until a value leaves it.  Core vertices are Edmonds' greedy rule
 (:func:`omnifair.setfn.greedy_vertex`) on that cost.
@@ -15,6 +16,7 @@ appears until a value leaves it.  Core vertices are Edmonds' greedy rule
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Mapping
 
 from .setfn import _check_size, greedy_vertex, subsets
@@ -188,49 +190,50 @@ def _mask_cost(source: Source, alpha):
     return (lambda m: q * h(m) + shift), (lambda v: Fraction(v, q))
 
 
-def _dilworth_incremental(cost: Callable[[int], int | float], mask: int, tol):
-    """Dilworth truncation of ``cost`` over the bits of ``mask``, grown one
-    bit at a time in ascending order.
+def _extend(cost: Callable[[int], int | float], state: tuple, bit: int, tol) -> tuple:
+    """One truncation step: the state (total, blocks) of a mask, extended
+    by a ``bit`` above its bits, as a new state.
 
-    Blocks are (mask, cost) pairs.  Each step enumerates the subsets S of
-    the current blocks by one doubling pass and takes the minimum of
-    cost(bit ∪ S) - Σ_S cost; the merge keeps the minimal minimizer, the AND
-    of every block-subset index within ``tol`` of the minimum.  Returns the
-    summed step minima and the block masks of the finest minimizing
-    partition.
+    Blocks are (mask, cost) pairs.  The step enumerates the subsets S of the
+    blocks by one doubling pass and adds the minimum of cost(bit ∪ S) - Σ_S
+    cost to the total; the merge keeps the minimal minimizer, the AND of
+    every block-subset index within ``tol`` of the minimum.
     """
-    blocks: list[tuple[int, int | float]] = []
-    total = None
-    for bit in (1 << k for k in range(mask.bit_length()) if mask >> k & 1):
-        _check_size(len(blocks))
-        unions, absorbed = [bit], [0]
-        for block, value in blocks:
-            unions += [u | block for u in unions]
-            absorbed += [a + value for a in absorbed]
-        gains = [cost(u) - a for u, a in zip(unions, absorbed)]
-        best = min(gains)
-        pick = len(gains) - 1
-        for index, gain in enumerate(gains):
-            if gain <= best + tol:
-                pick &= index
-        total = best if total is None else total + best
-        blocks = [b for i, b in enumerate(blocks) if not pick >> i & 1]
-        blocks.append((unions[pick], cost(unions[pick])))
-    return total, [block for block, _ in blocks]
+    total, blocks = state
+    _check_size(len(blocks))
+    unions, absorbed = [bit], [0]
+    for block, value in blocks:
+        unions += [u | block for u in unions]
+        absorbed += [a + value for a in absorbed]
+    gains = [cost(u) - a for u, a in zip(unions, absorbed)]
+    best = min(gains)
+    pick = len(gains) - 1
+    for index, gain in enumerate(gains):
+        if gain <= best + tol:
+            pick &= index
+    kept = [b for i, b in enumerate(blocks) if not pick >> i & 1]
+    return total + best, kept + [(unions[pick], cost(unions[pick]))]
+
+
+def _dilworth_incremental(cost: Callable[[int], int | float], mask: int, tol) -> tuple:
+    """Truncation state of ``mask``: :func:`_extend` folded over its bits in
+    ascending order from the empty state, a zero total and no blocks."""
+    bits = (1 << k for k in range(mask.bit_length()) if mask >> k & 1)
+    return reduce(lambda state, bit: _extend(cost, state, bit, tol), bits, (0, ()))
 
 
 def dilworth_truncation(source: Source, alpha, X: Iterable[int]):
     """Partition-wise minimum of the parameterized cost over ``X``.
 
     Returns ``(value, finest_minimizing_partition)``, computed with one
-    enumeration over the current blocks per element of ``X``.
+    truncation step per element of ``X``.
     """
     X = source.subset(X)
     if not X:
         raise ValueError("the truncation is evaluated on nonempty subsets")
     cost, value_of = _mask_cost(source, alpha)
     value, blocks = _dilworth_incremental(cost, source.mask(X), source.tol)
-    return value_of(value), Partition(source.members(b) for b in blocks)
+    return value_of(value), Partition(source.members(b) for b, _ in blocks)
 
 
 # --- solving the minimum sum-rate problem ----------------------------------
@@ -255,13 +258,14 @@ def _newton_min_sum_rate(source: Source):
 
 class GameContext:
     """A solved instance: the minimum sum-rate, the fundamental partition,
-    a shared cache of truncation values keyed by user bitmask, and one
-    vertex of the core.
+    a memo of truncation states keyed by user bitmask, and one core vertex
+    (computed on first read).
 
-    Subgame contexts (from :func:`decompose`) reuse the same cache and cost
-    function restricted to their block; their ``sum_cost`` is the block's
-    characteristic cost.  ``vertex`` is assigned once the context is built;
-    the truncation cache fills as :meth:`hat` is queried.
+    A state is a mask's raw total and blocks; a miss walks down "mask minus
+    top bit" to the nearest memoized ancestor and extends upward one step
+    per missing mask; ``value_of`` maps raw totals to :meth:`hat`'s numbers.
+    Subgames (from :func:`decompose`) share the memo and the cost function;
+    their ``sum_cost`` is the block's characteristic cost.
     """
 
     def __init__(
@@ -273,7 +277,7 @@ class GameContext:
         fundamental_partition: Partition | None,
         shared_randomness,
         grid_denominator: int,
-        hat_cache: dict | None = None,
+        hat_cache: tuple[dict, dict] | None = None,
     ):
         self.source = source
         self.ground = frozenset(ground)
@@ -284,9 +288,17 @@ class GameContext:
         self.shared_randomness = shared_randomness
         self.grid_denominator = grid_denominator
         self.tol = source.tol
-        self.vertex: RateVector | None = None
-        self._hat = hat_cache if hat_cache is not None else {}
-        self._cost, self._value_of = _mask_cost(source, min_sum_rate)
+        self._vertex: RateVector | None = None
+        # truncation states and the hat values converted from them, by mask
+        self._hat, self._values = hat_cache or ({0: (0, ())}, {})
+        self._cost, self.value_of = _mask_cost(source, min_sum_rate)
+
+    @property
+    def vertex(self) -> RateVector:
+        """The greedy core vertex on the identity permutation."""
+        if self._vertex is None:
+            self._vertex = self.greedy_vertex(self.users)
+        return self._vertex
 
     @property
     def is_whole_game(self) -> bool:
@@ -307,11 +319,22 @@ class GameContext:
         if not X:
             return self.source.zero
         mask = self.source.mask(X)
-        value = self._hat.get(mask)
+        value = self._values.get(mask)
         if value is None:
-            computed, _ = _dilworth_incremental(self._cost, mask, self.tol)
-            value = self._hat[mask] = self._value_of(computed)
+            value = self._values[mask] = self.value_of(self.raw_hat(mask))
         return value
+
+    def raw_hat(self, mask: int) -> int | float:
+        """:meth:`hat` of a user bitmask on the raw scale: times the
+        sum-rate's denominator (an int) for linear sources."""
+        states, missing = self._hat, []
+        while mask not in states:
+            missing.append(mask)
+            mask ^= 1 << mask.bit_length() - 1
+        state = states[mask]
+        for m in reversed(missing):
+            state = states[m] = _extend(self._cost, state, 1 << m.bit_length() - 1, self.tol)
+        return state[0]
 
     def greedy_vertex(self, order: Iterable[int]) -> RateVector:
         """Core vertex from marginal characteristic costs along ``order``,
@@ -338,7 +361,7 @@ def min_sum_rate(source: Source) -> GameContext:
     shared = source.entropy(source.ground) - rco
     if shared < -source.tol:
         raise ArithmeticError(f"shared randomness came out negative: {shared}")
-    ctx = GameContext(
+    return GameContext(
         source=source,
         ground=source.ground,
         min_sum_rate=rco,
@@ -347,8 +370,6 @@ def min_sum_rate(source: Source) -> GameContext:
         shared_randomness=shared,
         grid_denominator=max(len(part) - 1, 1),
     )
-    ctx.vertex = ctx.greedy_vertex(ctx.users)
-    return ctx
 
 
 # --- core membership and decomposition -------------------------------------
@@ -406,13 +427,13 @@ def check_decomposition(ctx: GameContext) -> None:
     values).  A violation signals an upstream bug and raises
     :class:`DecompositionError`.
     """
-    blocks = ctx.fundamental_partition.blocks
+    blocks = [ctx.source.mask(C) for C in ctx.fundamental_partition.blocks]
     for X in subsets(ctx.users):
-        lhs = ctx.hat(X)
-        rhs = sum(ctx.hat(X & C) for C in blocks)
-        if not _eq(lhs, rhs, ctx.tol):
+        m = ctx.source.mask(X)
+        rhs = sum(ctx.raw_hat(m & C) for C in blocks)
+        if not _eq(ctx.raw_hat(m), rhs, ctx.tol):
             raise DecompositionError(
-                f"hat({sorted(X)}) = {lhs} but the blockwise sum is {rhs}")
+                f"hat({sorted(X)}) = {ctx.hat(X)} but the blockwise sum is {ctx.value_of(rhs)}")
 
 
 def decompose(ctx: GameContext) -> list[GameContext]:
@@ -433,9 +454,8 @@ def decompose(ctx: GameContext) -> list[GameContext]:
             fundamental_partition=None,
             shared_randomness=None,
             grid_denominator=ctx.grid_denominator,
-            hat_cache=ctx._hat,
+            hat_cache=(ctx._hat, ctx._values),
         )
-        sub.vertex = sub.greedy_vertex(sub.users)
         subgames.append(sub)
     return subgames
 

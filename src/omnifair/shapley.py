@@ -44,20 +44,25 @@ def enumerate_extreme_points(ctx: GameContext) -> tuple[RateVector, ...]:
 
 
 def shapley_exact(ctx: GameContext) -> RateVector:
-    """Shapley value from its defining sum of weighted marginal costs."""
+    """Shapley value from its defining sum of weighted marginal costs, read
+    as raw costs in :func:`subsets` order (one truncation step per memo
+    miss); linear sources sum in integers and divide once per user."""
     n = len(ctx.users)
     if n > EXACT_LIMIT:
         raise GroundSetTooLarge(f"exact Shapley needs |V| <= {EXACT_LIMIT}, got {n}")
     total = factorial(n)
+    weights = [factorial(k) * factorial(n - k - 1) for k in range(n)]
+    if not ctx.source.is_exact:
+        weights = [w / total for w in weights]  # float(Fraction(w, n!))
+    raw = {m: ctx.raw_hat(m) for m in map(ctx.source.mask, subsets(ctx.users))}
     rates = {}
     for i in ctx.users:
-        others = ctx.ground - {i}
-        acc = ctx.source.zero
-        for X in subsets(others):
-            # Fraction * float evaluates as float(Fraction) * float
-            weight = Fraction(factorial(len(X)) * factorial(n - len(X) - 1), total)
-            acc += weight * (ctx.hat(X | {i}) - ctx.hat(X))
-        rates[i] = acc
+        bit = ctx.source.mask((i,))
+        acc = 0
+        for X in raw:
+            if not X & bit:
+                acc += weights[X.bit_count()] * (raw[X | bit] - raw[X])
+        rates[i] = ctx.value_of(Fraction(acc, total) if ctx.source.is_exact else acc)
     return RateVector(rates)
 
 

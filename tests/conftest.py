@@ -311,6 +311,15 @@ def pmf_from_packets(holdings: dict, universe: list) -> PmfSource:
     return PmfSource(alphabets, table)
 
 
+def random_pmf_twins(seed: int):
+    """A small packet source (3-5 users, 2-4 packets) and its joint-pmf twin."""
+    rng = random.Random(f"pmf-twins:{seed}")
+    universe = [f"p{k}" for k in range(rng.randint(2, 4))]
+    holdings = {u: rng.sample(universe, rng.randint(0, len(universe)))
+                for u in range(1, rng.randint(3, 5) + 1)}
+    return LinearSource.from_packets(holdings, universe=universe), pmf_from_packets(holdings, universe)
+
+
 def fraction_matrix_rank(rows: list[tuple[F, ...]]) -> int:
     """Rank over the rationals by exact Gaussian elimination."""
     work = [list(map(F, row)) for row in rows]

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from omnifair import (
+    GameContext,
     LinearSource,
     Partition,
     RateVector,
@@ -14,6 +15,7 @@ from omnifair import (
     l1_size,
     min_sum_rate,
 )
+from omnifair.omniscience import DecompositionError, check_decomposition
 from omnifair.setfn import subsets
 
 from conftest import (
@@ -23,6 +25,7 @@ from conftest import (
     dilworth_enumerate,
     hat_membership,
     iter_partitions,
+    pmf_from_packets,
     rv,
 )
 
@@ -140,6 +143,11 @@ class TestMinSumRate:
         assert demo_ctx.vertex == demo_ctx.greedy_vertex(demo_ctx.users)
         assert cross_checked_membership(demo_ctx, demo_ctx.vertex)
 
+    def test_vertex_is_read_only(self, demo_ctx):
+        with pytest.raises(AttributeError):
+            demo_ctx.vertex = demo_ctx.greedy_vertex((5, 4, 3, 2, 1))
+        assert demo_ctx.vertex == demo_ctx.greedy_vertex(demo_ctx.users)
+
     def test_shared_single_packet_needs_no_exchange(self):
         src = LinearSource.from_packets({1: ["a"], 2: ["a"]})
         ctx = min_sum_rate(src)
@@ -203,6 +211,15 @@ class TestConditionalMi:
             conditional_mi_given_U(demo_ctx, frozenset(), {4})
 
 
+def decomposition_failure(ctx, blocks) -> str:
+    """check_decomposition's message for ``ctx`` with a wrong partition."""
+    wrong = GameContext(ctx.source, ctx.ground, ctx.min_sum_rate, ctx.sum_cost,
+                        Partition(blocks), ctx.shared_randomness, ctx.grid_denominator)
+    with pytest.raises(DecompositionError) as failure:
+        check_decomposition(wrong)
+    return str(failure.value)
+
+
 class TestDecomposition:
     def test_subgame_grounds_and_costs(self, demo_subgames):
         assert [sub.users for sub in demo_subgames] == [(1, 4, 5), (2,), (3,)]
@@ -213,6 +230,20 @@ class TestDecomposition:
         blocks = demo_ctx.fundamental_partition.blocks
         for X in subsets(demo_ctx.users):
             assert demo_ctx.hat(X) == sum(demo_ctx.hat(X & C) for C in blocks)
+
+    @pytest.mark.parametrize("blocks, witness", [
+        ([[1], [2], [3], [4], [5]], "hat([1, 4]) = 11/2 but the blockwise sum is 6"),
+        ([[1, 4], [2], [3], [5]], "hat([4, 5]) = 9/2 but the blockwise sum is 7"),
+    ])
+    def test_wrong_partition_names_the_first_violation(self, demo_ctx, blocks, witness):
+        assert decomposition_failure(demo_ctx, blocks) == witness
+
+    def test_wrong_partition_of_a_pmf_source(self):
+        ctx = min_sum_rate(pmf_from_packets(
+            {1: ["a", "b"], 2: ["b", "c"], 3: ["a", "c"], 4: ["c"]}, ["a", "b", "c"]))
+        assert ctx.fundamental_partition == Partition([{1, 2, 3}, {4}])
+        assert (decomposition_failure(ctx, [[1], [2], [3], [4]])
+                == "hat([1, 2, 3]) = 2.0 but the blockwise sum is 3.0")
 
     def test_singleton_core_is_one_point(self, demo_subgames):
         single = demo_subgames[1]

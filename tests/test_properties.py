@@ -22,6 +22,7 @@ from conftest import (
     minnorm_sfm,
     pmf_from_packets,
     random_linear_source,
+    random_pmf_twins,
     random_vector_source,
 )
 
@@ -133,15 +134,6 @@ def test_vector_sources_over_gf3_match_the_oracles(seed):
         assert truncations_match_enumeration(src, alpha)
 
 
-def random_pmf_twins(seed: int):
-    """A small packet source (3-5 users, 2-4 packets) and its joint-pmf twin."""
-    rng = random.Random(f"pmf-twins:{seed}")
-    universe = [f"p{k}" for k in range(rng.randint(2, 4))]
-    holdings = {u: rng.sample(universe, rng.randint(0, len(universe)))
-                for u in range(1, rng.randint(3, 5) + 1)}
-    return LinearSource.from_packets(holdings, universe=universe), pmf_from_packets(holdings, universe)
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_pmf_twins_match_the_oracles_within_tol(seed):
     linear, pmf = random_pmf_twins(seed)
@@ -151,6 +143,32 @@ def test_pmf_twins_match_the_oracles_within_tol(seed):
     assert ctx.fundamental_partition == dilworth_enumerate(pmf, ctx.min_sum_rate, pmf.users)[1]
     for alpha in (ctx.min_sum_rate, ctx.min_sum_rate - 0.25):
         assert truncations_match_enumeration(pmf, alpha)
+
+
+def queried_in(order: str, seed: int, ctx) -> list[frozenset]:
+    """Every nonempty subset of the game's users, largest bitmask first or
+    shuffled."""
+    found = [X for X in subsets(ctx.users) if X]
+    if order == "descending":
+        return sorted(found, key=ctx.source.mask, reverse=True)
+    random.Random(f"memo-order:{seed}").shuffle(found)
+    return found
+
+
+@pytest.mark.parametrize("order", ["descending", "random"])
+@pytest.mark.parametrize("seed", range(6))
+def test_hat_memo_is_independent_of_query_order(seed, order):
+    """Each miss of the hat memo extends the truncation state of the nearest
+    memoized ancestor; whatever order fills the memo, every value equals
+    the one-pass truncation exactly (bit for bit on pmf floats), on the
+    whole game and on the subgames that share its memo."""
+    for src in (random_linear_source(seed), random_vector_source(seed), random_pmf_twins(seed)[1]):
+        ctx = min_sum_rate(src)
+        for X in queried_in(order, seed, ctx):
+            assert ctx.hat(X) == dilworth_truncation(src, ctx.min_sum_rate, X)[0]
+        for sub in decompose(min_sum_rate(src)):
+            for X in queried_in(order, seed, sub):
+                assert sub.hat(X) == dilworth_truncation(src, sub.min_sum_rate, X)[0]
 
 
 def test_pmf_instance_solves_like_its_packet_twin():

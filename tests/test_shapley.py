@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -16,10 +17,13 @@ from omnifair import (
     shapley_exact,
 )
 
+from omnifair.sources import FLOAT_TOL
+
 from conftest import (
     chain_greedy_vertex,
     cross_checked_membership,
     random_linear_source,
+    random_pmf_twins,
     rv,
     shapley_mean_of_vertices,
 )
@@ -106,6 +110,14 @@ class TestShapleyExact:
 
     def test_in_core(self, demo_ctx):
         assert cross_checked_membership(demo_ctx, shapley_exact(demo_ctx))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pmf_is_the_mean_vertex_over_all_permutations(self, seed):
+        ctx = min_sum_rate(random_pmf_twins(seed)[1])
+        vertices = [ctx.greedy_vertex(p) for p in permutations(ctx.users)]
+        exact = shapley_exact(ctx)
+        for u in ctx.users:
+            assert abs(exact[u] - sum(v[u] for v in vertices) / len(vertices)) <= FLOAT_TOL
 
     def test_size_limit(self):
         src = LinearSource.from_packets({u: [f"p{u}"] for u in range(1, 22)})
