@@ -110,14 +110,10 @@ def emit_value(value):
 def parse_rational(raw) -> Fraction:
     if isinstance(raw, bool):
         raise ConfigError(f"not a rational: {raw!r}")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, float):
-        return Fraction(raw)
-    if isinstance(raw, str):
+    if isinstance(raw, (int, float, str)):
         try:
             return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ConfigError(f"not a rational: {raw!r}") from exc
     raise ConfigError(f"not a rational: {raw!r}")
 
@@ -206,7 +202,8 @@ def _refuse_unread_flags(cfg: RunConfig) -> None:
     unread = UNREAD_FLAGS.get((cfg.command, cfg.mode), ())
     if (cfg.command, cfg.mode) == ("shapley", "decomposed") and cfg.seed is None:
         unread = ("permutations",)  # only sampling reads it, and sampling needs --seed
-    given = [name for name in unread if getattr(cfg, name) not in (None, False)]
+    # by identity: --tol 0 and --K 0 are given, though 0 == False
+    given = [name for name in unread if all(getattr(cfg, name) is not v for v in (None, False))]
     if given:
         flags = ", ".join("--" + name.replace("_", "-") for name in given)
         raise ConfigError(f"{cfg.command} --mode {cfg.mode} does not read {flags}")
@@ -259,19 +256,18 @@ def _run_egalitarian(cfg: RunConfig, ctx: GameContext) -> dict:
     record: dict = {"method": "egalitarian", "mode": mode, "K": cfg.K, "iterations": None,
                     "weights": None if weights is None else emit_user_map(weights)}
     trace = None
-    if mode == "continuous":
-        vector = egalitarian_continuous(ctx, weights, tol=cfg.tol or 1e-9)
-    else:
-        r0 = _rate_vector_from(cfg.rates, ctx.users, "--rates") if cfg.rates else None
-        try:
-            if mode == "decomposed":
-                vector = egalitarian_decomposed(ctx, weights=weights, K=cfg.K, r0=r0)
-            else:
-                vector, trace = sda(ctx, r0=r0, K=cfg.K, weights=weights)
-        except GroundSetTooLarge:
-            raise
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    r0 = _rate_vector_from(cfg.rates, ctx.users, "--rates") if cfg.rates else None
+    try:
+        if mode == "continuous":
+            vector = egalitarian_continuous(ctx, weights, tol=1e-9 if cfg.tol is None else cfg.tol)
+        elif mode == "decomposed":
+            vector = egalitarian_decomposed(ctx, weights=weights, K=cfg.K, r0=r0)
+        else:
+            vector, trace = sda(ctx, r0=r0, K=cfg.K, weights=weights)
+    except GroundSetTooLarge:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if trace is not None:
         record["iterations"] = trace.iterations
         record["warnings"] = trace.warnings

@@ -10,7 +10,9 @@ The weighted quadratic objective sum(r_i^2 / w_i) is minimized two ways:
   of the fundamental partition the output is the exact grid optimum.
 * :func:`egalitarian_continuous` -- Frank-Wolfe with away steps over the
   core, each linear subproblem solved by the greedy rule ranked by the
-  gradient (:func:`~omnifair.setfn.ranked_greedy_vertex`).
+  gradient (:func:`~omnifair.setfn.ranked_greedy_vertex`); its active set
+  is one float matrix of vertex rows, and every sum runs strictly left to
+  right, so its floats are the same on every interpreter.
 
 Both combine with the fundamental-partition decomposition, and
 :func:`packet_split_plan` turns a fractional rate vector into integer
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, lcm
+from functools import cache
+from math import ceil, isfinite, lcm
 from typing import Mapping
 
 import numpy as np
@@ -54,8 +57,8 @@ def _check_weights(weights, users: tuple[int, ...]) -> dict[int, Fraction | floa
     out = {}
     for u in users:
         w = weights.get(u, 1)
-        if w <= 0:
-            raise ValueError(f"weight for user {u} must be positive, got {w}")
+        if not w > 0 or isinstance(w, float) and not isfinite(w):
+            raise ValueError(f"weight for user {u} must be positive and finite, got {w}")
         out[u] = w
     return out
 
@@ -274,6 +277,12 @@ def sda(
     return current, trace
 
 
+def _left_sum(values: np.ndarray):
+    """Sums along the last axis strictly left to right from +0.0, as Python
+    3.11's ``sum()`` does (3.12's compensates, ``np.sum`` and ``@`` pair)."""
+    return np.add.accumulate(values, axis=-1)[..., -1] + 0.0
+
+
 def egalitarian_continuous(
     ctx: GameContext,
     weights=None,
@@ -283,60 +292,72 @@ def egalitarian_continuous(
 ) -> RateVector:
     """Weighted quadratic minimum over the core, by Frank-Wolfe with away
     steps and exact line search; the linear subproblems are greedy vertices
-    ordered by the gradient.  Stops when the duality gap falls below ``tol``.
+    ordered by the gradient, on a run-local memo of the float costs.  Stops
+    when the duality gap falls below ``tol``.
+
+    The active set is a float matrix of vertex rows, in the order they
+    entered, beside their weights; the iterate and the away step's dot
+    products are one array pass each.  Every sum runs left to right
+    (:func:`_left_sum`), so the result does not depend on the interpreter.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     users = ctx.users
-    w = {u: float(v) for u, v in _check_weights(weights, users).items()}
+    w = np.array([float(v) for v in _check_weights(weights, users).values()])
+    # rounding each cost before subtracting keeps float arithmetic throughout
+    cost = cache(lambda X: float(ctx.hat(X)))
 
-    def linear_step(grad: tuple[float, ...]) -> tuple[float, ...]:
-        # rounding each cost before subtracting keeps float arithmetic throughout
-        s = ranked_greedy_vertex(lambda X: float(ctx.hat(X)), dict(zip(users, grad)))
+    def linear_step(grad: np.ndarray) -> tuple[float, ...]:
+        s = ranked_greedy_vertex(cost, dict(zip(users, grad.tolist())))
         return tuple(s[u] for u in users)
 
-    x = tuple(float(v) for v in ctx.vertex.as_tuple(users))
-    active: dict[tuple[float, ...], float] = {x: 1.0}
-
-    def combination() -> tuple[float, ...]:
-        return tuple(
-            sum(lam * v[k] for v, lam in active.items()) for k in range(len(users)))
-
+    start = tuple(float(v) for v in ctx.vertex.as_tuple(users))
+    keys, index = [start], {start: 0}  # the rows as tuples, for the tie-break
+    vertices, lam = np.array([start]), np.ones(1)
+    x = vertices[0]
     for _ in range(max_iter):
-        grad = tuple(2.0 * x[k] / w[u] for k, u in enumerate(users))
+        grad = 2.0 * x / w
         s = linear_step(grad)
-        gap = sum(g * (a - b) for g, a, b in zip(grad, x, s))
-        if gap <= tol:
-            return RateVector(dict(zip(users, x)))
+        toward = float(_left_sum(grad * (x - s)))
+        if toward <= tol:
+            return RateVector(dict(zip(users, x.tolist())))
 
-        away, away_weight = max(
-            active.items(),
-            key=lambda item: (sum(g * v for g, v in zip(grad, item[0])), item[0]))
-        toward = sum(g * (a - b) for g, a, b in zip(grad, x, s))
-        backward = sum(g * (a - b) for g, a, b in zip(grad, away, x))
-        forward_step = toward >= backward or len(active) == 1 or away_weight >= 1.0
+        dots = _left_sum(vertices * grad)
+        a = max(np.flatnonzero(dots == dots.max()), key=keys.__getitem__)
+        away, away_weight = vertices[a], float(lam[a])
+        backward = float(_left_sum(grad * (away - x)))
+        forward_step = toward >= backward or len(keys) == 1 or away_weight >= 1.0
         if forward_step:
-            direction = tuple(b - a for a, b in zip(x, s))
+            direction = s - x
             gamma_max = 1.0
         else:
-            direction = tuple(a - b for a, b in zip(x, away))
+            direction = x - away
             gamma_max = away_weight / (1.0 - away_weight)
 
-        denom = sum(d * d / w[u] for d, u in zip(direction, users))
+        denom = float(_left_sum(direction * direction / w))
         if denom <= 0.0:
             # a zero direction with a certified gap above tol cannot improve
-            return RateVector(dict(zip(users, x)))
-        gamma = -sum(a * d / w[u] for a, d, u in zip(x, direction, users)) / denom
+            return RateVector(dict(zip(users, x.tolist())))
+        gamma = -float(_left_sum(x * direction / w)) / denom
         gamma = min(max(gamma, 0.0), gamma_max)
 
-        if forward_step:
-            active = {v: lam * (1.0 - gamma) for v, lam in active.items()}
-            active[s] = active.get(s, 0.0) + gamma
+        if not forward_step:
+            lam = lam * (1.0 + gamma)
+            lam[a] -= gamma
+        elif s in index:
+            lam = lam * (1.0 - gamma)
+            lam[index[s]] += gamma
         else:
-            active = {v: lam * (1.0 + gamma) for v, lam in active.items()}
-            active[away] = active.get(away, 0.0) - gamma
-        active = {v: lam for v, lam in active.items() if lam > 1e-15}
-        x = combination()
+            index[s] = len(keys)
+            keys.append(s)
+            vertices = np.vstack([vertices, s])
+            lam = np.append(lam * (1.0 - gamma), 0.0 + gamma)
+        kept = lam > 1e-15
+        if not kept.all():
+            vertices, lam = vertices[kept], lam[kept]
+            keys = [k for k, keep in zip(keys, kept) if keep]
+            index = {k: i for i, k in enumerate(keys)}
+        x = _left_sum((lam[:, None] * vertices).T)
     raise ConvergenceError(f"duality gap did not reach {tol} in {max_iter} iterations")
 
 

@@ -339,10 +339,14 @@ class GameContext:
     def greedy_vertex(self, order: Iterable[int]) -> RateVector:
         """Core vertex from marginal characteristic costs along ``order``,
         read from (and filling) the truncation cache."""
+        return RateVector(greedy_vertex(self.hat, self.permutation(order)))
+
+    def permutation(self, order: Iterable[int]) -> tuple[int, ...]:
+        """``order`` as a tuple, refused unless it is a permutation of the users."""
         order = tuple(order)
         if frozenset(order) != self.ground or len(order) != len(self.ground):
             raise ValueError(f"{order} is not a permutation of {self.users}")
-        return RateVector(greedy_vertex(self.hat, order))
+        return order
 
     def __repr__(self) -> str:
         return (f"GameContext(users={self.users}, min_sum_rate={self.min_sum_rate}, "

@@ -66,10 +66,6 @@ def shapley_exact(ctx: GameContext) -> RateVector:
     return RateVector(rates)
 
 
-def _mean(vectors: Sequence[RateVector]) -> RateVector:
-    return RateVector({u: sum(v[u] for v in vectors) / len(vectors) for u in vectors[0].users})
-
-
 def sample_permutations(users: Sequence[int], count: int, seed) -> list[tuple[int, ...]]:
     """Deterministically sample ``count`` permutations of ``users``: uniform
     without replacement while count <= |users|!, with replacement beyond."""
@@ -101,6 +97,9 @@ def shapley_approx(
     """Mean greedy vertex over a permutation multiset (never deduplicated),
     so the result is a convex combination of vertices and stays in the core.
 
+    Each user's raw marginal costs are summed in permutation order (ints for
+    linear sources, floats for pmf ones) and divided once by their count.
+
     Pass ``permutations`` explicitly, or a ``count`` and ``seed`` to sample;
     ``count`` defaults to the number of users.
     """
@@ -108,10 +107,20 @@ def shapley_approx(
         if seed is None:
             raise ValueError("sampling permutations needs a seed for reproducibility")
         permutations = sample_permutations(ctx.users, count or len(ctx.users), seed)
-    perms = [tuple(p) for p in permutations]
+    perms = [ctx.permutation(p) for p in permutations]
     if not perms:
         raise ValueError("empty permutation list")
-    return _mean([ctx.greedy_vertex(p) for p in perms])
+    bit = {u: ctx.source.mask((u,)) for u in ctx.users}
+    acc = dict.fromkeys(ctx.users, 0)
+    for order in perms:
+        prefix = before = 0
+        for u in order:
+            prefix |= bit[u]
+            value = ctx.raw_hat(prefix)
+            acc[u] += value - before
+            before = value
+    exact, count = ctx.source.is_exact, len(perms)
+    return RateVector({u: ctx.value_of(Fraction(a, count) if exact else a / count) for u, a in acc.items()})
 
 
 def shapley_decomposed(

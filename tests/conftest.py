@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from omnifair import (
+    ConvergenceError,
     LinearSource,
     Partition,
     PmfSource,
@@ -42,7 +43,6 @@ from omnifair.setfn import (
     sfm_min,
     subsets,
 )
-from omnifair.shapley import _mean
 from omnifair.sources import Source
 
 DEMO_HOLDINGS = {
@@ -261,10 +261,74 @@ def frozenset_truncation(fa, order, sfm=sfm_min, tol=0):
     return sum(increments[1:], increments[0]), Partition(b for b, _ in blocks), increments
 
 
+def left_sum(values):
+    """``values`` added strictly left to right from 0, the order of Python
+    3.11's ``sum()`` (3.12 compensates float sums)."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
+def mean_vector(vectors) -> RateVector:
+    """Coordinatewise mean of rate vectors, each sum left to right."""
+    return RateVector({u: left_sum(v[u] for v in vectors) / len(vectors) for u in vectors[0].users})
+
+
 def shapley_mean_of_vertices(ctx: GameContext) -> RateVector:
     """Centroid of the distinct core vertices.  This is the Shapley value
     only when every vertex arises from equally many permutations."""
-    return _mean(enumerate_extreme_points(ctx))
+    return mean_vector(enumerate_extreme_points(ctx))
+
+
+def frank_wolfe_reference(ctx: GameContext, weights=None, events: list | None = None) -> RateVector:
+    """Oracle Frank-Wolfe: egalitarian_continuous's steps (at its default
+    ``tol`` and ``max_iter``) on an active set kept as a dict of vertex
+    tuples in insertion order, every sum an explicit left-to-right loop and
+    every cost a fresh ``float(ctx.hat(X))``.  ``events``, if given,
+    receives ``(forward, vertices dropped)`` per step."""
+    users = ctx.users
+    w = {u: float((weights or {}).get(u, 1)) for u in users}
+    tol, max_iter = 1e-9, 100_000
+
+    def dot(a, b):
+        return left_sum(p * q for p, q in zip(a, b))
+
+    x = tuple(float(v) for v in ctx.vertex.as_tuple(users))
+    active = {x: 1.0}
+    for _ in range(max_iter):
+        grad = tuple(2.0 * x[k] / w[u] for k, u in enumerate(users))
+        vertex = ranked_greedy_vertex(lambda X: float(ctx.hat(X)), dict(zip(users, grad)))
+        s = tuple(vertex[u] for u in users)
+        toward = dot(grad, [a - b for a, b in zip(x, s)])
+        if toward <= tol:
+            return RateVector(dict(zip(users, x)))
+        away, away_weight = max(active.items(), key=lambda item: (dot(grad, item[0]), item[0]))
+        backward = dot(grad, [a - b for a, b in zip(away, x)])
+        forward = toward >= backward or len(active) == 1 or away_weight >= 1.0
+        if forward:
+            direction = tuple(b - a for a, b in zip(x, s))
+            gamma_max = 1.0
+        else:
+            direction = tuple(a - b for a, b in zip(x, away))
+            gamma_max = away_weight / (1.0 - away_weight)
+        denom = left_sum(d * d / w[u] for d, u in zip(direction, users))
+        if denom <= 0.0:
+            return RateVector(dict(zip(users, x)))
+        gamma = -left_sum(a * d / w[u] for a, d, u in zip(x, direction, users)) / denom
+        gamma = min(max(gamma, 0.0), gamma_max)
+        if forward:
+            active = {v: lam * (1.0 - gamma) for v, lam in active.items()}
+            active[s] = active.get(s, 0.0) + gamma
+        else:
+            active = {v: lam * (1.0 + gamma) for v, lam in active.items()}
+            active[away] = active.get(away, 0.0) - gamma
+        size = len(active)
+        active = {v: lam for v, lam in active.items() if lam > 1e-15}
+        if events is not None:
+            events.append((forward, size - len(active)))
+        x = tuple(left_sum(lam * v[k] for v, lam in active.items()) for k in range(len(users)))
+    raise ConvergenceError(f"duality gap did not reach {tol} in {max_iter} iterations")
 
 
 def random_linear_source(seed: int, min_users=3, max_users=6, max_packets=12) -> LinearSource:

@@ -102,6 +102,23 @@ def test_flags_the_mode_never_reads_are_refused(capsys, spec_path, argv, flags):
     assert "solution" not in report
 
 
+@pytest.mark.parametrize(("argv", "message"), [
+    (["--weights", '{"1":0}'], "weight for user 1 must be positive and finite, got 0"),
+    (["--weights", '{"1":-2}'], "weight for user 1 must be positive and finite, got -2"),
+    (["--weights", '{"1":NaN}'], "not a rational: nan"),
+    (["--weights", '{"1":Infinity}'], "not a rational: inf"),
+    (["--tol", "0"], "tol must be positive"),
+    (["--tol=-1e-9"], "tol must be positive"),
+])
+@pytest.mark.parametrize("mode", ["continuous", "sda", "decomposed"])
+def test_egalitarian_bad_weights_and_tol_are_config_errors(capsys, spec_path, mode, argv, message):
+    if argv[0].startswith("--tol") and mode != "continuous":
+        message = f"egalitarian --mode {mode} does not read --tol"
+    status, report = run_cli(capsys, "egalitarian", "--input", spec_path, "--mode", mode, *argv)
+    assert status == EXIT_PARSE
+    assert report["error"] == {"type": "ConfigError", "message": message}
+
+
 def test_shapley_approx_needs_seed(capsys, spec_path):
     status, report = run_cli(capsys, "shapley", "--input", spec_path, "--mode", "approx")
     assert status == EXIT_PARSE

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import permutations
 from types import SimpleNamespace
@@ -23,8 +24,11 @@ from omnifair import (
 from conftest import (
     cross_checked_membership,
     dep_matches_oracle,
+    frank_wolfe_reference,
     pmf_from_packets,
     random_linear_source,
+    random_pmf_twins,
+    random_vector_source,
     rv,
     sfm_dep,
 )
@@ -256,6 +260,64 @@ class TestContinuous:
     def test_bad_tol_rejected(self, demo_ctx):
         with pytest.raises(ValueError, match="tol"):
             egalitarian_continuous(demo_ctx, tol=0)
+
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan")])
+    def test_negative_or_nan_tol_rejected(self, demo_ctx, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            egalitarian_continuous(demo_ctx, tol=tol)
+
+
+FW_SOURCES = {
+    "packet": lambda seed: random_linear_source(seed, min_users=5, max_users=8, max_packets=14),
+    "gf3": lambda seed: random_vector_source(seed, min_users=5, max_users=8),
+    "pmf": lambda seed: random_pmf_twins(seed)[1],
+}
+
+
+def uneven_weights(users, seed) -> dict:
+    rng = random.Random(f"weights:{seed}")
+    return {u: rng.choice((1, 2, 3, F(1, 2), F(5, 3))) for u in users}
+
+
+class TestContinuousBitIdentity:
+    """egalitarian_continuous returns, coordinate for coordinate, the floats
+    of the list-and-dict oracle that sums every product left to right."""
+
+    @pytest.mark.parametrize("uneven", [False, True], ids=["uniform", "uneven"])
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", sorted(FW_SOURCES))
+    def test_matches_reference(self, kind, seed, uneven):
+        source = FW_SOURCES[kind](seed)
+        ctx = min_sum_rate(source)
+        w = uneven_weights(ctx.users, seed) if uneven else None
+        want = frank_wolfe_reference(ctx, w)
+        # a fresh context, so the hat memo the reference filled is not reused
+        got = egalitarian_continuous(min_sum_rate(source), w)
+        assert all(type(got[u]) is float for u in ctx.users)
+        assert got.as_tuple() == want.as_tuple()
+
+    @pytest.mark.parametrize(("kind", "seed", "uneven"), [
+        ("gf3", 0, True), ("packet", 4, False), ("pmf", 1, True)])
+    def test_matches_reference_when_an_away_step_drops_a_vertex(self, kind, seed, uneven):
+        ctx = min_sum_rate(FW_SOURCES[kind](seed))
+        w = uneven_weights(ctx.users, seed) if uneven else None
+        events = []
+        want = frank_wolfe_reference(ctx, w, events=events)
+        assert any(not forward and dropped for forward, dropped in events)
+        assert egalitarian_continuous(ctx, w).as_tuple() == want.as_tuple()
+
+
+class TestWeightsRefused:
+    @pytest.mark.parametrize("bad", [0, -1, float("nan"), float("inf"), -float("inf")])
+    def test_everywhere(self, demo_ctx, bad):
+        w = {1: bad}
+        message = f"weight for user 1 must be positive and finite, got {bad}"
+        with pytest.raises(ValueError, match=message):
+            egalitarian_continuous(demo_ctx, w)
+        with pytest.raises(ValueError, match=message):
+            sda(demo_ctx, weights=w)
+        with pytest.raises(ValueError, match=message):
+            objective_g(demo_ctx.vertex, w)
 
 
 class TestDecomposed:

@@ -22,6 +22,7 @@ from omnifair.sources import FLOAT_TOL
 from conftest import (
     chain_greedy_vertex,
     cross_checked_membership,
+    mean_vector,
     random_linear_source,
     random_pmf_twins,
     rv,
@@ -174,6 +175,27 @@ class TestShapleyApprox:
     def test_empty_list_rejected(self, demo_ctx):
         with pytest.raises(ValueError, match="empty"):
             shapley_approx(demo_ctx, [])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("pmf", [False, True], ids=["linear", "pmf"])
+    def test_is_the_mean_greedy_vertex(self, seed, pmf):
+        ctx = min_sum_rate(random_pmf_twins(seed)[pmf])
+        perms = sample_permutations(ctx.users, 5, seed)
+        perms += perms[:3]  # repeated permutations count again
+        want = mean_vector([ctx.greedy_vertex(p) for p in perms])
+        # a fresh context, so the memo the vertices filled is not reused
+        got = shapley_approx(min_sum_rate(random_pmf_twins(seed)[pmf]), perms)
+        assert got == want
+        assert all(type(got[u]) is type(want[u]) for u in ctx.users)
+
+    @pytest.mark.parametrize("order", [
+        (1, 2, 3, 4, 4), (1, 2, 3, 4), (1, 2, 3, 4, 9)], ids=["duplicated", "missing", "foreign"])
+    def test_not_a_permutation(self, demo_ctx, order):
+        message = f"{order} is not a permutation of (1, 2, 3, 4, 5)"
+        for refuse in (demo_ctx.greedy_vertex, lambda p: shapley_approx(demo_ctx, [demo_ctx.users, p])):
+            with pytest.raises(ValueError) as caught:
+                refuse(order)
+            assert str(caught.value) == message
 
     def test_seed_required_for_sampling(self, demo_ctx):
         with pytest.raises(ValueError, match="seed"):
