@@ -475,6 +475,39 @@ def cross_checked_membership(ctx: GameContext, r: RateVector) -> bool:
     return ok
 
 
+def game_f(ctx: GameContext):
+    """The parameterized cost f_alpha at the game's solved sum-rate, as a
+    function of subsets of its ground set."""
+    def f(X):
+        X = frozenset(X)
+        if not X <= ctx.ground:
+            raise ValueError(f"{sorted(X - ctx.ground)} outside this game's ground set")
+        return f_alpha(ctx.source, ctx.min_sum_rate, X)
+    return f
+
+
+def loop_core_membership(ctx: GameContext, r: RateVector) -> tuple[bool, str | None]:
+    """Oracle core check, one subset at a time in :func:`subsets` order:
+    Slepian-Wolf lower bounds for the whole game, cost upper bounds for
+    subgames.  Returns the verdict plus the first violated constraint."""
+    if r.users != ctx.users:
+        raise ValueError(f"rate vector users {r.users} != game users {ctx.users}")
+    tol = ctx.tol
+    if not abs(r.total() - ctx.sum_cost) <= tol:
+        return False, f"sum rate {r.total()} != {ctx.sum_cost}"
+    f = game_f(ctx)
+    for X in subsets(ctx.users):
+        if not X or X == ctx.ground:
+            continue
+        if ctx.is_whole_game:
+            bound = ctx.source.conditional_entropy(X, ctx.ground - X)
+            if not bound <= r.mass(X) + tol:
+                return False, f"r({sorted(X)}) = {r.mass(X)} < H(X | V∖X) = {bound}"
+        elif not r.mass(X) <= f(X) + tol:
+            return False, f"r({sorted(X)}) = {r.mass(X)} > f({sorted(X)}) = {f(X)}"
+    return True, None
+
+
 def chain_greedy_vertex(ctx: GameContext, permutation) -> RateVector:
     """Oracle vertex: one incremental truncation pass along ``permutation``,
     one exhaustive SFM per step, read off the per-step increments."""

@@ -4,7 +4,9 @@ the sources under ``tests/golden/sources/`` (a seeded random 4-user pmf
 table, whose answers are floats, and the four-cycle packet source, whose
 rates are in thirds), must reproduce its stored report under
 ``tests/golden/`` byte for byte, apart from the ``timings`` block and the
-machine-specific ``config.input``/``config.output`` paths.
+machine-specific ``config.input``/``config.output`` paths.  Three invocations
+give rates outside the core and pin the witness of the first violated
+constraint: two failed verifications and one error record.
 
 Regenerate the stored reports (only when a report change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -49,7 +51,19 @@ INVOCATIONS = {
                          "--rates", '{"1":"1","2":"1/2","3":"1/2","4":"4","5":"1/2"}']),
     "split-plan": (None, ["split-plan",
                           "--rates", '{"1":"5/4","2":"1/2","3":"1/2","4":"3","5":"5/4"}']),
+    # rates outside the core: the first violated constraint is the witness
+    "verify-outside-core": (EXAMPLE, ["verify",
+                                      "--rates", '{"1":"1","2":"1/2","3":"1/2","4":"0","5":"9/2"}']),
+    "egalitarian-decomposed-outside-core": (EXAMPLE, [
+        "egalitarian", "--mode", "decomposed",
+        "--rates", '{"1":"0","2":"1/2","3":"1/2","4":"11/2","5":"0"}']),
+    "pmf-4-verify-outside-core": (PMF, ["verify", "--rates",
+                                        '{"1":"0.5","2":"1","3":"1.5","4":"1.13231506723642"}']),
 }
+#: the exit status of each invocation that does not succeed: a failed
+#: verification (3) or an error record (2)
+STATUS = {"verify-outside-core": 3, "egalitarian-decomposed-outside-core": 2,
+          "pmf-4-verify-outside-core": 3}
 #: the commands run on every source under ``tests/golden/sources/``
 SOURCE_COMMANDS = {
     "shapley-exact": ["shapley", "--mode", "exact"],
@@ -88,7 +102,7 @@ def normalized_report(name: str, workdir: Path) -> tuple[int, str]:
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
 def test_report_matches_golden(name, tmp_path):
     status, text = normalized_report(name, tmp_path)
-    assert status == 0
+    assert status == STATUS.get(name, 0)
     assert text == (GOLDEN / f"{name}.json").read_text()
     if name in CSV_OUTPUTS:
         csv = CSV_OUTPUTS[name]
@@ -101,7 +115,7 @@ def regenerate() -> None:
         workdir = Path(tmp)
         for name in sorted(INVOCATIONS):
             status, text = normalized_report(name, workdir)
-            if status != 0:
+            if status != STATUS.get(name, 0):
                 raise SystemExit(f"{name} exited {status}")
             (GOLDEN / f"{name}.json").write_text(text)
             if name in CSV_OUTPUTS:

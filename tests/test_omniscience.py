@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from omnifair import (
     dilworth_truncation,
     f_alpha,
     l1_size,
+    load_source,
     min_sum_rate,
 )
 from omnifair.omniscience import DecompositionError, check_decomposition
@@ -25,7 +28,12 @@ from conftest import (
     dilworth_enumerate,
     hat_membership,
     iter_partitions,
+    loop_core_membership,
     pmf_from_packets,
+    random_core_direction,
+    random_linear_source,
+    random_pmf_twins,
+    random_vector_source,
     rv,
 )
 
@@ -271,3 +279,67 @@ class TestL1Size:
 
     def test_singleton_subgame(self, demo_subgames):
         assert l1_size(demo_subgames[1]) == 0
+
+
+def membership_points(ctx, rng: random.Random) -> list[RateVector]:
+    """Greedy vertices, convex combinations of two of them (in the core),
+    vertices moved along random zero-sum directions and arbitrary vectors
+    (mostly outside it), and for exact games each vertex moved one step of
+    1/K and of 1/(7K) from a user to the one after it in its order, across
+    the tight prefix constraint between them."""
+    users = ctx.users
+    orders = [tuple(rng.sample(users, len(users))) for _ in range(6)]
+    vertices = [ctx.greedy_vertex(order) for order in orders]
+    points = list(vertices)
+    for a, b in zip(vertices, vertices[1:]):
+        t = F(rng.randint(1, 4), 5) if ctx.source.is_exact else rng.random()
+        points.append(RateVector({u: t * a[u] + (1 - t) * b[u] for u in users}))
+    for v in vertices:
+        direction = random_core_direction(rng, users)
+        points.append(RateVector({u: v[u] + direction[u] for u in users}))
+    points += [RateVector({u: F(rng.randint(-4, 24), rng.choice((1, 2, 4))) for u in users})
+               for _ in range(4)]
+    if ctx.source.is_exact:
+        K = ctx.grid_denominator
+        for order, v in zip(orders, vertices):
+            for step in (F(1, K), F(1, 7 * K)):
+                points += [v.exchange(i, j, step) for i, j in zip(order, order[1:])]
+                points += [v.exchange(j, i, step) for i, j in zip(order, order[1:])]
+    return points
+
+
+MEMBERSHIP_SOURCES = {
+    **{f"packets-{seed}": (lambda seed=seed: random_linear_source(seed, max_users=7))
+       for seed in range(8)},
+    **{f"gf3-{seed}": (lambda seed=seed: random_vector_source(seed)) for seed in range(6)},
+    **{f"pmf-{seed}": (lambda seed=seed: random_pmf_twins(seed)[1]) for seed in range(4)},
+    "pmf-4-golden": lambda: load_source(Path(__file__).parent / "golden" / "sources" / "pmf-4.json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_SOURCES))
+def test_core_membership_matches_the_subset_loop(name):
+    """Same (verdict, witness) strings as the one-subset-at-a-time oracle,
+    on the whole game and on every fundamental-partition subgame."""
+    ctx = min_sum_rate(MEMBERSHIP_SOURCES[name]())
+    rng = random.Random(f"membership:{name}")
+    verdicts = set()
+    for game in [ctx, *decompose(ctx)]:
+        for r in membership_points(game, rng):
+            want = loop_core_membership(game, r)
+            assert core_membership(game, r) == want, (game.users, r)
+            verdicts.add(want[0])
+    assert verdicts == {True, False}
+
+
+def test_core_membership_of_float_rates_in_an_exact_game(demo_ctx, demo_subgames):
+    # the demo's rates are halves, which float64 holds exactly
+    rng = random.Random("membership:float-rates")
+    verdicts = set()
+    for game in [demo_ctx, *demo_subgames]:
+        for r in membership_points(game, rng):
+            r = RateVector({u: float(r[u]) for u in r.users})
+            want = loop_core_membership(game, r)
+            assert core_membership(game, r) == want, (game.users, r)
+            verdicts.add(want[0])
+    assert verdicts == {True, False}
