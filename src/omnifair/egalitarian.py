@@ -4,10 +4,12 @@ The weighted quadratic objective sum(r_i^2 / w_i) is minimized two ways:
 
 * :func:`sda` -- steepest descent over the 1/K grid inside the core, the
   steepest direction found through the dependence sets of all users.  The
-  cost f is tabulated once per run over every user bitmask; each iteration
-  forms the slack f(X) - r(X) from it with one doubling pass, and :func:`dep`
-  reads every user's dependence set off that one slack table.  With K one less than the size
-  of the fundamental partition the output is the exact grid optimum.
+  cost f is read once per run from the truncation's raw costs over every
+  user bitmask; each iteration forms the slack f(X) - r(X) from it with one
+  doubling pass, and :func:`dep` reads every user's dependence set off that
+  one slack table, which also answers the initial core check.  The weights
+  are checked once per run.  With K one less than the size of the
+  fundamental partition the output is the exact grid optimum.
 * :func:`egalitarian_continuous` -- Frank-Wolfe with away steps over the
   core, each linear subproblem solved by the greedy rule ranked by the
   gradient (:func:`~omnifair.setfn.ranked_greedy_vertex`); its active set
@@ -24,13 +26,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import permutations
 from math import ceil, isfinite, lcm
 from typing import Mapping
 
 import numpy as np
 
-from .omniscience import GameContext, RateVector, core_membership, decompose
-from .setfn import ranked_greedy_vertex, tabulate, widen
+from .omniscience import (
+    GameContext,
+    RateVector,
+    _ordered_sum,
+    _SlackTable,
+    core_membership,
+    decompose,
+)
+from .setfn import ranked_greedy_vertex
 
 
 class ConvergenceError(RuntimeError):
@@ -63,61 +73,13 @@ def _check_weights(weights, users: tuple[int, ...]) -> dict[int, Fraction | floa
     return out
 
 
+def _objective(r: RateVector, w: Mapping[int, Fraction | float]):
+    return _ordered_sum(r[u] * r[u] / w[u] for u in r.users)
+
+
 def objective_g(r: RateVector, weights: Mapping[int, Fraction | float] | None = None):
     """Weighted sum of squared rates, exact for rational inputs."""
-    w = _check_weights(weights, r.users)
-    return sum(r[u] * r[u] / w[u] for u in r.users)
-
-
-class _SlackTable:
-    """The cost ``ctx.f`` over every subset of the users, indexed by bitmask
-    (bit k is ``ctx.users[k]``, see :func:`~omnifair.setfn.tabulate`), from
-    which the slack f(X) - r(X) of a rate vector is formed and minimized.
-
-    Exact games scale f and the rates by D = lcm(K, denominators of f and of
-    ``r``) to integers, so rates on the 1/K grid around ``r`` stay exact;
-    float games use float64 and compare within ``ctx.tol``.  Each dependence
-    SFM forces its user in and leaves n - 1 free, and the table is refused,
-    before it is built, where that exceeds the exhaustive limit.
-    """
-
-    def __init__(self, ctx: GameContext, r: RateVector, K: int = 1):
-        self.users = ctx.users
-        self.bit = {u: k for k, u in enumerate(ctx.users)}
-        self.tol = ctx.tol
-        self.f, self.scale = tabulate(ctx.f, ctx.users, Fraction(1, K),
-                                      *(r[u] for u in ctx.users), forced=1)
-        self._at = None
-
-    def slack(self, r: RateVector) -> np.ndarray:
-        """f(X) - r(X) over every mask; r(X) by the doubling pass
-        mass[2^k:2^(k+1)] = mass[:2^k] + r_k."""
-        f = self.f
-        if self.scale is not None:
-            scaled = [r[u] * self.scale for u in self.users]
-            if any(v.denominator != 1 for v in scaled):
-                raise ArithmeticError(f"rates {r} are off the 1/{self.scale} grid of the slack table")
-            rates = [int(v) for v in scaled]
-            f = widen(f, sum(map(abs, rates)))
-        else:
-            rates = [float(r[u]) for u in self.users]
-        mass = np.zeros_like(f)
-        for k, rate in enumerate(rates):
-            mass[1 << k:2 << k] = mass[:1 << k] + rate
-        return f - mass
-
-    def dependence_set(self, r: RateVector, i: int) -> frozenset:
-        """dep(r, i): the AND of the masks containing ``i`` whose slack is
-        within ``tol`` of the least such slack.  The slack of the last ``r``
-        asked about is kept, so the n users of one iterate share it."""
-        if self._at is None or self._at[0] is not r:
-            self._at = (r, self.slack(r))
-        k = self.bit[i]
-        # masks with bit k set, as (bits above k, bits below k)
-        half = self._at[1].reshape(-1, 2, 1 << k)[:, 1, :]
-        high, low = np.nonzero(half <= half.min() + self.tol)
-        minimal = int(np.bitwise_and.reduce(high << (k + 1) | low)) | 1 << k
-        return frozenset(u for b, u in enumerate(self.users) if minimal >> b & 1)
+    return _objective(r, _check_weights(weights, r.users))
 
 
 def dep(ctx: GameContext, r: RateVector, i: int, table: _SlackTable | None = None) -> frozenset:
@@ -125,14 +87,20 @@ def dep(ctx: GameContext, r: RateVector, i: int, table: _SlackTable | None = Non
     f(X) - r(X) over subsets containing ``i``.  These are the users ``i``
     can take rate from while staying in the core; always contains ``i``.
 
-    The minimization runs over a dense table of f on every user bitmask:
-    ``table``, which :func:`sda` builds once per run, or else one built for
-    this call."""
+    The minimization runs over a dense slack table of f on every user
+    bitmask: ``table``, which :func:`sda` builds once per run, or else one
+    built for this call.  The AND of the masks containing ``i`` whose slack
+    is within ``tol`` of the least such slack is the minimal minimizer."""
     if i not in ctx.ground:
         raise ValueError(f"user {i} is not in this game")
     if table is None:
         table = _SlackTable(ctx, r)
-    return table.dependence_set(r, i)
+    k = ctx.users.index(i)
+    # masks with bit k set, as (bits above k, bits below k)
+    half = table.slack(r).reshape(-1, 2, 1 << k)[:, 1, :]
+    high, low = np.nonzero(half <= half.min() + ctx.tol)
+    minimal = int(np.bitwise_and.reduce(high << (k + 1) | low)) | 1 << k
+    return frozenset(u for b, u in enumerate(ctx.users) if minimal >> b & 1)
 
 
 @dataclass
@@ -167,28 +135,14 @@ def is_locally_optimal(ctx: GameContext, r: RateVector, K: int | None = None,
     K = ctx.grid_denominator if K is None else K
     w = _check_weights(weights, ctx.users)
     step = Fraction(1, K)
-    base = objective_g(r, w)
-    for i in ctx.users:
-        for j in ctx.users:
-            if i == j:
-                continue
-            candidate = r.exchange(i, j, step)
-            inside, _ = core_membership(ctx, candidate)
-            if inside and objective_g(candidate, w) < base - ctx.tol:
-                return False
+    table = _SlackTable(ctx, r, K)
+    base = _objective(r, w)
+    for i, j in permutations(ctx.users, 2):
+        candidate = r.exchange(i, j, step)
+        inside, _ = core_membership(ctx, candidate, table)
+        if inside and _objective(candidate, w) < base - ctx.tol:
+            return False
     return True
-
-
-def _grid_offenders(r: RateVector, K: int, exact: bool) -> list[int]:
-    out = []
-    for u in r.users:
-        v = r[u] * K
-        if exact:
-            if Fraction(v).denominator != 1:
-                out.append(u)
-        elif abs(v - round(v)) > 1e-9:
-            out.append(u)
-    return out
 
 
 def _iteration_budget(ctx: GameContext, K: int) -> int:
@@ -224,10 +178,11 @@ def sda(
     r0 = ctx.vertex if r0 is None else r0
     w = _check_weights(weights, ctx.users)
 
-    inside, witness = core_membership(ctx, r0)
+    table = _SlackTable(ctx, r0, K)
+    inside, witness = core_membership(ctx, r0, table)
     if not inside:
         raise ValueError(f"initial point is outside the core: {witness}")
-    off_grid = _grid_offenders(r0, K, ctx.source.is_exact)
+    off_grid = [u for u in r0.users if abs(r0[u] * K - round(r0[u] * K)) > ctx.tol]
     if off_grid:
         raise ValueError(f"initial rates of users {off_grid} are off the 1/{K} grid")
 
@@ -241,13 +196,12 @@ def sda(
 
     step = Fraction(1, K)
     current = r0
-    current_obj = objective_g(current, w)
+    current_obj = _objective(current, w)
     trace.iterates.append(current)
     trace.objectives.append(current_obj)
     decrease_floor = 0 if ctx.source.is_exact else 1e-12
 
     budget = _iteration_budget(ctx, K)
-    table = _SlackTable(ctx, r0, K)
     for _ in range(budget):
         dep_sets = [dep(ctx, current, i, table) for i in ctx.users]
         best = None
@@ -256,7 +210,7 @@ def sda(
                 if j == i:
                     continue
                 candidate = current.exchange(i, j, step)
-                key = (objective_g(candidate, w), i, j)
+                key = (_objective(candidate, w), i, j)
                 if best is None or key < best[0]:
                     best = (key, candidate)
         if best is None or not best[0][0] < current_obj - decrease_floor:
@@ -266,7 +220,7 @@ def sda(
         trace.pairs.append((i_star, j_star))
         trace.objectives.append(current_obj)
         if mismatch:
-            ok, _ = core_membership(ctx, current)
+            ok, _ = core_membership(ctx, current, table)
             if not ok:
                 trace.left_core = True
     else:

@@ -9,17 +9,24 @@ computed incrementally on user bitmasks, one step per element in ascending
 bit order; a context memoizes each mask's truncation state, so a miss costs
 one step per missing ancestor.  For linear sources the pass runs on
 integers (the cost scaled by the sum-rate's denominator), so no ``Fraction``
-appears until a value leaves it.  Core vertices are Edmonds' greedy rule
-(:func:`omnifair.setfn.greedy_vertex`) on that cost.
+appears until a value leaves it.  Core vertices are Edmonds' greedy rule on
+that cost, one walk of raw marginal costs along a permutation.  The raw
+costs on every subset of a game's users also form the one slack table f - r
+that answers every core question: membership, the dependence sets of
+steepest descent and its initial check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import lcm
+from operator import add
 from typing import Callable, Iterable, Mapping
 
-from .setfn import _check_size, greedy_vertex, subsets
+import numpy as np
+
+from .setfn import _check_size, int_array, subsets, widen
 from .sources import Source
 
 
@@ -31,8 +38,10 @@ def _eq(a, b, tol) -> bool:
     return abs(a - b) <= tol
 
 
-def _leq(a, b, tol) -> bool:
-    return a <= b + tol
+def _ordered_sum(values: Iterable):
+    """``values`` added left to right from 0, as Python 3.11's ``sum()``
+    does for every type (3.12's compensates float sums)."""
+    return reduce(add, values, 0)
 
 
 class RateVector:
@@ -60,17 +69,14 @@ class RateVector:
 
     def mass(self, X: Iterable[int]):
         """Sum of rates over ``X``; zero for the empty set."""
-        return sum(self._rates[u] for u in X)
+        return _ordered_sum(self._rates[u] for u in X)
 
     def total(self):
-        return sum(self._rates.values())
+        return _ordered_sum(self._rates.values())
 
     def as_tuple(self, order: Iterable[int] | None = None) -> tuple:
         order = self.users if order is None else tuple(order)
         return tuple(self._rates[u] for u in order)
-
-    def to_dict(self) -> dict[int, Fraction | float]:
-        return dict(self._rates)
 
     def restrict(self, X: Iterable[int]) -> "RateVector":
         return RateVector({u: self._rates[u] for u in X})
@@ -85,7 +91,7 @@ class RateVector:
     def l1_distance(self, other: "RateVector"):
         if self.users != other.users:
             raise ValueError("rate vectors are indexed by different users")
-        return sum(abs(self._rates[u] - other._rates[u]) for u in self._rates)
+        return _ordered_sum(abs(self._rates[u] - other._rates[u]) for u in self._rates)
 
     @staticmethod
     def direct_sum(parts: Iterable["RateVector"]) -> "RateVector":
@@ -215,24 +221,19 @@ def _extend(cost: Callable[[int], int | float], state: tuple, bit: int, tol) -> 
     return total + best, kept + [(unions[pick], cost(unions[pick]))]
 
 
-def _dilworth_incremental(cost: Callable[[int], int | float], mask: int, tol) -> tuple:
-    """Truncation state of ``mask``: :func:`_extend` folded over its bits in
-    ascending order from the empty state, a zero total and no blocks."""
-    bits = (1 << k for k in range(mask.bit_length()) if mask >> k & 1)
-    return reduce(lambda state, bit: _extend(cost, state, bit, tol), bits, (0, ()))
-
-
 def dilworth_truncation(source: Source, alpha, X: Iterable[int]):
     """Partition-wise minimum of the parameterized cost over ``X``.
 
-    Returns ``(value, finest_minimizing_partition)``, computed with one
-    truncation step per element of ``X``.
+    Returns ``(value, finest_minimizing_partition)``: :func:`_extend`
+    folded over the bits of ``X`` in ascending order from the empty state, a
+    zero total and no blocks.
     """
     X = source.subset(X)
     if not X:
         raise ValueError("the truncation is evaluated on nonempty subsets")
     cost, value_of = _mask_cost(source, alpha)
-    value, blocks = _dilworth_incremental(cost, source.mask(X), source.tol)
+    bits = sorted(source.mask((u,)) for u in X)
+    value, blocks = reduce(lambda state, bit: _extend(cost, state, bit, source.tol), bits, (0, ()))
     return value_of(value), Partition(source.members(b) for b, _ in blocks)
 
 
@@ -245,14 +246,14 @@ def _newton_min_sum_rate(source: Source):
     users = source.users
     hv = source.entropy(source.ground)
     tol = source.tol
-    alpha = sum(hv - source.entropy(frozenset({u})) for u in users) / (len(users) - 1)
+    alpha = _ordered_sum(hv - source.entropy(frozenset({u})) for u in users) / (len(users) - 1)
     for _ in range(len(users) + 2):
         value, part = dilworth_truncation(source, alpha, users)
         if _eq(value, alpha, tol):
             return alpha, part
         if len(part) < 2:
             raise ArithmeticError("truncation minimizer collapsed below the threshold")
-        alpha = sum(hv - source.entropy(C) for C in part) / (len(part) - 1)
+        alpha = _ordered_sum(hv - source.entropy(C) for C in part) / (len(part) - 1)
     raise ArithmeticError("sum-rate search failed to converge")
 
 
@@ -264,8 +265,8 @@ class GameContext:
     A state is a mask's raw total and blocks; a miss walks down "mask minus
     top bit" to the nearest memoized ancestor and extends upward one step
     per missing mask; ``value_of`` maps raw totals to :meth:`hat`'s numbers.
-    Subgames (from :func:`decompose`) share the memo and the cost function;
-    their ``sum_cost`` is the block's characteristic cost.
+    Subgames (from :func:`decompose`) share the memo; their ``sum_cost`` is
+    the block's characteristic cost.
     """
 
     def __init__(
@@ -277,7 +278,7 @@ class GameContext:
         fundamental_partition: Partition | None,
         shared_randomness,
         grid_denominator: int,
-        hat_cache: tuple[dict, dict] | None = None,
+        hat_cache: dict | None = None,
     ):
         self.source = source
         self.ground = frozenset(ground)
@@ -289,8 +290,8 @@ class GameContext:
         self.grid_denominator = grid_denominator
         self.tol = source.tol
         self._vertex: RateVector | None = None
-        # truncation states and the hat values converted from them, by mask
-        self._hat, self._values = hat_cache or ({0: (0, ())}, {})
+        self._hat = hat_cache or {0: (0, ())}  # truncation states by mask
+        self._bits = {u: source.mask((u,)) for u in self.users}
         self._cost, self.value_of = _mask_cost(source, min_sum_rate)
 
     @property
@@ -304,25 +305,15 @@ class GameContext:
     def is_whole_game(self) -> bool:
         return self.ground == self.source.ground
 
-    def f(self, X: Iterable[int]):
-        """Parameterized cost at the solved sum-rate."""
-        X = frozenset(X)
-        if not X <= self.ground:
-            raise ValueError(f"{sorted(X - self.ground)} outside this game's ground set")
-        return f_alpha(self.source, self.min_sum_rate, X)
-
     def hat(self, X: Iterable[int]):
-        """Characteristic cost: Dilworth truncation of :meth:`f` over ``X``."""
+        """Characteristic cost: Dilworth truncation of :func:`f_alpha` at
+        the solved sum-rate over ``X``."""
         X = frozenset(X)
         if not X <= self.ground:
             raise ValueError(f"{sorted(X - self.ground)} outside this game's ground set")
         if not X:
             return self.source.zero
-        mask = self.source.mask(X)
-        value = self._values.get(mask)
-        if value is None:
-            value = self._values[mask] = self.value_of(self.raw_hat(mask))
-        return value
+        return self.value_of(self.raw_hat(self.source.mask(X)))
 
     def raw_hat(self, mask: int) -> int | float:
         """:meth:`hat` of a user bitmask on the raw scale: times the
@@ -336,17 +327,25 @@ class GameContext:
             state = states[m] = _extend(self._cost, state, 1 << m.bit_length() - 1, self.tol)
         return state[0]
 
-    def greedy_vertex(self, order: Iterable[int]) -> RateVector:
-        """Core vertex from marginal characteristic costs along ``order``,
-        read from (and filling) the truncation cache."""
-        return RateVector(greedy_vertex(self.hat, self.permutation(order)))
-
-    def permutation(self, order: Iterable[int]) -> tuple[int, ...]:
-        """``order`` as a tuple, refused unless it is a permutation of the users."""
+    def raw_marginals(self, order: Iterable[int]) -> dict[int, int | float]:
+        """Each user of ``order``, which must be a permutation of the users,
+        mapped to its raw marginal cost over the users before it, read from
+        (and filling) the memo."""
         order = tuple(order)
         if frozenset(order) != self.ground or len(order) != len(self.ground):
             raise ValueError(f"{order} is not a permutation of {self.users}")
-        return order
+        marginals, prefix, before = {}, 0, 0
+        for u in order:
+            prefix |= self._bits[u]
+            value = self.raw_hat(prefix)
+            marginals[u] = value - before
+            before = value
+        return marginals
+
+    def greedy_vertex(self, order: Iterable[int]) -> RateVector:
+        """Core vertex from marginal characteristic costs along ``order``
+        (Edmonds' greedy rule)."""
+        return RateVector({u: self.value_of(v) for u, v in self.raw_marginals(order).items()})
 
     def __repr__(self) -> str:
         return (f"GameContext(users={self.users}, min_sum_rate={self.min_sum_rate}, "
@@ -376,42 +375,90 @@ def min_sum_rate(source: Source) -> GameContext:
     )
 
 
-# --- core membership and decomposition -------------------------------------
+# --- the slack table, core membership and decomposition --------------------
 
 
-def core_membership(ctx: GameContext, r: RateVector) -> tuple[bool, str | None]:
+class _SlackTable:
+    """:func:`f_alpha` at the solved sum-rate on every user bitmask of a
+    game (bit k is ``ctx.users[k]``), from the truncation's raw costs, and
+    the slack f(X) - r(X) of rate vectors.  Exact games scale by D = lcm(q,
+    K, denominators of ``r``), q the sum-rate's denominator, to integers, so
+    rates on the 1/K grid around ``r`` stay exact; pmf games, and exact games
+    given float rates, use float64 within ``ctx.tol``.  Like a dependence
+    SFM, the table is refused past n - 1 free users, before any cost is read.
+    """
+
+    def __init__(self, ctx: GameContext, r: RateVector, K: int = 1):
+        if r.users != ctx.users:
+            raise ValueError(f"rate vector users {r.users} != game users {ctx.users}")
+        _check_size(len(ctx.users) - 1)
+        self.users = ctx.users
+        masks = [0]
+        for u in ctx.users:
+            masks += [m | ctx._bits[u] for m in masks]
+        raw = [0] + [ctx._cost(m) for m in masks[1:]]
+        rates = [r[u] for u in ctx.users]
+        if ctx.source.is_exact and not any(isinstance(v, float) for v in rates):
+            q = Fraction(ctx.min_sum_rate).denominator
+            self.scale = lcm(q, K, *(v.denominator for v in rates))
+            self.f = int_array([c * (self.scale // q) for c in raw])
+        else:
+            self.scale = None
+            self.f = np.array([ctx.value_of(c) for c in raw], dtype=float)
+        self._at = None
+
+    def slack(self, r: RateVector) -> np.ndarray:
+        """f(X) - r(X) over every mask; r(X) by the doubling pass
+        mass[2^k:2^(k+1)] = mass[:2^k] + r_k.  The slack of the last ``r``
+        asked about is kept, so the questions about one iterate share it."""
+        if self._at is not None and self._at[0] is r:
+            return self._at[1]
+        f, users = self.f, self.users
+        if self.scale is not None:
+            scaled = [r[u] * self.scale for u in users]
+            if any(v.denominator != 1 for v in scaled):
+                raise ArithmeticError(f"rates {r} are off the 1/{self.scale} grid of the slack table")
+            rates = [int(v) for v in scaled]
+            f = widen(f, sum(map(abs, rates)))
+        else:
+            rates = [float(r[u]) for u in users]
+        mass = np.zeros_like(f)
+        for k, rate in enumerate(rates):
+            mass[1 << k:2 << k] = mass[:1 << k] + rate
+        self._at = (r, f - mass)
+        return self._at[1]
+
+
+def core_membership(ctx: GameContext, r: RateVector,
+                    table: _SlackTable | None = None) -> tuple[bool, str | None]:
     """Check whether ``r`` lies in the optimal rate region of ``ctx``.
 
     Only the defining rate constraints are checked: Slepian-Wolf lower bounds
-    for the whole game, cost upper bounds for subgames.  Returns the verdict
-    plus the first violated constraint, if any.
+    r(X) >= H(X | V∖X) for the whole game, cost upper bounds r(X) <= f(X)
+    for subgames.  Once r(V) = R_CO the former read r(V∖X) <= f(V∖X), so
+    both come off one slack table: ``table`` (built for this game and a grid
+    ``r`` lies on), or else one built for ``r``.  Returns the verdict plus the first
+    violated constraint in :func:`subsets` order, put in words only on
+    failure.
     """
-    if r.users != ctx.users:
-        raise ValueError(f"rate vector users {r.users} != game users {ctx.users}")
-    tol = ctx.tol
-    ok, witness = True, None
-    if not _eq(r.total(), ctx.sum_cost, tol):
-        ok, witness = False, f"sum rate {r.total()} != {ctx.sum_cost}"
-    elif ctx.is_whole_game:
-        ground = ctx.ground
-        for X in subsets(ctx.users):
-            if not X or X == ground:
-                continue
-            bound = ctx.source.conditional_entropy(X, ground - X)
-            if not _leq(bound, r.mass(X), tol):
-                ok = False
-                witness = f"r({sorted(X)}) = {r.mass(X)} < H(X | V∖X) = {bound}"
-                break
-    else:
-        for X in subsets(ctx.users):
-            if not X or X == ctx.ground:
-                continue
-            bound = ctx.f(X)
-            if not _leq(r.mass(X), bound, tol):
-                ok = False
-                witness = f"r({sorted(X)}) = {r.mass(X)} > f({sorted(X)}) = {bound}"
-                break
-    return ok, witness
+    if table is None:
+        table = _SlackTable(ctx, r)
+    if not _eq(r.total(), ctx.sum_cost, ctx.tol):
+        return False, f"sum rate {r.total()} != {ctx.sum_cost}"
+    bad = table.slack(r) < -ctx.tol
+    bad[0] = bad[-1] = False  # the empty and the whole set
+    if ctx.is_whole_game:
+        bad = bad[::-1]  # X's lower bound is its complement's upper bound
+    if not bad.any():
+        return True, None
+    # the first in subsets() order: by size, then by the bits set
+    first = min(np.flatnonzero(bad).tolist(),
+                key=lambda m: (m.bit_count(), [k for k in range(m.bit_length()) if m >> k & 1]))
+    X = sorted(u for k, u in enumerate(ctx.users) if first >> k & 1)
+    if ctx.is_whole_game:
+        bound = ctx.source.conditional_entropy(X, ctx.ground - set(X))
+        return False, f"r({X}) = {r.mass(X)} < H(X | V∖X) = {bound}"
+    return False, f"r({X}) = {r.mass(X)} > f({X}) = {f_alpha(ctx.source, ctx.min_sum_rate, X)}"
 
 
 def conditional_mi_given_U(ctx: GameContext, X: Iterable[int], Y: Iterable[int]):
@@ -434,7 +481,7 @@ def check_decomposition(ctx: GameContext) -> None:
     blocks = [ctx.source.mask(C) for C in ctx.fundamental_partition.blocks]
     for X in subsets(ctx.users):
         m = ctx.source.mask(X)
-        rhs = sum(ctx.raw_hat(m & C) for C in blocks)
+        rhs = _ordered_sum(ctx.raw_hat(m & C) for C in blocks)
         if not _eq(ctx.raw_hat(m), rhs, ctx.tol):
             raise DecompositionError(
                 f"hat({sorted(X)}) = {ctx.hat(X)} but the blockwise sum is {ctx.value_of(rhs)}")
@@ -458,7 +505,7 @@ def decompose(ctx: GameContext) -> list[GameContext]:
             fundamental_partition=None,
             shared_randomness=None,
             grid_denominator=ctx.grid_denominator,
-            hat_cache=(ctx._hat, ctx._values),
+            hat_cache=ctx._hat,
         )
         subgames.append(sub)
     return subgames

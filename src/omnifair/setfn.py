@@ -16,9 +16,10 @@ bitmasks (:mod:`omnifair.omniscience`).
 The submodularity checks tabulate the function once into a dense array
 indexed by subset bitmask and test one set against all others per array
 operation.  Exact values are scaled to integers by the least common
-multiple of their denominators (:func:`tabulate`, the one dense-table
-format, which :mod:`omnifair.egalitarian` shares), so no comparison rounds;
-float values stay float64.
+multiple of their denominators (:func:`tabulate`), so no comparison rounds;
+float values stay float64.  Integer tables hold int64 or Python ints by one
+rule (:func:`int_array`), which the slack table of
+:mod:`omnifair.omniscience` shares.
 """
 
 from __future__ import annotations
@@ -79,29 +80,30 @@ def _check_size(n: int) -> None:
         raise GroundSetTooLarge(f"ground set of size {n} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}")
 
 
-def tabulate(f: Callable[[frozenset], Fraction | float], ground: Sequence, *numbers,
-             forced: int = 0) -> tuple[np.ndarray, int | None]:
+def int_array(ints: Sequence[int]) -> np.ndarray:
+    """``ints`` as int64 while every entry stays below :data:`INT64_SAFE` in
+    magnitude, else as Python ints, which are exact at any size."""
+    wide = any(abs(v) >= INT64_SAFE for v in ints)
+    return np.array(ints, dtype=object if wide else np.int64)
+
+
+def tabulate(f: Callable[[frozenset], Fraction | float],
+             ground: Sequence) -> tuple[np.ndarray, int | None]:
     """``f`` on every subset of ``ground``, indexed by bitmask: bit k of the
     index is ``ground[k]``.
 
     Exact values are scaled by D, the least common multiple of their
-    denominators and of those of ``numbers`` (rationals that must stay
-    exact on the table's scale), into int64 while every entry stays below
-    :data:`INT64_SAFE` in magnitude, else into Python ints, which are exact
-    at any size; returns the table and D.  If any value or number is a
-    float, the table is float64 and D is None.  The table is refused, before
-    ``f`` is evaluated, where the ``len(ground) - forced`` members its
-    queries leave free exceed the exhaustive limit.
+    denominators, into an :func:`int_array`; returns the table and D.  If
+    any value is a float, the table is float64 and D is None.  The table is
+    refused, before ``f`` is evaluated, beyond the exhaustive limit.
     """
-    _check_size(len(ground) - forced)
+    _check_size(len(ground))
     values = [f(frozenset(u for k, u in enumerate(ground) if m >> k & 1))
               for m in range(1 << len(ground))]
-    if any(isinstance(v, float) for v in chain(values, numbers)):
+    if any(isinstance(v, float) for v in values):
         return np.array(values, dtype=float), None
-    scale = lcm(*(v.denominator for v in chain(values, numbers)))
-    ints = [int(v * scale) for v in values]
-    wide = any(abs(v) >= INT64_SAFE for v in ints)
-    return np.array(ints, dtype=object if wide else np.int64), scale
+    scale = lcm(*(v.denominator for v in values))
+    return int_array([int(v * scale) for v in values]), scale
 
 
 def widen(table: np.ndarray, magnitude: int) -> np.ndarray:

@@ -97,8 +97,9 @@ def shapley_approx(
     """Mean greedy vertex over a permutation multiset (never deduplicated),
     so the result is a convex combination of vertices and stays in the core.
 
-    Each user's raw marginal costs are summed in permutation order (ints for
-    linear sources, floats for pmf ones) and divided once by their count.
+    Each user's raw marginal costs (:meth:`GameContext.raw_marginals`) are
+    summed in permutation order (ints for linear sources, floats for pmf
+    ones) and divided once by their count.
 
     Pass ``permutations`` explicitly, or a ``count`` and ``seed`` to sample;
     ``count`` defaults to the number of users.
@@ -107,18 +108,13 @@ def shapley_approx(
         if seed is None:
             raise ValueError("sampling permutations needs a seed for reproducibility")
         permutations = sample_permutations(ctx.users, count or len(ctx.users), seed)
-    perms = [ctx.permutation(p) for p in permutations]
+    perms = list(permutations)
     if not perms:
         raise ValueError("empty permutation list")
-    bit = {u: ctx.source.mask((u,)) for u in ctx.users}
     acc = dict.fromkeys(ctx.users, 0)
     for order in perms:
-        prefix = before = 0
-        for u in order:
-            prefix |= bit[u]
-            value = ctx.raw_hat(prefix)
-            acc[u] += value - before
-            before = value
+        for u, marginal in ctx.raw_marginals(order).items():
+            acc[u] += marginal
     exact, count = ctx.source.is_exact, len(perms)
     return RateVector({u: ctx.value_of(Fraction(a, count) if exact else a / count) for u, a in acc.items()})
 

@@ -31,8 +31,8 @@ from omnifair import (
     shapley_decomposed,
     shapley_exact,
 )
-from omnifair.egalitarian import _SlackTable, dep
-from omnifair.omniscience import GameContext, check_decomposition
+from omnifair.egalitarian import dep
+from omnifair.omniscience import GameContext, _SlackTable, check_decomposition
 from omnifair.setfn import (
     InfeasibleLattice,
     SetFunction,
@@ -512,7 +512,7 @@ def chain_greedy_vertex(ctx: GameContext, permutation) -> RateVector:
     """Oracle vertex: one incremental truncation pass along ``permutation``,
     one exhaustive SFM per step, read off the per-step increments."""
     order = tuple(permutation)
-    _, _, increments = frozenset_truncation(ctx.f, order, tol=ctx.tol)
+    _, _, increments = frozenset_truncation(game_f(ctx), order, tol=ctx.tol)
     return RateVector(dict(zip(order, increments)))
 
 
@@ -520,7 +520,8 @@ def sfm_dep(ctx: GameContext, r: RateVector, i: int) -> frozenset:
     """Oracle dependence set: the minimal minimizer of the slack
     f(X) - r(X) over the subsets containing ``i``, by one exhaustive
     constrained SFM that evaluates each lattice point as a set."""
-    slack = SetFunction(ctx.ground, lambda X: ctx.f(X) - r.mass(X))
+    f = game_f(ctx)
+    slack = SetFunction(ctx.ground, lambda X: f(X) - r.mass(X))
     return sfm_min(slack, forced_in={i}, tol=ctx.tol).minimal
 
 

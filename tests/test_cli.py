@@ -294,6 +294,53 @@ def test_exhaustive_limit_boundary_exit_code(capsys, tmp_path, monkeypatch, comm
     assert report["config"]["command"] == command
 
 
+def test_verify_refuses_the_core_check_above_its_table_limit(capsys, tmp_path, monkeypatch):
+    # the six users of the boundary test, with the two capped checks skipped:
+    # the core check reads a 2^n slack table, refused past n - 1 free users
+    import omnifair.cli as cli_module
+    from omnifair import setfn
+
+    spec = {
+        "model": "linear",
+        "field": 2,
+        "packets": ["a", "b", "c"],
+        "users": {**{str(u): ["a", "b"] for u in range(1, 6)}, "6": ["c"]},
+    }
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(spec))
+    monkeypatch.setattr(cli_module, "VERIFY_SUBMODULAR_LIMIT", 5)
+    monkeypatch.setattr(cli_module, "VERIFY_DECOMPOSITION_LIMIT", 5)
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 5)
+    status, report = run_cli(capsys, "verify", "--input", str(path))
+    assert status == 0
+    assert [v["check"] for v in report["verification"]][2:] == ["solver_vertex_in_core"]
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 4)
+    status, report = run_cli(capsys, "verify", "--input", str(path))
+    assert status == EXIT_TOO_LARGE
+    assert report["error"] == {
+        "type": "GroundSetTooLarge",
+        "message": "ground set of size 5 exceeds the exhaustive limit 4"}
+    assert report["config"]["command"] == "verify"
+
+
+def test_verify_of_twenty_two_users_is_refused_at_once(capsys, tmp_path):
+    # users 1-21 share two packets and user 22 holds a third: the solve is
+    # cheap, and the core check is refused before any cost is read
+    spec = {
+        "model": "linear",
+        "field": 2,
+        "packets": ["a", "b", "c"],
+        "users": {**{str(u): ["a", "b"] for u in range(1, 22)}, "22": ["c"]},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    started = time.perf_counter()
+    status, report = run_cli(capsys, "verify", "--input", str(path))
+    assert time.perf_counter() - started < 5
+    assert status == EXIT_TOO_LARGE
+    assert report["error"]["message"] == "ground set of size 21 exceeds the exhaustive limit 20"
+
+
 @pytest.mark.parametrize("exc_type", [ArithmeticError])
 def test_internal_invariant_exit_code(capsys, spec_path, monkeypatch, exc_type):
     import omnifair.cli as cli_module

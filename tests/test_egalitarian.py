@@ -96,7 +96,8 @@ class TestDependenceTable:
         points += [ctx.greedy_vertex(p) for p in permutations(ctx.users)]
         assert dep_matches_oracle(ctx, points)
         # some minimizers tie only within tol, so the float comparison is exercised
-        untolerant = SimpleNamespace(ground=ctx.ground, users=ctx.users, f=ctx.f, tol=0)
+        untolerant = SimpleNamespace(ground=ctx.ground, source=ctx.source,
+                                     min_sum_rate=ctx.min_sum_rate, tol=0)
         assert any(sfm_dep(untolerant, r, i) != dep(ctx, r, i)
                    for r in points for i in ctx.users)
 
@@ -124,15 +125,15 @@ class TestDependenceTable:
 
         ctx = min_sum_rate(random_linear_source(1, min_users=8, max_users=8, max_packets=12))
         sda(ctx)  # fills the truncation cache that the iteration budget reads
-        sfm_calls, f_calls = [], []
+        sfm_calls, f_calls = [], []  # f_calls: raw cost evaluations
         for module in (setfn, omniscience, egalitarian, shapley):
             if hasattr(module, "sfm_min"):
                 def counted(*args, _sfm=module.sfm_min, **kwargs):
                     sfm_calls.append(args)
                     return _sfm(*args, **kwargs)
                 monkeypatch.setattr(module, "sfm_min", counted)
-        cost = ctx.f
-        monkeypatch.setattr(ctx, "f", lambda X: f_calls.append(X) or cost(X))
+        cost = ctx._cost
+        monkeypatch.setattr(ctx, "_cost", lambda m: f_calls.append(m) or cost(m))
         dep_calls = []
         monkeypatch.setattr(egalitarian, "dep",
                             lambda *args, _dep=egalitarian.dep: dep_calls.append(args) or _dep(*args))
@@ -157,9 +158,9 @@ class TestDependenceTable:
         assert dep(ctx, ctx.vertex, 1) == frozenset({1})
         assert sda(ctx)[0] == rv(OPTIMUM)
         monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", n - 2)
-        f_calls = []
-        cost = ctx.f
-        monkeypatch.setattr(ctx, "f", lambda X: f_calls.append(X) or cost(X))
+        f_calls = []  # raw cost evaluations
+        cost = ctx._cost
+        monkeypatch.setattr(ctx, "_cost", lambda m: f_calls.append(m) or cost(m))
         with pytest.raises(GroundSetTooLarge, match=f"size {n - 1} exceeds"):
             dep(ctx, ctx.vertex, 1)
         with pytest.raises(GroundSetTooLarge, match=f"size {n - 1} exceeds"):
@@ -318,6 +319,24 @@ class TestWeightsRefused:
             sda(demo_ctx, weights=w)
         with pytest.raises(ValueError, match=message):
             objective_g(demo_ctx.vertex, w)
+
+
+    def test_checked_once_per_run(self, demo_ctx, monkeypatch):
+        # sda and is_locally_optimal sum the objective over the weights they
+        # checked on entry, not over weights re-checked per candidate
+        from omnifair import egalitarian
+
+        checks = []
+        check = egalitarian._check_weights
+        monkeypatch.setattr(egalitarian, "_check_weights",
+                            lambda *args: checks.append(args) or check(*args))
+        w = {1: 6, 2: 1, 3: 1, 4: 3, 5: 2}
+        out, trace = sda(demo_ctx, r0=rv(R0), K=4, weights=w)
+        assert trace.iterations > 0 and trace.locally_optimal is not None
+        assert len(checks) == 2  # sda's and is_locally_optimal's
+        checks.clear()
+        assert is_locally_optimal(demo_ctx, out, 4, w) is trace.locally_optimal
+        assert len(checks) == 1
 
 
 class TestDecomposed:

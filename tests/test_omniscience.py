@@ -17,8 +17,11 @@ from omnifair import (
     l1_size,
     load_source,
     min_sum_rate,
+    objective_g,
 )
+from omnifair.egalitarian import dep
 from omnifair.omniscience import DecompositionError, check_decomposition
+from omnifair.setfn import GroundSetTooLarge
 from omnifair.setfn import subsets
 
 from conftest import (
@@ -28,6 +31,7 @@ from conftest import (
     dilworth_enumerate,
     hat_membership,
     iter_partitions,
+    left_sum,
     loop_core_membership,
     pmf_from_packets,
     random_core_direction,
@@ -35,6 +39,7 @@ from conftest import (
     random_pmf_twins,
     random_vector_source,
     rv,
+    sfm_dep,
 )
 
 
@@ -342,4 +347,47 @@ def test_core_membership_of_float_rates_in_an_exact_game(demo_ctx, demo_subgames
             want = loop_core_membership(game, r)
             assert core_membership(game, r) == want, (game.users, r)
             verdicts.add(want[0])
+            # the float64 table of dep against the per-subset SFM oracle
+            assert [dep(game, r, i) for i in game.users] == [sfm_dep(game, r, i) for i in game.users]
     assert verdicts == {True, False}
+
+
+def test_core_membership_refused_before_any_cost_is_read(demo_source, monkeypatch):
+    # the slack table has 2^n entries; like a dependence SFM it is refused
+    # past n - 1 free users, before the first raw cost
+    from omnifair import setfn
+
+    ctx = min_sum_rate(demo_source)
+    n = len(ctx.users)
+    vertex = ctx.vertex
+    cost_calls = []
+    cost = ctx._cost
+    monkeypatch.setattr(ctx, "_cost", lambda m: cost_calls.append(m) or cost(m))
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", n - 1)
+    assert core_membership(ctx, vertex) == (True, None)
+    assert len(cost_calls) == 2 ** n - 1
+    cost_calls.clear()
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", n - 2)
+    for r in (vertex, rv({u: 0 for u in ctx.users})):
+        with pytest.raises(GroundSetTooLarge, match=f"size {n - 1} exceeds the exhaustive limit {n - 2}"):
+            core_membership(ctx, r)
+    assert cost_calls == []
+
+
+class TestOrderedSums:
+    """Float sums run left to right from 0, as Python 3.11's sum() adds;
+    a compensated sum would give 1.0 and 1e16 + 2 here."""
+
+    def test_mass_and_total(self):
+        r = RateVector({1: 1e16, 2: 1.0, 3: -1e16})
+        assert r.total() == left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert r.mass([1, 2, 3]) == r.total()
+        assert r.mass([1, 2]) == 1e16
+
+    def test_objective(self):
+        r = RateVector({1: 1e8, 2: 1.0, 3: 1.0})
+        assert objective_g(r) == left_sum([1e16, 1.0, 1.0]) == 1e16
+
+    def test_l1_distance(self):
+        r = RateVector({1: 1e16, 2: 1.0, 3: 1.0})
+        assert r.l1_distance(RateVector({1: 0.0, 2: 0.0, 3: 0.0})) == 1e16

@@ -19,6 +19,7 @@ from conftest import (
     cross_checked_membership,
     dilworth_enumerate,
     frozenset_truncation,
+    game_f,
     minnorm_sfm,
     pmf_from_packets,
     random_linear_source,
@@ -105,7 +106,7 @@ def test_minnorm_sfm_through_the_full_solve_stack(seed):
     ctx = min_sum_rate(src)
     for X in subsets(src.users):
         if X:
-            value, partition, _ = frozenset_truncation(ctx.f, sorted(X), minnorm_sfm)
+            value, partition, _ = frozenset_truncation(game_f(ctx), sorted(X), minnorm_sfm)
             assert ctx.hat(X) == value
             assert dilworth_truncation(src, ctx.min_sum_rate, X) == (value, partition)
     assert ctx.fundamental_partition == partition

@@ -265,11 +265,8 @@ def test_tabulate_scales_to_int64_and_widens_past_its_headroom():
               frozenset({"a", "b"}): 2}
     table, scale = tabulate(values.__getitem__, ["a", "b"])
     assert (table.tolist(), scale, table.dtype) == ([0, 2, 5, 12], 6, np.int64)
-    table, scale = tabulate(values.__getitem__, ["b", "a"], F(1, 4))
-    assert (table.tolist(), scale) == ([0, 10, 4, 24], 12)
     table, scale = tabulate(lambda X: 0.5 * len(X), ["a", "b"])
     assert (table.tolist(), scale, table.dtype) == ([0, 0.5, 0.5, 1], None, float)
-    assert tabulate(lambda X: len(X), ["a"], 0.5)[1] is None
     assert tabulate(lambda X: (INT64_SAFE - 1) * len(X), ["a"])[0].dtype == np.int64
     wide, _ = tabulate(lambda X: -INT64_SAFE * len(X), ["a"])
     assert wide.dtype == object and wide.tolist() == [0, -INT64_SAFE]
