@@ -320,7 +320,6 @@ class TestWeightsRefused:
         with pytest.raises(ValueError, match=message):
             objective_g(demo_ctx.vertex, w)
 
-
     def test_checked_once_per_run(self, demo_ctx, monkeypatch):
         # sda and is_locally_optimal sum the objective over the weights they
         # checked on entry, not over weights re-checked per candidate
