@@ -8,6 +8,7 @@ Two source families are supported:
   in field symbols (bits when the field size is 2).
 * :class:`PmfSource` -- a discrete joint probability mass function.
   Entropies are floats in bits and downstream comparisons use a tolerance.
+  One depth-first marginalization pass fills the memo on the first call.
 
 Each source memoizes H by user bitmask (bit k is ``users[k]``) in its raw
 number type, an int for linear sources and a float for pmf sources; the
@@ -226,6 +227,10 @@ class PmfSource(Source):
     """Discrete source given by a joint pmf over per-user finite alphabets.
 
     The table axes follow the sorted user order; entropies are floats in bits.
+    The first :meth:`_entropy` call fills ``H[mask]`` for all 2^n masks in one
+    depth-first pass that drops axes in increasing bit order, so each marginal
+    is its parent summed over one more axis and each mask is reached once; at
+    most n + 1 marginals are alive, together under twice the table's size.
     """
 
     is_exact = False
@@ -237,19 +242,29 @@ class PmfSource(Source):
         shape = tuple(len(self.alphabets[u]) for u in self.users)
         if arr.shape != shape:
             raise SourceSpecError(f"pmf table has shape {arr.shape}, alphabets imply {shape}")
+        if not np.isfinite(arr).all():
+            raise SourceSpecError("pmf table has non-finite entries (NaN or infinity)")
         if (arr < 0).any():
             raise SourceSpecError("pmf table has negative entries")
         total = float(arr.sum())
         if abs(total - 1.0) > PMF_NORMALIZATION_TOL:
             raise SourceSpecError(f"pmf table sums to {total!r}, expected 1")
         self._table = arr
+        self._H: np.ndarray | None = None
 
     def _entropy(self, mask: int) -> float:
-        drop = tuple(axis for axis in range(len(self.users)) if not mask >> axis & 1)
-        marginal = self._table.sum(axis=drop) if drop else self._table
-        p = marginal.ravel()
-        p = p[p > 0]
-        return float(-(p * np.log2(p)).sum())
+        if self._H is None:
+            self._H = np.empty(1 << len(self.users))
+            self._fill(self._table, len(self._H) - 1, 0)
+        return float(self._H[mask])
+
+    def _fill(self, marginal: np.ndarray, mask: int, first: int) -> None:
+        p = marginal[marginal > 0]
+        self._H[mask] = -(p * np.log2(p)).sum()
+        for axis in range(first, len(self.users)):
+            # summing a one-letter axis changes nothing, so that child is a view
+            child = marginal if marginal.shape[axis] == 1 else marginal.sum(axis=axis, keepdims=True)
+            self._fill(child, mask & ~(1 << axis), axis + 1)
 
 
 def _parse_user_key(key) -> int:

@@ -9,6 +9,7 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from omnifair import (
@@ -355,8 +356,6 @@ def random_vector_source(seed: int, min_users=3, max_users=6, field=3) -> Linear
 
 def pmf_from_packets(holdings: dict, universe: list) -> PmfSource:
     """Joint pmf of independent uniform bit packets dealt per ``holdings``."""
-    import numpy as np
-
     users = sorted(holdings)
     width = len(universe)
     index = {p: k for k, p in enumerate(universe)}
@@ -382,6 +381,32 @@ def random_pmf_twins(seed: int):
     holdings = {u: rng.sample(universe, rng.randint(0, len(universe)))
                 for u in range(1, rng.randint(3, 5) + 1)}
     return LinearSource.from_packets(holdings, universe=universe), pmf_from_packets(holdings, universe)
+
+
+PMF_FUZZ_SEEDS = tuple(range(300))
+
+
+def random_pmf_source(seed: int) -> PmfSource:
+    """A seeded joint pmf: 2-9 users, alphabets of 1-4 letters, about 30% of
+    the entries zero (at least one entry is positive)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    shape = tuple(int(k) for k in rng.integers(1, 5, size=n))
+    table = rng.random(shape) * (rng.random(shape) >= 0.3)
+    if not table.any():
+        table.flat[int(rng.integers(table.size))] = 1.0
+    alphabets = {u: tuple(range(k)) for u, k in enumerate(shape, start=1)}
+    return PmfSource(alphabets, table / table.sum())
+
+
+def pmf_entropy_reference(source: PmfSource, mask: int) -> float:
+    """H of the users in ``mask`` from the whole joint table summed over every
+    other user's axis at once, one table sum per subset."""
+    drop = tuple(axis for axis in range(len(source.users)) if not mask >> axis & 1)
+    marginal = source._table.sum(axis=drop) if drop else source._table
+    p = marginal.ravel()
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
 
 
 def fraction_matrix_rank(rows: list[tuple[F, ...]]) -> int:

@@ -391,6 +391,17 @@ def test_solve_pmf_source(capsys, tmp_path):
     assert report["solution"]["fundamental_partition"] == [[1], [2]]
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_pmf_entry_is_parse_error(capsys, tmp_path, entry):
+    path = tmp_path / "pmf.json"
+    path.write_text('{"model": "pmf", "alphabets": {"1": [0, 1], "2": [0, 1]},'
+                    f' "table": [[0.5, {entry}], [0.0, 0.5]]}}')
+    status, report = run_cli(capsys, "solve", "--input", str(path))
+    assert status == EXIT_PARSE
+    assert report["error"]["type"] == "SourceSpecError"
+    assert "non-finite" in report["error"]["message"]
+
+
 def test_rates_from_file(capsys, spec_path, tmp_path):
     rates = tmp_path / "rates.json"
     rates.write_text('{"1":"1","2":"1/2","3":"1/2","4":"4","5":"1/2"}')

@@ -9,7 +9,8 @@ give rates outside the core and pin the witness of the first violated
 constraint: two failed verifications and one error record.
 
 Regenerate the stored reports (only when a report change is intended) with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``; it prints each float that
+changed and the largest absolute change, so a last-bit change can be reviewed.
 """
 
 from __future__ import annotations
@@ -79,6 +80,35 @@ INVOCATIONS |= {f"{label}-{command}": (spec, argv)
 CSV_OUTPUTS = {"egalitarian-sda": "error_curve.csv"}
 
 
+#: the floats of the pmf-4 Shapley reports as the per-subset table sums gave
+#: them, before one marginalization pass moved their last bits; the reports
+#: now stored must stay within ``PREVIOUS_PMF_TOL`` of them
+PREVIOUS_PMF_SOLUTION = {
+    "solution.I": 0.07933959900031162, "solution.R_CO": 4.13231506723642,
+    "solution.vertex.1": 0.9052576587558392, "solution.vertex.2": 0.9206602571065199,
+    "solution.vertex.3": 1.4347944918866087, "solution.vertex.4": 0.8716026594874524,
+}
+PREVIOUS_PMF_FLOATS = {
+    "pmf-4-shapley-exact": PREVIOUS_PMF_SOLUTION | {
+        "fairness.vector.1": 0.905257658755839, "fairness.vector.2": 0.9206602571065196,
+        "fairness.vector.3": 1.4347944918866085, "fairness.vector.4": 0.871602659487453},
+    "pmf-4-shapley-approx": PREVIOUS_PMF_SOLUTION | {
+        "fairness.vector.1": 0.9052576587558387, "fairness.vector.2": 0.9206602571065196,
+        "fairness.vector.3": 1.4347944918866085, "fairness.vector.4": 0.8716026594874531},
+}
+PREVIOUS_PMF_TOL = 1e-12
+
+
+def report_floats(node, path: str = "") -> dict[str, float]:
+    """Every float in a parsed report, keyed by its dotted path
+    (``fairness.vector.1``)."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return {key: value for k, child in items
+                for key, value in report_floats(child, f"{path}.{k}" if path else str(k)).items()}
+    return {path: node} if isinstance(node, float) else {}
+
+
 def normalized_report(name: str, workdir: Path) -> tuple[int, str]:
     """Run one invocation inside ``workdir``; return its exit status and the
     report text with timings dropped and file paths replaced."""
@@ -109,7 +139,39 @@ def test_report_matches_golden(name, tmp_path):
         assert (tmp_path / csv).read_text() == (GOLDEN / f"{name}.csv").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(PREVIOUS_PMF_FLOATS))
+def test_pmf_report_near_previous_floats(name, tmp_path):
+    status, text = normalized_report(name, tmp_path)
+    assert status == 0
+    floats = report_floats(json.loads(text))
+    previous = PREVIOUS_PMF_FLOATS[name]
+    assert floats.keys() == previous.keys()
+    assert all(abs(floats[k] - previous[k]) <= PREVIOUS_PMF_TOL for k in previous)
+
+
+def float_changes(old: dict, new: dict) -> list[str]:
+    """One line per float that differs between two parsed reports, then the
+    largest absolute change among those present in both."""
+    before, after = report_floats(old), report_floats(new)
+    changed = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
+    lines = [f"  {k}: {before.get(k)!r} -> {after.get(k)!r}" for k in changed]
+    both = [abs(after[k] - before[k]) for k in changed if k in before and k in after]
+    if both:
+        lines.append(f"  largest absolute change: {max(both):.3g}")
+    return lines
+
+
+def test_float_changes_lists_each_float_and_the_largest_change():
+    old = {"a": {"x": 1.0, "y": 2.0}, "b": [0.5, "1/2"], "c": 3.0}
+    new = {"a": {"x": 1.0, "y": 2.25}, "b": [0.375, "1/2"], "d": 4.0}
+    assert float_changes(old, new) == [
+        "  a.y: 2.0 -> 2.25", "  b.0: 0.5 -> 0.375", "  c: 3.0 -> None", "  d: None -> 4.0",
+        "  largest absolute change: 0.25"]
+    assert float_changes(old, old) == []
+
+
 def regenerate() -> None:
+    """Rewrite every stored report, printing each float that changed."""
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -117,11 +179,13 @@ def regenerate() -> None:
             status, text = normalized_report(name, workdir)
             if status != STATUS.get(name, 0):
                 raise SystemExit(f"{name} exited {status}")
-            (GOLDEN / f"{name}.json").write_text(text)
+            stored = GOLDEN / f"{name}.json"
+            changes = float_changes(json.loads(stored.read_text()), json.loads(text)) if stored.exists() else []
+            stored.write_text(text)
             if name in CSV_OUTPUTS:
                 csv = (workdir / CSV_OUTPUTS[name]).read_text()
                 (GOLDEN / f"{name}.csv").write_text(csv)
-            print(f"wrote {GOLDEN / name}.json", file=sys.stderr)
+            print(f"wrote {stored}", *changes, sep="\n", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import strategies as st
 from omnifair import LinearSource, PmfSource, SourceSpecError, gf_rank, load_source
 from omnifair.setfn import SetFunction, is_submodular, subsets
 
-from conftest import DEMO_HOLDINGS, DEMO_PACKETS, pmf_from_packets
+from conftest import (
+    DEMO_HOLDINGS,
+    DEMO_PACKETS,
+    PMF_FUZZ_SEEDS,
+    pmf_entropy_reference,
+    pmf_from_packets,
+    random_pmf_source,
+)
 
 
 class TestLinearEntropy:
@@ -106,6 +114,58 @@ class TestPmfSource:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SourceSpecError, match="shape"):
             PmfSource({1: (0, 1), 2: (0, 1, 2)}, [[0.5, 0.5], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(SourceSpecError, match="non-finite"):
+            PmfSource({1: (0, 1), 2: (0, 1)}, [[0.5, bad], [0.0, 0.5]])
+
+
+class TestPmfMarginalizationPass:
+    def test_fuzz_corpus_matches_per_subset_sums(self):
+        worst = {}
+        for seed in PMF_FUZZ_SEEDS:
+            src = random_pmf_source(seed)
+            worst[seed] = max(abs(src.raw_entropy(mask) - pmf_entropy_reference(src, mask))
+                              for mask in range(1, 1 << len(src.users)))
+        assert {seed: diff for seed, diff in worst.items() if diff > 1e-12} == {}
+
+    def test_corpus_spans_the_stated_shapes(self):
+        sources = [random_pmf_source(seed) for seed in PMF_FUZZ_SEEDS]
+        assert {len(src.users) for src in sources} == set(range(2, 10))
+        assert {len(a) for src in sources for a in src.alphabets.values()} == {1, 2, 3, 4}
+        zeros = sum((src._table == 0).sum() for src in sources)
+        assert 0.25 < zeros / sum(src._table.size for src in sources) < 0.35
+
+    def test_query_order_does_not_change_a_value(self):
+        for seed in PMF_FUZZ_SEEDS[:60]:
+            masks = list(range(1, 1 << len(random_pmf_source(seed).users)))
+            shuffled = random.Random(seed).sample(masks, len(masks))
+            answers = []
+            for order in (masks, masks[::-1], shuffled):
+                src = random_pmf_source(seed)
+                answers.append({mask: src.raw_entropy(mask) for mask in order})
+            assert answers[0] == answers[1] == answers[2]
+
+    @pytest.mark.parametrize("seed", PMF_FUZZ_SEEDS[:20])
+    def test_each_mask_once_with_bounded_marginals(self, seed):
+        src = random_pmf_source(seed)
+        fill, chain, visited, peaks = src._fill, [], [], []
+
+        def spy(marginal, mask, first):
+            chain.append(marginal)
+            visited.append(mask)
+            alive = {id(m): m.size for m in chain}
+            peaks.append((len(chain), sum(alive.values())))
+            fill(marginal, mask, first)
+            chain.pop()
+
+        src._fill = spy
+        src.raw_entropy(1)
+        n = len(src.users)
+        assert sorted(visited) == list(range(1 << n))
+        assert max(count for count, _ in peaks) <= n + 1
+        assert max(size for _, size in peaks) < 2 * src._table.size
 
 
 class TestLoadSource:
