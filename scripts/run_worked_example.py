@@ -52,7 +52,7 @@ def main() -> None:
     show("egalitarian (w=6,1,1,3,2)", weighted)
 
     print("\npacket splitting")
-    for label, vector in (("Shapley", shapley), ("egalitarian", egal)):
+    for label, vector in (("Shapley", shapley), ("egalitarian", egal), ("weighted", weighted)):
         plan = packet_split_plan(vector)
         print(f"  {label:<12} {plan.chunks_per_packet} chunks/packet, "
               f"chunk rates {plan.chunk_rates}")

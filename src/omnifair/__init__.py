@@ -3,8 +3,8 @@
 Solve the minimum sum-rate problem for a multi-user source, enumerate the
 optimal rate region (the core of the induced cost-sharing game), and pick
 fair points in it: exact or approximate Shapley values, and (fractional)
-egalitarian solutions found by steepest descent or Frank-Wolfe, with
-fundamental-partition decomposition throughout.
+egalitarian solutions found by steepest descent on a grid or exactly in the
+continuum, with fundamental-partition decomposition throughout.
 """
 
 from .egalitarian import (

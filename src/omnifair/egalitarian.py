@@ -10,22 +10,21 @@ The weighted quadratic objective sum(r_i^2 / w_i) is minimized two ways:
   one slack table, which also answers the initial core check.  The weights
   are checked once per run.  With K one less than the size of the
   fundamental partition the output is the exact grid optimum.
-* :func:`egalitarian_continuous` -- Frank-Wolfe with away steps over the
-  core, each linear subproblem solved by the greedy rule ranked by the
-  gradient (:func:`~omnifair.setfn.ranked_greedy_vertex`); its active set
-  is one float matrix of vertex rows, and every sum runs strictly left to
-  right, so its floats are the same on every interpreter.
+* :func:`egalitarian_continuous` -- the exact minimum over the core, the
+  lexicographically optimal base of the characteristic cost (Fujishige
+  1980), by the decomposition algorithm on each fundamental-partition block:
+  a table of raw costs over the block's bitmasks answers each split, in
+  integers for linear sources.
 
-Both combine with the fundamental-partition decomposition, and
-:func:`packet_split_plan` turns a fractional rate vector into integer
-chunk rates.
+:func:`egalitarian_decomposed` runs :func:`sda` on each
+fundamental-partition subgame, and :func:`packet_split_plan` turns a
+fractional rate vector into integer chunk rates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import permutations
 from math import ceil, isfinite, lcm
 from typing import Mapping
@@ -40,7 +39,8 @@ from .omniscience import (
     core_membership,
     decompose,
 )
-from .setfn import ranked_greedy_vertex
+from .setfn import _check_size, int_array, widen
+from .sources import FLOAT_TOL
 
 
 class ConvergenceError(RuntimeError):
@@ -231,117 +231,83 @@ def sda(
     return current, trace
 
 
-def _left_sum(values: np.ndarray):
-    """Sums along the last axis strictly left to right from +0.0, as Python
-    3.11's ``sum()`` does (3.12's compensates, ``np.sum`` and ``@`` pair)."""
-    return np.add.accumulate(values, axis=-1)[..., -1] + 0.0
+def egalitarian_continuous(ctx: GameContext, weights=None) -> RateVector:
+    """The point of the core that minimizes sum(r_i^2 / w_i): the
+    lexicographically optimal base of the characteristic cost with respect
+    to the weights (Fujishige 1980), by the decomposition algorithm.
 
-
-def egalitarian_continuous(
-    ctx: GameContext,
-    weights=None,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 100_000,
-) -> RateVector:
-    """Weighted quadratic minimum over the core, by Frank-Wolfe with away
-    steps and exact line search; the linear subproblems are greedy vertices
-    ordered by the gradient, on a run-local memo of the float costs.  Stops
-    when the duality gap falls below ``tol``.
-
-    The active set is a float matrix of vertex rows, in the order they
-    entered, beside their weights; the iterate and the away step's dot
-    products are one array pass each.  Every sum runs left to right
-    (:func:`_left_sum`), so the result does not depend on the interpreter.
+    The cost separates across the fundamental partition, so each block (a
+    subgame is one block) is solved on its own, and refused beyond the
+    exhaustive limit before any cost is read.  Linear sources with rational
+    weights run on integers, the weights scaled by the lcm of their
+    denominators, and return Fractions; pmf sources and float weights run
+    in float64 within the float tolerance (1e-9) and return floats.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    users = ctx.users
-    w = np.array([float(v) for v in _check_weights(weights, users).values()])
-    # rounding each cost before subtracting keeps float arithmetic throughout
-    cost = cache(lambda X: float(ctx.hat(X)))
-
-    def linear_step(grad: np.ndarray) -> tuple[float, ...]:
-        s = ranked_greedy_vertex(cost, dict(zip(users, grad.tolist())))
-        return tuple(s[u] for u in users)
-
-    start = tuple(float(v) for v in ctx.vertex.as_tuple(users))
-    keys, index = [start], {start: 0}  # the rows as tuples, for the tie-break
-    vertices, lam = np.array([start]), np.ones(1)
-    x = vertices[0]
-    for _ in range(max_iter):
-        grad = 2.0 * x / w
-        s = linear_step(grad)
-        toward = float(_left_sum(grad * (x - s)))
-        if toward <= tol:
-            return RateVector(dict(zip(users, x.tolist())))
-
-        dots = _left_sum(vertices * grad)
-        a = max(np.flatnonzero(dots == dots.max()), key=keys.__getitem__)
-        away, away_weight = vertices[a], float(lam[a])
-        backward = float(_left_sum(grad * (away - x)))
-        forward_step = toward >= backward or len(keys) == 1 or away_weight >= 1.0
-        if forward_step:
-            direction = s - x
-            gamma_max = 1.0
-        else:
-            direction = x - away
-            gamma_max = away_weight / (1.0 - away_weight)
-
-        denom = float(_left_sum(direction * direction / w))
-        if denom <= 0.0:
-            # a zero direction with a certified gap above tol cannot improve
-            return RateVector(dict(zip(users, x.tolist())))
-        gamma = -float(_left_sum(x * direction / w)) / denom
-        gamma = min(max(gamma, 0.0), gamma_max)
-
-        if not forward_step:
-            lam = lam * (1.0 + gamma)
-            lam[a] -= gamma
-        elif s in index:
-            lam = lam * (1.0 - gamma)
-            lam[index[s]] += gamma
-        else:
-            index[s] = len(keys)
-            keys.append(s)
-            vertices = np.vstack([vertices, s])
-            lam = np.append(lam * (1.0 - gamma), 0.0 + gamma)
-        kept = lam > 1e-15
-        if not kept.all():
-            vertices, lam = vertices[kept], lam[kept]
-            keys = [k for k, keep in zip(keys, kept) if keep]
-            index = {k: i for i, k in enumerate(keys)}
-        x = _left_sum((lam[:, None] * vertices).T)
-    raise ConvergenceError(f"duality gap did not reach {tol} in {max_iter} iterations")
-
-
-def egalitarian_decomposed(
-    ctx: GameContext,
-    *,
-    mode: str = "sda",
-    weights=None,
-    K: int | None = None,
-    tol: float = 1e-9,
-    r0: RateVector | None = None,
-) -> RateVector:
-    """Solve each fundamental-partition subgame separately and fuse the
-    results.  In ``sda`` mode each block starts from ``r0`` restricted to
-    it (default: the block's greedy vertex); ``tol`` is the duality-gap
-    tolerance of ``continuous`` mode."""
-    if mode not in ("sda", "continuous"):
-        raise ValueError(f"unknown mode {mode!r}")
     w = _check_weights(weights, ctx.users)
-    subgames = decompose(ctx)
+    part = ctx.fundamental_partition
+    blocks = [ctx.users] if part is None else [tuple(sorted(C)) for C in part]
+    _check_size(max(map(len, blocks)))
+    exact = ctx.source.is_exact and not any(isinstance(v, float) for v in w.values())
+    return RateVector.direct_sum(_lexicographic_base(ctx, C, w, exact) for C in blocks)
 
-    def solve_block(sub: GameContext) -> RateVector:
-        w_sub = {u: w[u] for u in sub.users}
-        if mode == "sda":
-            start = r0.restrict(sub.ground) if r0 is not None else None
-            out, _ = sda(sub, r0=start, K=K, weights=w_sub)
-            return out
-        return egalitarian_continuous(sub, w_sub, tol=tol)
 
-    return RateVector.direct_sum([solve_block(sub) for sub in subgames])
+def _lexicographic_base(ctx: GameContext, block: tuple[int, ...], w, exact: bool) -> RateVector:
+    """:func:`egalitarian_continuous` on one block, from its raw costs R
+    and weight mass w on every block bitmask, by minors (A, E) from (∅,
+    block): with λ = (R(A ∪ E) - R(A)) / w(E), the excess w(E)·(R(A ∪ X) -
+    R(A)) - (R(A ∪ E) - R(A))·w(X) is read for every X ⊆ E.  If none is
+    negative, r = λ·w on E; otherwise the union X of the minimizers is
+    tight, and the minors (A, X) and (A ∪ X, E ∖ X) are solved in turn."""
+    masks = [0]
+    for u in block:
+        masks += [m | ctx.source.mask((u,)) for m in masks]
+    if exact:
+        scale = lcm(*(Fraction(w[u]).denominator for u in block))
+        weights, margin, table = [int(w[u] * scale) for u in block], 0, int_array
+        raw = [ctx.raw_hat(m) for m in masks]
+    else:
+        # a margin for every float run, linear sources included: rounding
+        # below zero on both halves of a tie could make the union of the
+        # minimizers all of E, which does not split
+        weights, margin, table = [float(w[u]) for u in block], FLOAT_TOL, np.array
+        raw = [float(ctx.value_of(ctx.raw_hat(m))) for m in masks]
+    mass = [0]
+    for v in weights:
+        mass += [m + v for m in mass]
+    cost, mass = table(raw), table(mass)
+    big = 2 * int(abs(cost).max()) * int(mass[-1])  # bounds every product below
+    cost, mass = widen(cost, big), widen(mass, big)
+    every, rates = np.arange(len(masks)), {}
+
+    def rate(d, wu, wE):
+        return ctx.value_of(Fraction(int(d) * wu, int(wE))) if exact else float(d) * (wu / float(wE))
+
+    def solve(A: int, E: int) -> None:
+        subs = every[(every & ~E) == 0]
+        d, wE = cost[A | E] - cost[A], mass[E]
+        excess = wE * (cost[A | subs] - cost[A]) - d * mass[subs]
+        low = excess.min()
+        if low < -margin * wE:
+            X = int(np.bitwise_or.reduce(subs[excess == low]))
+            solve(A, X)
+            solve(A | X, E & ~X)
+        else:
+            rates.update((u, rate(d, weights[k], wE)) for k, u in enumerate(block) if E >> k & 1)
+
+    solve(0, len(masks) - 1)
+    return RateVector(rates)
+
+
+def egalitarian_decomposed(ctx: GameContext, *, weights=None, K: int | None = None,
+                           r0: RateVector | None = None) -> RateVector:
+    """:func:`sda` on each fundamental-partition subgame, the results
+    fused.  Each block starts from ``r0`` restricted to it (default: the
+    block's greedy vertex)."""
+    w = _check_weights(weights, ctx.users)
+    return RateVector.direct_sum(
+        sda(sub, r0=None if r0 is None else r0.restrict(sub.ground), K=K,
+            weights={u: w[u] for u in sub.users})[0]
+        for sub in decompose(ctx))
 
 
 @dataclass(frozen=True)

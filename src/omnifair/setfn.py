@@ -1,12 +1,6 @@
-"""Set-function toolkit: set-function oracles, submodularity checks, Edmonds'
-greedy rule, and submodular function minimization (SFM) on sublattices of
-the subset lattice.
-
-:func:`greedy_vertex` is the package's one greedy rule: marginal values along
-an order, a base-polytope vertex for submodular functions (Edmonds 1970).
-Ranked by a weight vector (:func:`ranked_greedy_vertex`) it is the linear
-step of Frank-Wolfe; core vertices are the same rule on the characteristic
-cost.
+"""Set-function toolkit: set-function oracles, submodularity checks, and
+submodular function minimization (SFM) on sublattices of the subset
+lattice.
 
 :func:`sfm_min` enumerates the lattice, evaluating the oracle once per
 subset; callers that want a cache put it behind the oracle.  The solver's
@@ -19,7 +13,7 @@ operation.  Exact values are scaled to integers by the least common
 multiple of their denominators (:func:`tabulate`), so no comparison rounds;
 float values stay float64.  Integer tables hold int64 or Python ints by one
 rule (:func:`int_array`), which the slack table of
-:mod:`omnifair.omniscience` shares.
+:mod:`omnifair.omniscience` and the continuous egalitarian solver share.
 """
 
 from __future__ import annotations
@@ -28,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import floor, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -151,28 +145,6 @@ def is_submodular(f: SetFunction, tol=0):
 def is_intersecting_submodular(f: SetFunction, tol=0):
     """Like :func:`is_submodular`, restricted to pairs with X ∩ Y nonempty."""
     return _first_violation(f, tol, intersecting=True)
-
-
-def greedy_vertex(g: Callable[[frozenset], Fraction | float], order: Iterable) -> dict:
-    """Edmonds' greedy rule: each element of ``order`` mapped to its
-    marginal value g(P + e) - g(P) over the prefix P before it, the first
-    over g(∅)."""
-    coords = {}
-    prefix: frozenset = frozenset()
-    prev = g(prefix)
-    for e in order:
-        prefix = prefix | {e}
-        value = g(prefix)
-        coords[e] = value - prev
-        prev = value
-    return coords
-
-
-def ranked_greedy_vertex(g: Callable[[frozenset], Fraction | float], weights: Mapping) -> dict:
-    """:func:`greedy_vertex` along the elements of ``weights`` sorted by
-    (weight, element): for submodular ``g``, the vertex of its base
-    polytope that minimizes the weights' linear function."""
-    return greedy_vertex(g, sorted(weights, key=lambda e: (weights[e], e)))
 
 
 @dataclass(frozen=True)

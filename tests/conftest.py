@@ -38,9 +38,7 @@ from omnifair.setfn import (
     InfeasibleLattice,
     SetFunction,
     SfmResult,
-    greedy_vertex,
     is_submodular,
-    ranked_greedy_vertex,
     sfm_min,
     subsets,
 )
@@ -126,6 +124,31 @@ def bruteforce_min_sum_rate(source: Source):
     return max(
         sum(hv - source.entropy(C) for C in P) / (len(P) - 1)
         for P in iter_partitions(source.users) if len(P) >= 2)
+
+
+# --- Edmonds' greedy rule, and the oracles built on it ------------------------
+
+
+def greedy_vertex(g, order) -> dict:
+    """Edmonds' greedy rule: each element of ``order`` mapped to its
+    marginal value g(P + e) - g(P) over the prefix P before it, the first
+    over g(∅)."""
+    coords = {}
+    prefix: frozenset = frozenset()
+    prev = g(prefix)
+    for e in order:
+        prefix = prefix | {e}
+        value = g(prefix)
+        coords[e] = value - prev
+        prev = value
+    return coords
+
+
+def ranked_greedy_vertex(g, weights) -> dict:
+    """:func:`greedy_vertex` along the elements of ``weights`` sorted by
+    (weight, element): for submodular ``g``, the vertex of its base
+    polytope that minimizes the weights' linear function."""
+    return greedy_vertex(g, sorted(weights, key=lambda e: (weights[e], e)))
 
 
 # --- Fujishige-Wolfe minimum-norm-point SFM (exact rationals) ----------------
@@ -282,12 +305,12 @@ def shapley_mean_of_vertices(ctx: GameContext) -> RateVector:
     return mean_vector(enumerate_extreme_points(ctx))
 
 
-def frank_wolfe_reference(ctx: GameContext, weights=None, events: list | None = None) -> RateVector:
-    """Oracle Frank-Wolfe: egalitarian_continuous's steps (at its default
-    ``tol`` and ``max_iter``) on an active set kept as a dict of vertex
-    tuples in insertion order, every sum an explicit left-to-right loop and
-    every cost a fresh ``float(ctx.hat(X))``.  ``events``, if given,
-    receives ``(forward, vertices dropped)`` per step."""
+def frank_wolfe_reference(ctx: GameContext, weights=None) -> RateVector:
+    """Oracle Frank-Wolfe with away steps and exact line search on the float
+    costs, stopped at a duality gap of 1e-9, which bounds its objective's
+    excess over the optimum: each linear step is the greedy vertex ranked by
+    the gradient, the active set a dict of vertex tuples in insertion order,
+    every sum an explicit left-to-right loop."""
     users = ctx.users
     w = {u: float((weights or {}).get(u, 1)) for u in users}
     tol, max_iter = 1e-9, 100_000
@@ -324,10 +347,7 @@ def frank_wolfe_reference(ctx: GameContext, weights=None, events: list | None = 
         else:
             active = {v: lam * (1.0 + gamma) for v, lam in active.items()}
             active[away] = active.get(away, 0.0) - gamma
-        size = len(active)
         active = {v: lam for v, lam in active.items() if lam > 1e-15}
-        if events is not None:
-            events.append((forward, size - len(active)))
         x = tuple(left_sum(lam * v[k] for v, lam in active.items()) for k in range(len(users)))
     raise ConvergenceError(f"duality gap did not reach {tol} in {max_iter} iterations")
 
@@ -531,6 +551,20 @@ def loop_core_membership(ctx: GameContext, r: RateVector) -> tuple[bool, str | N
         elif not r.mass(X) <= f(X) + tol:
             return False, f"r({sorted(X)}) = {r.mass(X)} > f({sorted(X)}) = {f(X)}"
     return True, None
+
+
+def is_weighted_min_norm_base(ctx: GameContext, x: RateVector, weights=None) -> bool:
+    """Oracle optimality check: ``x`` minimizes sum(x_u^2 / w_u) over the
+    core iff :func:`loop_core_membership` accepts it and every lower level
+    set {u : x_u / w_u <= c} is tight, x(L) = hat(L) (Fujishige 1980).
+    Exact for linear sources; for pmf sources ratios and masses are
+    compared within ``ctx.tol`` (1e-9)."""
+    if not loop_core_membership(ctx, x)[0]:
+        return False
+    tol = ctx.tol
+    ratio = {u: x[u] / (weights or {}).get(u, 1) for u in ctx.users}
+    levels = (frozenset(u for u in ctx.users if ratio[u] <= c + tol) for c in ratio.values())
+    return all(abs(x.mass(L) - ctx.hat(L)) <= tol for L in levels)
 
 
 def chain_greedy_vertex(ctx: GameContext, permutation) -> RateVector:

@@ -83,7 +83,7 @@ def test_criterion_3_egalitarian(demo_ctx):
     assert trace.iterations == 5
     errors = [it.l1_distance(endpoint) for it in trace.iterates]
     assert errors == [5, 4, 3, 2, 1, 0]
-    assert egalitarian_decomposed(demo_ctx, mode="sda", K=2, r0=r0) == optimum
+    assert egalitarian_decomposed(demo_ctx, K=2, r0=r0) == optimum
     continuous = egalitarian_continuous(demo_ctx, {1: 6, 2: 1, 3: 1, 4: 3, 5: 2})
     want = {1: 1.5, 2: 0.5, 3: 0.5, 4: 2.4, 5: 1.6}
     for u, coordinate in want.items():

@@ -60,6 +60,14 @@ def test_shapley_exact_vector(capsys, spec_path):
         "1": "5/4", "2": "1/2", "3": "1/2", "4": "3", "5": "5/4"}
 
 
+#: users 1-5 share two packets and user 6 holds a third
+SIX_USERS = {
+    "model": "linear",
+    "field": 2,
+    "packets": ["a", "b", "c"],
+    "users": {**{str(u): ["a", "b"] for u in range(1, 6)}, "6": ["c"]},
+}
+
 README_RATES = '{"1":"1","2":"1/2","3":"1/2","4":"9/2","5":"0"}'
 
 
@@ -85,8 +93,8 @@ def test_egalitarian_rates_outside_core(capsys, spec_path, mode):
     (["egalitarian", "--mode", "continuous", "--K", "7"], "--K"),
     (["egalitarian", "--mode", "continuous", "--rates", README_RATES, "--K", "2"], "--K, --rates"),
     (["egalitarian", "--mode", "continuous", "--trace"], "--trace"),
-    (["egalitarian", "--mode", "sda", "--tol", "1e-6"], "--tol"),
-    (["egalitarian", "--mode", "decomposed", "--tol", "1e-6"], "--tol"),
+    (["egalitarian", "--mode", "continuous", "--trace-csv", "curve.csv"], "--trace-csv"),
+    (["egalitarian", "--mode", "decomposed", "--trace"], "--trace"),
     (["egalitarian", "--mode", "decomposed", "--trace-csv", "curve.csv"], "--trace-csv"),
     (["shapley", "--mode", "exact", "--seed", "7"], "--seed"),
     (["shapley", "--mode", "exact", "--permutations", "10"], "--permutations"),
@@ -107,13 +115,9 @@ def test_flags_the_mode_never_reads_are_refused(capsys, spec_path, argv, flags):
     (["--weights", '{"1":-2}'], "weight for user 1 must be positive and finite, got -2"),
     (["--weights", '{"1":NaN}'], "not a rational: nan"),
     (["--weights", '{"1":Infinity}'], "not a rational: inf"),
-    (["--tol", "0"], "tol must be positive"),
-    (["--tol=-1e-9"], "tol must be positive"),
 ])
 @pytest.mark.parametrize("mode", ["continuous", "sda", "decomposed"])
 def test_egalitarian_bad_weights_and_tol_are_config_errors(capsys, spec_path, mode, argv, message):
-    if argv[0].startswith("--tol") and mode != "continuous":
-        message = f"egalitarian --mode {mode} does not read --tol"
     status, report = run_cli(capsys, "egalitarian", "--input", spec_path, "--mode", mode, *argv)
     assert status == EXIT_PARSE
     assert report["error"] == {"type": "ConfigError", "message": message}
@@ -143,13 +147,39 @@ def test_egalitarian_sda_trace(capsys, spec_path, tmp_path):
 
 
 def test_egalitarian_continuous(capsys, spec_path):
+    # the exact optimum (3/2, 1/2, 1/2, 12/5, 8/5), reported as floats
     status, report = run_cli(
         capsys, "egalitarian", "--input", spec_path, "--mode", "continuous",
         "--weights", '{"1":6,"2":1,"3":1,"4":3,"5":2}')
     assert status == 0
-    vec = report["fairness"]["vector"]
-    assert vec["4"] == pytest.approx(2.4, abs=1e-6)
-    assert vec["5"] == pytest.approx(1.6, abs=1e-6)
+    assert report["fairness"]["vector"] == {"1": 1.5, "2": 0.5, "3": 0.5, "4": 2.4, "5": 1.6}
+
+
+def test_tol_is_not_a_flag(capsys, spec_path):
+    with pytest.raises(SystemExit) as exit_:
+        main(["egalitarian", "--input", spec_path, "--mode", "continuous", "--tol", "1e-6"])
+    assert exit_.value.code == EXIT_PARSE
+    assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
+
+
+def test_egalitarian_continuous_refuses_a_large_block(capsys, tmp_path, monkeypatch):
+    # blocks {1, ..., 5} and {6}: the solve stays cheap, and each block's
+    # cost table has 2^|C| entries
+    from omnifair import setfn
+
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(SIX_USERS))
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 5)
+    status, report = run_cli(capsys, "egalitarian", "--input", str(path), "--mode", "continuous")
+    assert status == 0
+    assert report["fairness"]["vector"] == {"1": 0.4, "2": 0.4, "3": 0.4, "4": 0.4, "5": 0.4, "6": 1.0}
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 4)
+    status, report = run_cli(capsys, "egalitarian", "--input", str(path), "--mode", "continuous")
+    assert status == EXIT_TOO_LARGE
+    assert report["error"] == {
+        "type": "GroundSetTooLarge",
+        "message": "ground set of size 5 exceeds the exhaustive limit 4"}
+    assert report["config"]["mode"] == "continuous"
 
 
 def test_verify_passes(capsys, spec_path):
@@ -274,14 +304,8 @@ def test_exhaustive_limit_boundary_exit_code(capsys, tmp_path, monkeypatch, comm
     # all 6 users and each sda dependence SFM has 5 free users
     from omnifair import setfn
 
-    spec = {
-        "model": "linear",
-        "field": 2,
-        "packets": ["a", "b", "c"],
-        "users": {**{str(u): ["a", "b"] for u in range(1, 6)}, "6": ["c"]},
-    }
     path = tmp_path / "six.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(SIX_USERS))
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", free_users)
     status, _ = run_cli(capsys, command, "--input", str(path))
     assert status == 0
@@ -300,14 +324,8 @@ def test_verify_refuses_the_core_check_above_its_table_limit(capsys, tmp_path, m
     import omnifair.cli as cli_module
     from omnifair import setfn
 
-    spec = {
-        "model": "linear",
-        "field": 2,
-        "packets": ["a", "b", "c"],
-        "users": {**{str(u): ["a", "b"] for u in range(1, 6)}, "6": ["c"]},
-    }
     path = tmp_path / "six.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(SIX_USERS))
     monkeypatch.setattr(cli_module, "VERIFY_SUBMODULAR_LIMIT", 5)
     monkeypatch.setattr(cli_module, "VERIFY_DECOMPOSITION_LIMIT", 5)
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 5)

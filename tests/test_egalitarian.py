@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import pytest
 
 from omnifair import (
-    ConvergenceError,
     GroundSetTooLarge,
     LinearSource,
+    RateVector,
     SplitError,
     dep,
     egalitarian_continuous,
@@ -25,6 +25,7 @@ from conftest import (
     cross_checked_membership,
     dep_matches_oracle,
     frank_wolfe_reference,
+    is_weighted_min_norm_base,
     pmf_from_packets,
     random_linear_source,
     random_pmf_twins,
@@ -35,6 +36,8 @@ from conftest import (
 
 R0 = {1: 1, 2: F(1, 2), 3: F(1, 2), 4: F(9, 2), 5: 0}
 OPTIMUM = {1: F(3, 2), 2: F(1, 2), 3: F(1, 2), 4: 2, 5: 2}
+#: the continuous optimum for the weights {1: 6, 2: 1, 3: 1, 4: 3, 5: 2}
+WEIGHTED_OPTIMUM = {1: F(3, 2), 2: F(1, 2), 3: F(1, 2), 4: F(12, 5), 5: F(8, 5)}
 PATH = [
     (F(1), F(1, 2), F(1, 2), F(9, 2), F(0)),
     (F(1), F(1, 2), F(1, 2), F(4), F(1, 2)),
@@ -231,41 +234,59 @@ class TestSda:
 
 class TestContinuous:
     def test_uniform_weights(self, demo_ctx):
-        out = egalitarian_continuous(demo_ctx)
-        want = {1: 1.5, 2: 0.5, 3: 0.5, 4: 2.0, 5: 2.0}
-        for u in demo_ctx.users:
-            assert out[u] == pytest.approx(want[u], abs=1e-6)
+        assert egalitarian_continuous(demo_ctx) == rv(OPTIMUM)
 
     def test_weighted(self, demo_ctx):
         out = egalitarian_continuous(demo_ctx, {1: 6, 2: 1, 3: 1, 4: 3, 5: 2})
-        want = {1: 1.5, 2: 0.5, 3: 0.5, 4: 2.4, 5: 1.6}
-        for u in demo_ctx.users:
-            assert out[u] == pytest.approx(want[u], abs=1e-6)
+        assert out == rv(WEIGHTED_OPTIMUM)
 
     def test_agrees_with_grid_descent_for_uniform_weights(self, demo_ctx):
-        cont = egalitarian_continuous(demo_ctx)
-        grid, _ = sda(demo_ctx)
-        for u in demo_ctx.users:
-            assert cont[u] == pytest.approx(float(grid[u]), abs=1e-6)
+        assert egalitarian_continuous(demo_ctx) == sda(demo_ctx)[0]
 
     def test_singleton_block_ignores_weights(self, demo_subgames):
         single = demo_subgames[1]
         for w in (None, {2: 17}):
-            out = egalitarian_continuous(single, w)
-            assert out[2] == pytest.approx(0.5, abs=1e-12)
+            assert egalitarian_continuous(single, w) == rv({2: F(1, 2)})
 
-    def test_iteration_budget_enforced(self, demo_ctx):
-        with pytest.raises(ConvergenceError):
-            egalitarian_continuous(demo_ctx, max_iter=0)
+    def test_three_levels_in_one_block(self, demo_ctx):
+        # r/w is 3/4, 5/4 and 3/2 on block {1, 4, 5}: the block splits twice,
+        # the second time on the minor that contracts user 1
+        w = {1: 2, 4: 1, 5: 2}
+        out = egalitarian_continuous(demo_ctx, w)
+        assert out == rv({1: F(3, 2), 2: F(1, 2), 3: F(1, 2), 4: F(3, 2), 5: F(5, 2)})
+        assert is_weighted_min_norm_base(demo_ctx, out, w)
 
-    def test_bad_tol_rejected(self, demo_ctx):
-        with pytest.raises(ValueError, match="tol"):
-            egalitarian_continuous(demo_ctx, tol=0)
+    def test_float_weights_give_floats(self, demo_ctx):
+        w = {1: 6.0, 2: 1, 3: 1, 4: 3, 5: 2}
+        out = egalitarian_continuous(demo_ctx, w)
+        assert all(type(out[u]) is float for u in demo_ctx.users)
+        assert all(abs(out[u] - WEIGHTED_OPTIMUM[u]) <= 1e-12 for u in demo_ctx.users)
 
-    @pytest.mark.parametrize("tol", [-1e-9, float("nan")])
-    def test_negative_or_nan_tol_rejected(self, demo_ctx, tol):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            egalitarian_continuous(demo_ctx, tol=tol)
+    @pytest.mark.parametrize("bits", [58, 70])
+    def test_wide_weight_denominators_stay_exact(self, demo_ctx, bits):
+        # scaled by 2^58 the weights fit int64 but their masses do not; by
+        # 2^70 neither does: both fall back to Python ints
+        w = {1: 6, 2: 1, 3: 1, 4: 3 + F(1, 2 ** bits), 5: 2}
+        out = egalitarian_continuous(demo_ctx, w)
+        assert all(type(out[u]) is F for u in demo_ctx.users)
+        assert is_weighted_min_norm_base(demo_ctx, out, w)
+        assert out != rv(WEIGHTED_OPTIMUM)
+        assert all(abs(out[u] - WEIGHTED_OPTIMUM[u]) < F(1, 2 ** (bits - 4)) for u in out.users)
+
+    def test_each_block_refused_before_any_cost_is_read(self, demo_source, monkeypatch):
+        # blocks {1, 4, 5}, {2} and {3}: each block's table has 2^|C| entries
+        from omnifair import setfn
+
+        ctx = min_sum_rate(demo_source)
+        monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 3)
+        assert egalitarian_continuous(ctx) == rv(OPTIMUM)
+        monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 2)
+        reads = []  # raw characteristic costs read
+        raw_hat = ctx.raw_hat
+        monkeypatch.setattr(ctx, "raw_hat", lambda m: reads.append(m) or raw_hat(m))
+        with pytest.raises(GroundSetTooLarge, match="size 3 exceeds the exhaustive limit 2"):
+            egalitarian_continuous(ctx)
+        assert reads == []
 
 
 FW_SOURCES = {
@@ -280,32 +301,22 @@ def uneven_weights(users, seed) -> dict:
     return {u: rng.choice((1, 2, 3, F(1, 2), F(5, 3))) for u in users}
 
 
-class TestContinuousBitIdentity:
-    """egalitarian_continuous returns, coordinate for coordinate, the floats
-    of the list-and-dict oracle that sums every product left to right."""
+class TestContinuousOptimum:
+    """egalitarian_continuous against the exact optimality oracle, and its
+    objective against Frank-Wolfe's, whose duality gap of 1e-9 bounds its
+    objective's excess."""
 
     @pytest.mark.parametrize("uneven", [False, True], ids=["uniform", "uneven"])
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("kind", sorted(FW_SOURCES))
-    def test_matches_reference(self, kind, seed, uneven):
-        source = FW_SOURCES[kind](seed)
-        ctx = min_sum_rate(source)
-        w = uneven_weights(ctx.users, seed) if uneven else None
-        want = frank_wolfe_reference(ctx, w)
-        # a fresh context, so the hat memo the reference filled is not reused
-        got = egalitarian_continuous(min_sum_rate(source), w)
-        assert all(type(got[u]) is float for u in ctx.users)
-        assert got.as_tuple() == want.as_tuple()
-
-    @pytest.mark.parametrize(("kind", "seed", "uneven"), [
-        ("gf3", 0, True), ("packet", 4, False), ("pmf", 1, True)])
-    def test_matches_reference_when_an_away_step_drops_a_vertex(self, kind, seed, uneven):
+    def test_is_the_weighted_min_norm_base(self, kind, seed, uneven):
         ctx = min_sum_rate(FW_SOURCES[kind](seed))
         w = uneven_weights(ctx.users, seed) if uneven else None
-        events = []
-        want = frank_wolfe_reference(ctx, w, events=events)
-        assert any(not forward and dropped for forward, dropped in events)
-        assert egalitarian_continuous(ctx, w).as_tuple() == want.as_tuple()
+        got = egalitarian_continuous(ctx, w)
+        assert all(type(got[u]) is (float if kind == "pmf" else F) for u in ctx.users)
+        assert is_weighted_min_norm_base(ctx, got, w)
+        excess = float(objective_g(frank_wolfe_reference(ctx, w), w)) - float(objective_g(got, w))
+        assert -1e-12 <= excess <= 1e-9
 
 
 class TestWeightsRefused:
@@ -340,28 +351,22 @@ class TestWeightsRefused:
 
 class TestDecomposed:
     def test_grid_mode_matches_whole_game(self, demo_ctx):
-        fused = egalitarian_decomposed(demo_ctx, mode="sda", r0=rv(R0))
+        fused = egalitarian_decomposed(demo_ctx, r0=rv(R0))
         assert fused == rv(OPTIMUM)
 
     def test_grid_mode_from_default_vertices(self, demo_ctx):
-        assert egalitarian_decomposed(demo_ctx, mode="sda") == rv(OPTIMUM)
+        assert egalitarian_decomposed(demo_ctx) == rv(OPTIMUM)
 
-    def test_continuous_mode_matches_whole_game(self, demo_ctx):
+    def test_continuous_mode_matches_whole_game(self, demo_ctx, demo_subgames):
         weights = {1: 6, 2: 1, 3: 1, 4: 3, 5: 2}
-        tol = 1e-10
-        fused = egalitarian_decomposed(demo_ctx, mode="continuous", weights=weights, tol=tol)
-        whole = egalitarian_continuous(demo_ctx, weights, tol=tol)
-        for u in demo_ctx.users:
-            assert fused[u] == pytest.approx(whole[u], abs=2 * tol)
+        fused = RateVector.direct_sum(
+            egalitarian_continuous(sub, {u: weights[u] for u in sub.users}) for sub in demo_subgames)
+        assert fused == egalitarian_continuous(demo_ctx, weights) == rv(WEIGHTED_OPTIMUM)
 
     def test_all_singleton_partition_returns_unique_point(self):
         src = LinearSource.from_packets({1: ["a"], 2: ["a"]})
         ctx = min_sum_rate(src)
-        assert egalitarian_decomposed(ctx, mode="sda") == rv({1: 0, 2: 0})
-
-    def test_unknown_mode(self, demo_ctx):
-        with pytest.raises(ValueError, match="mode"):
-            egalitarian_decomposed(demo_ctx, mode="newton")
+        assert egalitarian_decomposed(ctx) == rv({1: 0, 2: 0})
 
 
 class TestPacketSplitPlan:
@@ -380,13 +385,14 @@ class TestPacketSplitPlan:
         assert err.value.offenders == [1, 5]
         assert packet_split_plan(value).chunks_per_packet == 4
 
-    def test_weighted_optimum_needs_ten_chunks(self):
-        r = rv({1: F(3, 2), 2: F(1, 2), 3: F(1, 2), 4: F(12, 5), 5: F(8, 5)})
-        assert packet_split_plan(r).chunks_per_packet == 10
+    def test_weighted_optimum_needs_ten_chunks(self, demo_ctx):
+        r = egalitarian_continuous(demo_ctx, {1: 6, 2: 1, 3: 1, 4: 3, 5: 2})
+        assert r == rv(WEIGHTED_OPTIMUM)
+        plan = packet_split_plan(r)
+        assert plan.chunks_per_packet == 10
+        assert plan.chunk_rates == {1: 15, 2: 5, 3: 5, 4: 24, 5: 16}
 
     def test_float_rates_rejected(self):
-        from omnifair import RateVector
-
         with pytest.raises(ValueError, match="exact rational"):
             packet_split_plan(RateVector({1: 0.5, 2: 0.5}))
 

@@ -1,5 +1,5 @@
 """Whole-report regression: every README command-line invocation on
-``scripts/example_source.json``, and the Shapley and Frank-Wolfe commands on
+``scripts/example_source.json``, and the Shapley and weighted continuous egalitarian commands on
 the sources under ``tests/golden/sources/`` (a seeded random 4-user pmf
 table, whose answers are floats, and the four-cycle packet source, whose
 rates are in thirds), must reproduce its stored report under
@@ -9,8 +9,9 @@ give rates outside the core and pin the witness of the first violated
 constraint: two failed verifications and one error record.
 
 Regenerate the stored reports (only when a report change is intended) with
-``PYTHONPATH=src python tests/test_golden.py``; it prints each float that
-changed and the largest absolute change, so a last-bit change can be reviewed.
+``PYTHONPATH=src python tests/test_golden.py``; it prints each key that
+disappeared or appeared, each float that changed and the largest absolute
+change, so a last-bit change can be reviewed.
 """
 
 from __future__ import annotations
@@ -98,15 +99,34 @@ PREVIOUS_PMF_FLOATS = {
 }
 PREVIOUS_PMF_TOL = 1e-12
 
+#: the floats of the weighted continuous egalitarian reports as Frank-Wolfe
+#: gave them, before the exact solver replaced it; the reports now stored
+#: must stay within ``PREVIOUS_PMF_TOL`` of them
+PREVIOUS_CONTINUOUS_FLOATS = {
+    "egalitarian-continuous": {
+        "fairness.vector.1": 1.5, "fairness.vector.2": 0.5, "fairness.vector.3": 0.5,
+        "fairness.vector.4": 2.4000000000000004, "fairness.vector.5": 1.5999999999999996},
+    "four-cycle-egalitarian-continuous": {
+        f"fairness.vector.{u}": 0.6666666666666666 for u in range(1, 5)},
+    "pmf-4-egalitarian-continuous": PREVIOUS_PMF_SOLUTION | {
+        "fairness.vector.1": 0.9052576587558392, "fairness.vector.2": 0.9206602571065199,
+        "fairness.vector.3": 1.4347944918866087, "fairness.vector.4": 0.8716026594874524},
+}
 
-def report_floats(node, path: str = "") -> dict[str, float]:
-    """Every float in a parsed report, keyed by its dotted path
-    (``fairness.vector.1``)."""
+
+def report_leaves(node, path: str = "") -> dict:
+    """Every value in a parsed report that is not an object or a list,
+    keyed by its dotted path (``fairness.vector.1``)."""
     if isinstance(node, (dict, list)):
         items = node.items() if isinstance(node, dict) else enumerate(node)
         return {key: value for k, child in items
-                for key, value in report_floats(child, f"{path}.{k}" if path else str(k)).items()}
-    return {path: node} if isinstance(node, float) else {}
+                for key, value in report_leaves(child, f"{path}.{k}" if path else str(k)).items()}
+    return {path: node}
+
+
+def report_floats(node) -> dict[str, float]:
+    """Every float in a parsed report, keyed by its dotted path."""
+    return {key: value for key, value in report_leaves(node).items() if isinstance(value, float)}
 
 
 def normalized_report(name: str, workdir: Path) -> tuple[int, str]:
@@ -139,14 +159,22 @@ def test_report_matches_golden(name, tmp_path):
         assert (tmp_path / csv).read_text() == (GOLDEN / f"{name}.csv").read_text()
 
 
-@pytest.mark.parametrize("name", sorted(PREVIOUS_PMF_FLOATS))
-def test_pmf_report_near_previous_floats(name, tmp_path):
-    status, text = normalized_report(name, tmp_path)
+def assert_near_previous_floats(name: str, previous: dict, workdir: Path) -> None:
+    status, text = normalized_report(name, workdir)
     assert status == 0
     floats = report_floats(json.loads(text))
-    previous = PREVIOUS_PMF_FLOATS[name]
     assert floats.keys() == previous.keys()
     assert all(abs(floats[k] - previous[k]) <= PREVIOUS_PMF_TOL for k in previous)
+
+
+@pytest.mark.parametrize("name", sorted(PREVIOUS_PMF_FLOATS))
+def test_pmf_report_near_previous_floats(name, tmp_path):
+    assert_near_previous_floats(name, PREVIOUS_PMF_FLOATS[name], tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(PREVIOUS_CONTINUOUS_FLOATS))
+def test_continuous_report_near_previous_floats(name, tmp_path):
+    assert_near_previous_floats(name, PREVIOUS_CONTINUOUS_FLOATS[name], tmp_path)
 
 
 def float_changes(old: dict, new: dict) -> list[str]:
@@ -159,6 +187,21 @@ def float_changes(old: dict, new: dict) -> list[str]:
     if both:
         lines.append(f"  largest absolute change: {max(both):.3g}")
     return lines
+
+
+def key_changes(old: dict, new: dict) -> list[str]:
+    """One line per dotted path that disappeared (-) or appeared (+)
+    between two parsed reports."""
+    before, after = report_leaves(old).keys(), report_leaves(new).keys()
+    return ([f"  - {k}" for k in sorted(before - after)]
+            + [f"  + {k}" for k in sorted(after - before)])
+
+
+def test_key_changes_lists_the_paths_that_come_and_go():
+    old = {"config": {"tol": None, "K": 2}, "b": [1, 2]}
+    new = {"config": {"K": 2}, "b": [1, 2, 3], "c": {"d": "x"}}
+    assert key_changes(old, new) == ["  - config.tol", "  + b.2", "  + c.d"]
+    assert key_changes(old, old) == []
 
 
 def test_float_changes_lists_each_float_and_the_largest_change():
@@ -180,7 +223,10 @@ def regenerate() -> None:
             if status != STATUS.get(name, 0):
                 raise SystemExit(f"{name} exited {status}")
             stored = GOLDEN / f"{name}.json"
-            changes = float_changes(json.loads(stored.read_text()), json.loads(text)) if stored.exists() else []
+            changes = []
+            if stored.exists():
+                before, after = json.loads(stored.read_text()), json.loads(text)
+                changes = key_changes(before, after) + float_changes(before, after)
             stored.write_text(text)
             if name in CSV_OUTPUTS:
                 csv = (workdir / CSV_OUTPUTS[name]).read_text()

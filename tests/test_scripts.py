@@ -28,5 +28,8 @@ def test_run_worked_example(tmp_path):
     for name in ("run_worked_example.py", "example_source.json"):
         shutil.copy(SCRIPTS / name, tmp_path / name)
     lines = run_script(tmp_path / "run_worked_example.py", cwd=tmp_path)
+    assert "  egalitarian (w=6,1,1,3,2)    r_1=3/2, r_2=1/2, r_3=1/2, r_4=12/5, r_5=8/5" in lines
+    assert ("  weighted     10 chunks/packet, chunk rates {1: 15, 2: 5, 3: 5, 4: 24, 5: 16}"
+            in lines)
     assert lines[-1] == "iterations: 5, exchanges: [(5, 4), (5, 4), (1, 4), (5, 4), (5, 4)]"
     assert (tmp_path / "sda_error_curve.csv").read_text().startswith("iteration,l1_error,objective\n")

@@ -14,16 +14,16 @@ from omnifair import (
     is_submodular,
     sfm_min,
 )
-from omnifair.setfn import (
-    INT64_SAFE,
-    greedy_vertex,
-    ranked_greedy_vertex,
-    subsets,
-    tabulate,
-    widen,
-)
+from omnifair.setfn import INT64_SAFE, subsets, tabulate, widen
 
-from conftest import minnorm_sfm, pairwise_first_violation, random_linear_source, rv
+from conftest import (
+    greedy_vertex,
+    minnorm_sfm,
+    pairwise_first_violation,
+    random_linear_source,
+    ranked_greedy_vertex,
+    rv,
+)
 
 
 def supermodular_pair():
