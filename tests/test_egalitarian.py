@@ -301,15 +301,17 @@ def uneven_weights(users, seed) -> dict:
     return {u: rng.choice((1, 2, 3, F(1, 2), F(5, 3))) for u in users}
 
 
-class TestContinuousOptimum:
-    """egalitarian_continuous against the exact optimality oracle, and its
-    objective against Frank-Wolfe's, whose duality gap of 1e-9 bounds its
-    objective's excess."""
+class TestContinuousBitIdentity:
+    """egalitarian_continuous is the weighted minimum-norm base itself: the
+    exact optimality oracle accepts it, so on linear sources its Fractions
+    are the unique optimum bit for bit, and on pmf sources it holds within
+    1e-9. Its objective is matched against Frank-Wolfe's reference, whose
+    duality gap of 1e-9 bounds that reference's excess."""
 
     @pytest.mark.parametrize("uneven", [False, True], ids=["uniform", "uneven"])
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("kind", sorted(FW_SOURCES))
-    def test_is_the_weighted_min_norm_base(self, kind, seed, uneven):
+    def test_matches_reference(self, kind, seed, uneven):
         ctx = min_sum_rate(FW_SOURCES[kind](seed))
         w = uneven_weights(ctx.users, seed) if uneven else None
         got = egalitarian_continuous(ctx, w)
