@@ -15,6 +15,7 @@ parsed, write a JSON error record in place of the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -148,6 +149,7 @@ def _parse_user_map(raw: str, what: str) -> dict[int, Fraction]:
     return out
 
 
+@functools.cache  # parsing does not change it, and one built per call is cyclic garbage
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omnifair",

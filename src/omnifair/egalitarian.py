@@ -7,8 +7,9 @@ The weighted quadratic objective sum(r_i^2 / w_i) is minimized two ways:
   cost f is read once per run from the truncation's raw costs over every
   user bitmask; each iteration forms the slack f(X) - r(X) from it with one
   doubling pass, and :func:`dep` reads every user's dependence set off that
-  one slack table, which also answers the initial core check.  The weights
-  are checked once per run.  With K one less than the size of the
+  one slack table, which also answers the initial core check.  Each
+  exchange is ranked by its integer change of the objective; pmf sources
+  are refused.  With K one less than the size of the
   fundamental partition the output is the exact grid optimum.
 * :func:`egalitarian_continuous` -- the exact minimum over the core, the
   lexicographically optimal base of the characteristic cost (Fujishige
@@ -127,20 +128,33 @@ class SdaTrace:
         return len(self.pairs)
 
 
+def _grid(r: RateVector, K: int, w) -> tuple[dict, dict, int]:
+    """a_u = K·r_u, c_u = L/w_u (L the lcm of the exact weights' numerators)
+    and K²L, so that sum(r_u² / w_u) = sum(a_u² c_u) / (K²L)."""
+    w = {u: Fraction(v) for u, v in w.items()}
+    L = lcm(*(v.numerator for v in w.values()))
+    return ({u: K * Fraction(r[u]) for u in r.users},
+            {u: L * v.denominator // v.numerator for u, v in w.items()}, K * K * L)
+
+
+def _delta(a, c, i: int, j: int):
+    """K²L times the change of the objective when 1/K moves from j to i."""
+    return (2 * a[i] + 1) * c[i] + (1 - 2 * a[j]) * c[j]
+
+
 def is_locally_optimal(ctx: GameContext, r: RateVector, K: int | None = None,
                        weights=None) -> bool:
     """Check single-exchange optimality: no in-core move of 1/K between any
-    ordered user pair lowers the objective.  For the fundamental K this is
-    equivalent to global optimality on the grid."""
+    ordered user pair lowers the objective, each move priced by :func:`_delta`
+    before its core check.  For the fundamental K this is equivalent to
+    global optimality on the grid."""
     K = ctx.grid_denominator if K is None else K
     w = _check_weights(weights, ctx.users)
-    step = Fraction(1, K)
     table = _SlackTable(ctx, r, K)
-    base = _objective(r, w)
+    a, c, scale = _grid(r, K, w)
     for i, j in permutations(ctx.users, 2):
-        candidate = r.exchange(i, j, step)
-        inside, _ = core_membership(ctx, candidate, table)
-        if inside and _objective(candidate, w) < base - ctx.tol:
+        if _delta(a, c, i, j) < -ctx.tol * scale and core_membership(
+                ctx, r.exchange(i, j, Fraction(1, K)), table)[0]:
             return False
     return True
 
@@ -166,12 +180,17 @@ def sda(
 
     Starting from a core vertex on the 1/K grid, each iteration moves 1/K
     along the exchange pair that lowers the objective the most, the eligible
-    pairs coming from the dependence sets; ties break on the smallest
-    (gainer, loser) pair.  Stops when no exchange improves.  For K equal to
-    the fundamental value the endpoint is the exact grid minimizer; other K
-    are accepted but flagged, with core-feasibility and local-optimality
-    diagnostics attached to the trace.
+    pairs coming from the dependence sets and ranked by their integer
+    :func:`_delta` on the iterate K·r; ties break on the smallest (gainer,
+    loser) pair.  Stops when no exchange improves.  For K equal to the
+    fundamental value the endpoint is the exact grid minimizer; other K are
+    accepted but flagged, with core-feasibility and local-optimality
+    diagnostics attached to the trace.  The objectives are exact Fractions,
+    float weights taken at their exact rational value; a pmf source is
+    refused with a ``ValueError``.
     """
+    if not ctx.source.is_exact:
+        raise ValueError("sda runs on the exact 1/K grid; pmf sources are refused")
     K = ctx.grid_denominator if K is None else K
     if not isinstance(K, int) or K < 1:
         raise ValueError(f"K must be a positive integer, got {K!r}")
@@ -182,40 +201,34 @@ def sda(
     inside, witness = core_membership(ctx, r0, table)
     if not inside:
         raise ValueError(f"initial point is outside the core: {witness}")
-    off_grid = [u for u in r0.users if abs(r0[u] * K - round(r0[u] * K)) > ctx.tol]
+    a, c, scale = _grid(r0, K, w)
+    off_grid = [u for u in r0.users if a[u].denominator != 1]
     if off_grid:
         raise ValueError(f"initial rates of users {off_grid} are off the 1/{K} grid")
+    a = {u: int(v) for u, v in a.items()}
 
+    step = Fraction(1, K)
+    current = r0
+    current_obj = Fraction(sum(a[u] * a[u] * c[u] for u in ctx.users), scale)
+    trace = SdaTrace(K=K, iterates=[current], objectives=[current_obj])
     mismatch = K != ctx.grid_denominator
-    trace = SdaTrace(K=K)
     if mismatch:
         trace.warnings.append(
             f"K={K} differs from the fundamental value {ctx.grid_denominator}; "
             "iterates may leave the core and the endpoint may be suboptimal")
         trace.left_core = False
 
-    step = Fraction(1, K)
-    current = r0
-    current_obj = _objective(current, w)
-    trace.iterates.append(current)
-    trace.objectives.append(current_obj)
-    decrease_floor = 0 if ctx.source.is_exact else 1e-12
-
     budget = _iteration_budget(ctx, K)
     for _ in range(budget):
-        dep_sets = [dep(ctx, current, i, table) for i in ctx.users]
-        best = None
-        for i, dset in zip(ctx.users, dep_sets):
-            for j in sorted(dset):
-                if j == i:
-                    continue
-                candidate = current.exchange(i, j, step)
-                key = (_objective(candidate, w), i, j)
-                if best is None or key < best[0]:
-                    best = (key, candidate)
-        if best is None or not best[0][0] < current_obj - decrease_floor:
+        # every candidate shares current_obj, so the deltas rank them
+        delta, i_star, j_star = min(((_delta(a, c, i, j), i, j) for i in ctx.users
+                                     for j in dep(ctx, current, i, table) if j != i),
+                                    default=(0, None, None))
+        if delta >= 0:
             break
-        (current_obj, i_star, j_star), current = best
+        a[i_star], a[j_star] = a[i_star] + 1, a[j_star] - 1
+        current = current.exchange(i_star, j_star, step)
+        current_obj += Fraction(delta, scale)
         trace.iterates.append(current)
         trace.pairs.append((i_star, j_star))
         trace.objectives.append(current_obj)

@@ -32,7 +32,7 @@ from omnifair import (
     shapley_decomposed,
     shapley_exact,
 )
-from omnifair.egalitarian import dep
+from omnifair.egalitarian import SdaTrace, dep
 from omnifair.omniscience import GameContext, _SlackTable, check_decomposition
 from omnifair.setfn import (
     InfeasibleLattice,
@@ -610,6 +610,59 @@ def dep_matches_oracle(ctx: GameContext, points, K: int | None = None) -> bool:
         if [dep(ctx, r, i) for i in ctx.users] != want:
             return False
     return True
+
+
+def sda_reference(ctx: GameContext, r0: RateVector | None = None, K: int | None = None,
+                  weights=None) -> tuple[RateVector, SdaTrace]:
+    """Steepest descent as first written: every candidate exchange built as a
+    vector and ranked by (objective_g, gainer, loser), the objective re-summed
+    over all users with the weights as Fractions, and the local-optimality
+    diagnostic from :func:`locally_optimal_reference`.  Trusts its inputs (a
+    linear source, r0 in the core on the 1/K grid)."""
+    K = ctx.grid_denominator if K is None else K
+    current = ctx.vertex if r0 is None else r0
+    w = None if weights is None else {u: F(v) for u, v in weights.items()}
+    step = F(1, K)
+    table = _SlackTable(ctx, current, K)
+    mismatch = K != ctx.grid_denominator
+    trace = SdaTrace(K=K, iterates=[current], objectives=[objective_g(current, w)])
+    if mismatch:
+        trace.warnings.append(
+            f"K={K} differs from the fundamental value {ctx.grid_denominator}; "
+            "iterates may leave the core and the endpoint may be suboptimal")
+        trace.left_core = False
+    while True:
+        best = None
+        for i in ctx.users:
+            for j in sorted(dep(ctx, current, i, table)):
+                if j != i:
+                    candidate = current.exchange(i, j, step)
+                    key = (objective_g(candidate, w), i, j)
+                    if best is None or key < best[0]:
+                        best = (key, candidate)
+        if best is None or not best[0][0] < trace.objectives[-1]:
+            break
+        (objective, i, j), current = best
+        trace.iterates.append(current)
+        trace.pairs.append((i, j))
+        trace.objectives.append(objective)
+        if mismatch and not core_membership(ctx, current, table)[0]:
+            trace.left_core = True
+    if mismatch:
+        trace.locally_optimal = locally_optimal_reference(ctx, current, K, w)
+    return current, trace
+
+
+def locally_optimal_reference(ctx: GameContext, r: RateVector, K: int, weights=None) -> bool:
+    """No in-core move of 1/K between an ordered user pair lowers the
+    objective, each candidate's objective re-summed by objective_g with the
+    weights as Fractions."""
+    w = None if weights is None else {u: F(v) for u, v in weights.items()}
+    table = _SlackTable(ctx, r, K)
+    base = objective_g(r, w)
+    candidates = (r.exchange(i, j, F(1, K)) for i, j in itertools.permutations(ctx.users, 2))
+    return not any(core_membership(ctx, candidate, table)[0] and objective_g(candidate, w) < base
+                   for candidate in candidates)
 
 
 def check_membership_equivalence(ctx: GameContext, samples: int, seed: int) -> bool:

@@ -409,6 +409,21 @@ def test_solve_pmf_source(capsys, tmp_path):
     assert report["solution"]["fundamental_partition"] == [[1], [2]]
 
 
+@pytest.mark.parametrize("mode", ["sda", "decomposed"])
+def test_grid_egalitarian_refuses_pmf_sources(capsys, tmp_path, mode):
+    path = tmp_path / "pmf.json"
+    path.write_text(json.dumps({
+        "model": "pmf",
+        "alphabets": {"1": [0, 1], "2": [0, 1], "3": [0, 1]},
+        "table": [[[0.25, 0.0], [0.0, 0.25]], [[0.0, 0.25], [0.25, 0.0]]],
+    }))
+    status, report = run_cli(capsys, "egalitarian", "--input", str(path), "--mode", mode)
+    assert status == EXIT_PARSE
+    assert report["error"] == {"type": "ConfigError",
+                               "message": "sda runs on the exact 1/K grid; pmf sources are refused"}
+    assert report["config"]["mode"] == mode
+
+
 @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_pmf_entry_is_parse_error(capsys, tmp_path, entry):
     path = tmp_path / "pmf.json"

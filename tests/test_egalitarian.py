@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -26,11 +27,14 @@ from conftest import (
     dep_matches_oracle,
     frank_wolfe_reference,
     is_weighted_min_norm_base,
+    locally_optimal_reference,
     pmf_from_packets,
     random_linear_source,
+    random_pmf_source,
     random_pmf_twins,
     random_vector_source,
     rv,
+    sda_reference,
     sfm_dep,
 )
 
@@ -230,6 +234,110 @@ class TestSda:
         out, _ = sda(demo_ctx, r0=rv(R0))
         assert is_locally_optimal(demo_ctx, out)
         assert not is_locally_optimal(demo_ctx, rv(R0))
+
+
+SDA_SOURCES = {
+    "packet": lambda seed: random_linear_source(seed, min_users=5, max_users=8, max_packets=14),
+    "gf3": lambda seed: random_vector_source(seed, min_users=5, max_users=8),
+}
+
+#: weights drawn per user; the float ones have long exact binary fractions
+SDA_WEIGHTS = {
+    "uniform": (),
+    "rational": (1, 2, F(6, 5), F(3, 7)),
+    "float": (0.3, 0.7, 1.0, 1.1, 2.5),
+}
+
+
+def sda_weights(kind: str, users, seed: int) -> dict | None:
+    rng = random.Random(f"sda-weights:{kind}:{seed}")
+    pool = SDA_WEIGHTS[kind]
+    return {u: rng.choice(pool) for u in users} if pool else None
+
+
+class TestSdaMatchesReference:
+    """sda ranks each exchange by its integer delta; the reference re-sums
+    the objective of every candidate.  The traces are equal field by field:
+    iterates, pairs, objectives, warnings and both diagnostics.  The
+    local-optimality check reads the same deltas; it is matched against its
+    own reference at every iterate."""
+
+    @pytest.mark.parametrize("doubled", [False, True], ids=["fundamental-K", "doubled-K"])
+    @pytest.mark.parametrize("weights", sorted(SDA_WEIGHTS))
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("kind", sorted(SDA_SOURCES))
+    def test_same_trace(self, kind, seed, weights, doubled):
+        ctx = min_sum_rate(SDA_SOURCES[kind](seed))
+        w = sda_weights(weights, ctx.users, seed)
+        K = ctx.grid_denominator * (2 if doubled else 1)
+        out, trace = sda(ctx, K=K, weights=w)
+        want_out, want = sda_reference(ctx, K=K, weights=w)
+        assert out == want_out
+        assert trace == want
+        assert all(type(v) is F for v in trace.objectives)
+        assert (trace.locally_optimal is None) is not doubled
+        # every iterate but the last has an improving exchange
+        verdicts = [is_locally_optimal(ctx, it, K, w) for it in trace.iterates]
+        assert verdicts == [False] * trace.iterations + [True]
+        assert verdicts == [locally_optimal_reference(ctx, it, K, w) for it in trace.iterates]
+
+    def test_demo_paths(self, demo_ctx):
+        w = {1: 6, 2: 1, 3: 1, 4: 3, 5: 2}
+        start = rv({1: 1, 2: F(1, 2), 3: F(1, 2), 4: 4, 5: F(1, 2)})
+        for r0, K, weights in [(rv(R0), 2, None), (rv(R0), 2, w), (start, 4, w), (start, 4, None)]:
+            assert sda(demo_ctx, r0=r0, K=K, weights=weights) == sda_reference(
+                demo_ctx, r0=r0, K=K, weights=weights)
+
+    def test_loop_reads_no_objective(self, demo_ctx, monkeypatch):
+        from omnifair import egalitarian
+
+        calls = []
+        objective = egalitarian._objective
+        monkeypatch.setattr(egalitarian, "_objective",
+                            lambda *args: calls.append(args) or objective(*args))
+        w = {1: 6, 2: 1, 3: 1, 4: 3, 5: 2}
+        start = rv({1: 1, 2: F(1, 2), 3: F(1, 2), 4: 4, 5: F(1, 2)})
+        out, trace = sda(demo_ctx, r0=start, K=4, weights=w)
+        assert trace.iterations > 0 and trace.locally_optimal is not None
+        assert calls == []
+        # the counter is live: objective_g goes through it
+        assert objective_g(out, w) == trace.objectives[-1]
+        assert len(calls) == 1
+
+
+class TestGridProximity:
+    """At the fundamental K every sda endpoint r lies in the unit box of the
+    exact continuous optimum x*: floor(K x*) <= K r <= ceil(K x*)."""
+
+    @pytest.mark.parametrize("weights", ["uniform", "rational"])
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("kind", sorted(SDA_SOURCES))
+    def test_endpoint_in_unit_box(self, kind, seed, weights):
+        ctx = min_sum_rate(SDA_SOURCES[kind](seed))
+        w = sda_weights(weights, ctx.users, seed)
+        K = ctx.grid_denominator
+        out, _ = sda(ctx, weights=w)
+        x = egalitarian_continuous(ctx, w)
+        assert all(math.floor(K * x[u]) <= K * out[u] <= math.ceil(K * x[u]) for u in ctx.users)
+
+
+class TestPmfRefused:
+    """The grid modes run on the exact 1/K grid: sda refuses a pmf source
+    before any cost is read, and so does each block of the decomposed mode.
+    Its dependence sets still work (TestDependenceTable)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sda_and_decomposed(self, seed, monkeypatch):
+        for source in (random_pmf_twins(seed)[1], random_pmf_source(seed)):
+            ctx = min_sum_rate(source)
+            with pytest.raises(ValueError, match="pmf sources are refused"):
+                egalitarian_decomposed(ctx)
+            reads = []  # raw cost evaluations
+            cost = ctx._cost
+            monkeypatch.setattr(ctx, "_cost", lambda m: reads.append(m) or cost(m))
+            with pytest.raises(ValueError, match="pmf sources are refused"):
+                sda(ctx)
+            assert reads == []
 
 
 class TestContinuous:
