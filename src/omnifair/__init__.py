@@ -38,7 +38,6 @@ from .setfn import (
     InfeasibleLattice,
     SetFunction,
     SfmResult,
-    is_intersecting_submodular,
     is_submodular,
     sfm_min,
     subsets,
@@ -88,7 +87,6 @@ __all__ = [
     "enumerate_extreme_points",
     "f_alpha",
     "gf_rank",
-    "is_intersecting_submodular",
     "is_locally_optimal",
     "is_submodular",
     "l1_size",

@@ -7,15 +7,16 @@ The weighted quadratic objective sum(r_i^2 / w_i) is minimized two ways:
   cost f is read once per run from the truncation's raw costs over every
   user bitmask; each iteration forms the slack f(X) - r(X) from it with one
   doubling pass, and :func:`dep` reads every user's dependence set off that
-  one slack table, which also answers the initial core check.  Each
-  exchange is ranked by its integer change of the objective; pmf sources
-  are refused.  With K one less than the size of the
-  fundamental partition the output is the exact grid optimum.
+  one slack table, which also answers the initial core check and bounds
+  the iterations.  Each exchange is ranked by its integer change of the
+  objective; pmf sources are refused.  With K one less than the size of
+  the fundamental partition the output is the exact grid optimum.
 * :func:`egalitarian_continuous` -- the exact minimum over the core, the
   lexicographically optimal base of the characteristic cost (Fujishige
   1980), by the decomposition algorithm on each fundamental-partition block:
-  a table of raw costs over the block's bitmasks answers each split, in
-  integers for linear sources.
+  the raw characteristic costs of the block's bitmasks, from one
+  depth-first walk of truncation steps, answer each split, in integers for
+  linear sources.
 
 :func:`egalitarian_decomposed` runs :func:`sda` on each
 fundamental-partition subgame, and :func:`packet_split_plan` turns a
@@ -159,14 +160,13 @@ def is_locally_optimal(ctx: GameContext, r: RateVector, K: int | None = None,
     return True
 
 
-def _iteration_budget(ctx: GameContext, K: int) -> int:
-    # K * (l1 diameter) / 2 bounds the improving steps; the coordinate
-    # ranges of the core bound the diameter without enumerating vertices.
-    spread = 0
-    for u in ctx.users:
-        upper = ctx.hat(frozenset({u}))
-        lower = ctx.sum_cost - ctx.hat(ctx.ground - {u})
-        spread += upper - lower
+def _iteration_budget(ctx: GameContext, table: _SlackTable, K: int) -> int:
+    # K * (l1 diameter) / 2 bounds the improving steps; the core's coordinate
+    # ranges, inside [sum_cost - f(V∖u), f({u})] as hat <= f with equality on
+    # singletons, bound the diameter without enumerating vertices.
+    n, full = len(ctx.users), len(table.f) - 1
+    ends = table.f[[1 << k for k in range(n)] + [full ^ 1 << k for k in range(n)]].tolist()
+    spread = Fraction(sum(ends)) / (table.scale or 1) - n * ctx.sum_cost
     return int(ceil(K * spread / 2)) + 2
 
 
@@ -218,7 +218,7 @@ def sda(
             "iterates may leave the core and the endpoint may be suboptimal")
         trace.left_core = False
 
-    budget = _iteration_budget(ctx, K)
+    budget = _iteration_budget(ctx, table, K)
     for _ in range(budget):
         # every candidate shares current_obj, so the deltas rank them
         delta, i_star, j_star = min(((_delta(a, c, i, j), i, j) for i in ctx.users
@@ -271,26 +271,23 @@ def _lexicographic_base(ctx: GameContext, block: tuple[int, ...], w, exact: bool
     R(A)) - (R(A ∪ E) - R(A))·w(X) is read for every X ⊆ E.  If none is
     negative, r = λ·w on E; otherwise the union X of the minimizers is
     tight, and the minors (A, X) and (A ∪ X, E ∖ X) are solved in turn."""
-    masks = [0]
-    for u in block:
-        masks += [m | ctx.source.mask((u,)) for m in masks]
+    raw = ctx.raw_table(block)
     if exact:
         scale = lcm(*(Fraction(w[u]).denominator for u in block))
         weights, margin, table = [int(w[u] * scale) for u in block], 0, int_array
-        raw = [ctx.raw_hat(m) for m in masks]
     else:
         # a margin for every float run, linear sources included: rounding
         # below zero on both halves of a tie could make the union of the
         # minimizers all of E, which does not split
         weights, margin, table = [float(w[u]) for u in block], FLOAT_TOL, np.array
-        raw = [float(ctx.value_of(ctx.raw_hat(m))) for m in masks]
+        raw = [float(ctx.value_of(v)) for v in raw]
     mass = [0]
     for v in weights:
         mass += [m + v for m in mass]
     cost, mass = table(raw), table(mass)
     big = 2 * int(abs(cost).max()) * int(mass[-1])  # bounds every product below
     cost, mass = widen(cost, big), widen(mass, big)
-    every, rates = np.arange(len(masks)), {}
+    every, rates = np.arange(len(raw)), {}
 
     def rate(d, wu, wE):
         return ctx.value_of(Fraction(int(d) * wu, int(wE))) if exact else float(d) * (wu / float(wE))
@@ -307,7 +304,7 @@ def _lexicographic_base(ctx: GameContext, block: tuple[int, ...], w, exact: bool
         else:
             rates.update((u, rate(d, weights[k], wE)) for k, u in enumerate(block) if E >> k & 1)
 
-    solve(0, len(masks) - 1)
+    solve(0, len(raw) - 1)
     return RateVector(rates)
 
 

@@ -6,8 +6,8 @@ partition that certifies it, and the optimal rate region (the core of the
 associated cost-sharing game).  The characteristic cost of a user subset is
 the Dilworth truncation of the sum-rate-parameterized cost function,
 computed incrementally on user bitmasks, one step per element in ascending
-bit order; a context memoizes each mask's truncation state, so a miss costs
-one step per missing ancestor.  For linear sources the pass runs on
+bit order; one depth-first walk fills every subset's total, and no state
+outlives its call.  For linear sources the pass runs on
 integers (the cost scaled by the sum-rate's denominator), so no ``Fraction``
 appears until a value leaves it.  Core vertices are Edmonds' greedy rule on
 that cost, one walk of raw marginal costs along a permutation.  The raw
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import add
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -221,19 +221,24 @@ def _extend(cost: Callable[[int], int | float], state: tuple, bit: int, tol) -> 
     return total + best, kept + [(unions[pick], cost(unions[pick]))]
 
 
+def _fold(cost: Callable[[int], int | float], mask: int, tol) -> tuple:
+    """The state of ``mask``: :func:`_extend` folded over its bits in
+    ascending order from the empty state, a zero total and no blocks."""
+    bits = (1 << k for k in range(mask.bit_length()) if mask >> k & 1)
+    return reduce(lambda state, bit: _extend(cost, state, bit, tol), bits, (0, ()))
+
+
 def dilworth_truncation(source: Source, alpha, X: Iterable[int]):
     """Partition-wise minimum of the parameterized cost over ``X``.
 
-    Returns ``(value, finest_minimizing_partition)``: :func:`_extend`
-    folded over the bits of ``X`` in ascending order from the empty state, a
-    zero total and no blocks.
+    Returns ``(value, finest_minimizing_partition)`` from the
+    :func:`_fold` of ``X``'s bitmask.
     """
     X = source.subset(X)
     if not X:
         raise ValueError("the truncation is evaluated on nonempty subsets")
     cost, value_of = _mask_cost(source, alpha)
-    bits = sorted(source.mask((u,)) for u in X)
-    value, blocks = reduce(lambda state, bit: _extend(cost, state, bit, source.tol), bits, (0, ()))
+    value, blocks = _fold(cost, source.mask(X), source.tol)
     return value_of(value), Partition(source.members(b) for b, _ in blocks)
 
 
@@ -258,15 +263,13 @@ def _newton_min_sum_rate(source: Source):
 
 
 class GameContext:
-    """A solved instance: the minimum sum-rate, the fundamental partition,
-    a memo of truncation states keyed by user bitmask, and one core vertex
-    (computed on first read).
+    """A solved instance: the minimum sum-rate, the fundamental partition
+    and one core vertex (computed on first read).
 
-    A state is a mask's raw total and blocks; a miss walks down "mask minus
-    top bit" to the nearest memoized ancestor and extends upward one step
-    per missing mask; ``value_of`` maps raw totals to :meth:`hat`'s numbers.
-    Subgames (from :func:`decompose`) share the memo; their ``sum_cost`` is
-    the block's characteristic cost.
+    A truncation state is a mask's raw total and blocks; ``value_of`` maps
+    raw totals to :meth:`hat`'s numbers.  No state outlives the call that
+    built it.  Subgames (from :func:`decompose`) are contexts on one block
+    each; their ``sum_cost`` is the block's characteristic cost.
     """
 
     def __init__(
@@ -278,7 +281,6 @@ class GameContext:
         fundamental_partition: Partition | None,
         shared_randomness,
         grid_denominator: int,
-        hat_cache: dict | None = None,
     ):
         self.source = source
         self.ground = frozenset(ground)
@@ -290,7 +292,6 @@ class GameContext:
         self.grid_denominator = grid_denominator
         self.tol = source.tol
         self._vertex: RateVector | None = None
-        self._hat = hat_cache or {0: (0, ())}  # truncation states by mask
         self._bits = {u: source.mask((u,)) for u in self.users}
         self._cost, self.value_of = _mask_cost(source, min_sum_rate)
 
@@ -313,39 +314,53 @@ class GameContext:
             raise ValueError(f"{sorted(X - self.ground)} outside this game's ground set")
         if not X:
             return self.source.zero
-        return self.value_of(self.raw_hat(self.source.mask(X)))
+        return self.value_of(_fold(self._cost, self.source.mask(X), self.tol)[0])
 
-    def raw_hat(self, mask: int) -> int | float:
-        """:meth:`hat` of a user bitmask on the raw scale: times the
-        sum-rate's denominator (an int) for linear sources."""
-        states, missing = self._hat, []
-        while mask not in states:
-            missing.append(mask)
-            mask ^= 1 << mask.bit_length() - 1
-        state = states[mask]
-        for m in reversed(missing):
-            state = states[m] = _extend(self._cost, state, 1 << m.bit_length() - 1, self.tol)
-        return state[0]
+    def raw_table(self, users: tuple[int, ...] | None = None) -> list[int | float]:
+        """Raw :meth:`hat` totals (ints for linear sources) on every bitmask
+        of ``users`` (ascending; default the game's), bit k being ``users[k]``.
+        One depth-first walk: each child extends its parent's state by a bit
+        above the parent's bits, so it is the :func:`_fold` state, and at
+        most |users| + 1 states are alive."""
+        bits = [self._bits[u] for u in (self.users if users is None else users)]
+        table, stack = [0] * (1 << len(bits)), [((0, ()), 0, 0)]
+        while stack:  # (state, its local mask, the next bit to add)
+            state, local, k = stack.pop()
+            if k < len(bits):
+                child = _extend(self._cost, state, bits[k], self.tol)
+                table[local | 1 << k] = child[0]
+                stack += [(state, local, k + 1), (child, local | 1 << k, k + 1)]
+        return table
 
-    def raw_marginals(self, order: Iterable[int]) -> dict[int, int | float]:
-        """Each user of ``order``, which must be a permutation of the users,
-        mapped to its raw marginal cost over the users before it, read from
-        (and filling) the memo."""
-        order = tuple(order)
-        if frozenset(order) != self.ground or len(order) != len(self.ground):
-            raise ValueError(f"{order} is not a permutation of {self.users}")
-        marginals, prefix, before = {}, 0, 0
-        for u in order:
-            prefix |= self._bits[u]
-            value = self.raw_hat(prefix)
-            marginals[u] = value - before
-            before = value
-        return marginals
+    def raw_marginals(self, orders: Iterable[Iterable[int]]) -> Iterator[dict[int, int | float]]:
+        """For each of ``orders``, which must be permutations of the users,
+        each user mapped to its raw marginal cost over the users before it.
+
+        The prefix states of one call are kept while it runs: a missing one
+        walks down "mask minus top bit" to the nearest kept one and extends
+        upward one step per missing mask."""
+        states = {0: (0, ())}
+        for order in map(tuple, orders):
+            if frozenset(order) != self.ground or len(order) != len(self.ground):
+                raise ValueError(f"{order} is not a permutation of {self.users}")
+            marginals, prefix, before = {}, 0, 0
+            for u in order:
+                prefix |= self._bits[u]
+                mask, missing = prefix, []
+                while mask not in states:
+                    missing.append(mask)
+                    mask ^= 1 << mask.bit_length() - 1
+                state = states[mask]
+                for m in reversed(missing):
+                    state = states[m] = _extend(self._cost, state, 1 << m.bit_length() - 1, self.tol)
+                marginals[u], before = state[0] - before, state[0]
+            yield marginals
 
     def greedy_vertex(self, order: Iterable[int]) -> RateVector:
         """Core vertex from marginal characteristic costs along ``order``
         (Edmonds' greedy rule)."""
-        return RateVector({u: self.value_of(v) for u, v in self.raw_marginals(order).items()})
+        marginals, = self.raw_marginals([order])
+        return RateVector({u: self.value_of(v) for u, v in marginals.items()})
 
     def __repr__(self) -> str:
         return (f"GameContext(users={self.users}, min_sum_rate={self.min_sum_rate}, "
@@ -474,15 +489,16 @@ def conditional_mi_given_U(ctx: GameContext, X: Iterable[int], Y: Iterable[int])
 
 def check_decomposition(ctx: GameContext) -> None:
     """Verify that the characteristic cost of a solved whole-game context
-    splits across its fundamental partition on every subset (2^|V| truncation
-    values).  A violation signals an upstream bug and raises
-    :class:`DecompositionError`.
+    splits across its fundamental partition on every subset, read off one
+    :meth:`GameContext.raw_table`.  The first violation in :func:`subsets`
+    order signals an upstream bug and raises :class:`DecompositionError`.
     """
+    raw = ctx.raw_table()  # a whole game: its local masks are the source's
     blocks = [ctx.source.mask(C) for C in ctx.fundamental_partition.blocks]
     for X in subsets(ctx.users):
         m = ctx.source.mask(X)
-        rhs = _ordered_sum(ctx.raw_hat(m & C) for C in blocks)
-        if not _eq(ctx.raw_hat(m), rhs, ctx.tol):
+        rhs = _ordered_sum(raw[m & C] for C in blocks)
+        if not _eq(raw[m], rhs, ctx.tol):
             raise DecompositionError(
                 f"hat({sorted(X)}) = {ctx.hat(X)} but the blockwise sum is {ctx.value_of(rhs)}")
 
@@ -505,7 +521,6 @@ def decompose(ctx: GameContext) -> list[GameContext]:
             fundamental_partition=None,
             shared_randomness=None,
             grid_denominator=ctx.grid_denominator,
-            hat_cache=ctx._hat,
         )
         subgames.append(sub)
     return subgames

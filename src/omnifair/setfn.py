@@ -108,7 +108,13 @@ def widen(table: np.ndarray, magnitude: int) -> np.ndarray:
     return table
 
 
-def _first_violation(f: SetFunction, tol, intersecting: bool):
+def is_submodular(f: SetFunction, tol=0):
+    """Exhaustively check f(X) + f(Y) >= f(X ∩ Y) + f(X ∪ Y) - tol on all
+    pairs, evaluating ``f`` once per subset.
+
+    Returns ``(True, None)`` or ``(False, (X, Y))`` with the first violating
+    pair, both sets ranging over :func:`subsets` order.
+    """
     ground = sorted(f.ground)
     table, scale = tabulate(f, ground)
     if scale is None:
@@ -122,29 +128,11 @@ def _first_violation(f: SetFunction, tol, intersecting: bool):
     masks = np.array([sum(bit[u] for u in X) for X in order], dtype=np.int64)
     vals = table[masks]
     for x, mx in enumerate(masks):
-        meet = masks & mx
-        bad = vals[x] + vals < table[meet] + table[masks | mx] - margin
-        if intersecting:
-            bad &= meet != 0
+        bad = vals[x] + vals < table[masks & mx] + table[masks | mx] - margin
         y = int(bad.argmax())
         if bad[y]:
             return False, (order[x], order[y])
     return True, None
-
-
-def is_submodular(f: SetFunction, tol=0):
-    """Exhaustively check f(X) + f(Y) >= f(X ∩ Y) + f(X ∪ Y) - tol on all
-    pairs, evaluating ``f`` once per subset.
-
-    Returns ``(True, None)`` or ``(False, (X, Y))`` with the first violating
-    pair, both sets ranging over :func:`subsets` order.
-    """
-    return _first_violation(f, tol, intersecting=False)
-
-
-def is_intersecting_submodular(f: SetFunction, tol=0):
-    """Like :func:`is_submodular`, restricted to pairs with X ∩ Y nonempty."""
-    return _first_violation(f, tol, intersecting=True)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,8 @@ def enumerate_extreme_points(ctx: GameContext) -> tuple[RateVector, ...]:
         raise GroundSetTooLarge(
             f"vertex enumeration needs |V| <= {ENUMERATION_LIMIT}, got {len(ctx.users)}")
     seen: dict[tuple, RateVector] = {}
-    for order in iter_permutations(ctx.users):
-        vertex = ctx.greedy_vertex(order)
+    for marginals in ctx.raw_marginals(iter_permutations(ctx.users)):
+        vertex = RateVector({u: ctx.value_of(v) for u, v in marginals.items()})
         key = vertex.as_tuple()
         if not ctx.source.is_exact:
             key = tuple(round(v, 12) for v in key)
@@ -45,8 +45,8 @@ def enumerate_extreme_points(ctx: GameContext) -> tuple[RateVector, ...]:
 
 def shapley_exact(ctx: GameContext) -> RateVector:
     """Shapley value from its defining sum of weighted marginal costs, read
-    as raw costs in :func:`subsets` order (one truncation step per memo
-    miss); linear sources sum in integers and divide once per user."""
+    off one :meth:`GameContext.raw_table` in :func:`subsets` order; linear
+    sources sum in integers and divide once per user."""
     n = len(ctx.users)
     if n > EXACT_LIMIT:
         raise GroundSetTooLarge(f"exact Shapley needs |V| <= {EXACT_LIMIT}, got {n}")
@@ -54,12 +54,11 @@ def shapley_exact(ctx: GameContext) -> RateVector:
     weights = [factorial(k) * factorial(n - k - 1) for k in range(n)]
     if not ctx.source.is_exact:
         weights = [w / total for w in weights]  # float(Fraction(w, n!))
-    raw = {m: ctx.raw_hat(m) for m in map(ctx.source.mask, subsets(ctx.users))}
+    raw, order = ctx.raw_table(), [sum(1 << k for k in X) for X in subsets(range(n))]
     rates = {}
-    for i in ctx.users:
-        bit = ctx.source.mask((i,))
-        acc = 0
-        for X in raw:
+    for k, i in enumerate(ctx.users):
+        bit, acc = 1 << k, 0
+        for X in order:
             if not X & bit:
                 acc += weights[X.bit_count()] * (raw[X | bit] - raw[X])
         rates[i] = ctx.value_of(Fraction(acc, total) if ctx.source.is_exact else acc)
@@ -112,8 +111,8 @@ def shapley_approx(
     if not perms:
         raise ValueError("empty permutation list")
     acc = dict.fromkeys(ctx.users, 0)
-    for order in perms:
-        for u, marginal in ctx.raw_marginals(order).items():
+    for marginals in ctx.raw_marginals(perms):
+        for u, marginal in marginals.items():
             acc[u] += marginal
     exact, count = ctx.source.is_exact, len(perms)
     return RateVector({u: ctx.value_of(Fraction(a, count) if exact else a / count) for u, a in acc.items()})

@@ -6,6 +6,7 @@ the acceptance gate assert against (computed once per session)."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -454,8 +455,6 @@ def fraction_matrix_rank(rows: list[tuple[F, ...]]) -> int:
 def enumerate_grid_core_points(ctx: GameContext, K: int):
     """Oracle: all points of the core on the 1/K grid, straight from the
     polytope constraints.  Returns None when the search box is too large."""
-    import math
-
     users = ctx.users
     lows, highs = [], []
     for u in users:
@@ -651,6 +650,14 @@ def sda_reference(ctx: GameContext, r0: RateVector | None = None, K: int | None 
     if mismatch:
         trace.locally_optimal = locally_optimal_reference(ctx, current, K, w)
     return current, trace
+
+
+def hat_iteration_budget(ctx: GameContext, K: int) -> int:
+    """Reference iteration bound from 2n characteristic costs: K/2 times
+    the sum of the core's coordinate ranges [sum_cost - hat(V∖u), hat({u})],
+    plus 2.  sda's budget, read off f, must be at least this."""
+    spread = sum(ctx.hat({u}) - (ctx.sum_cost - ctx.hat(ctx.ground - {u})) for u in ctx.users)
+    return math.ceil(K * spread / 2) + 2
 
 
 def locally_optimal_reference(ctx: GameContext, r: RateVector, K: int, weights=None) -> bool:

@@ -11,6 +11,7 @@ from omnifair import (
     LinearSource,
     RateVector,
     SplitError,
+    decompose,
     dep,
     egalitarian_continuous,
     egalitarian_decomposed,
@@ -26,6 +27,7 @@ from conftest import (
     cross_checked_membership,
     dep_matches_oracle,
     frank_wolfe_reference,
+    hat_iteration_budget,
     is_weighted_min_norm_base,
     locally_optimal_reference,
     pmf_from_packets,
@@ -131,7 +133,7 @@ class TestDependenceTable:
         from omnifair import egalitarian, omniscience, setfn, shapley
 
         ctx = min_sum_rate(random_linear_source(1, min_users=8, max_users=8, max_packets=12))
-        sda(ctx)  # fills the truncation cache that the iteration budget reads
+        sda(ctx)  # computes the starting vertex, a walk of truncation steps
         sfm_calls, f_calls = [], []  # f_calls: raw cost evaluations
         for module in (setfn, omniscience, egalitarian, shapley):
             if hasattr(module, "sfm_min"):
@@ -305,6 +307,26 @@ class TestSdaMatchesReference:
         assert len(calls) == 1
 
 
+class TestIterationBudget:
+    """sda's budget reads f({u}) and f(V∖u) off its slack table.  As hat <= f
+    with equality on singletons, it is at least the bound the hat values
+    give, and so at least the iterations any run takes."""
+
+    @pytest.mark.parametrize("doubled", [False, True], ids=["fundamental-K", "doubled-K"])
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("kind", sorted(SDA_SOURCES))
+    def test_covers_the_hat_bound_and_the_run(self, kind, seed, doubled):
+        from omnifair.egalitarian import _iteration_budget
+        from omnifair.omniscience import _SlackTable
+
+        ctx = min_sum_rate(SDA_SOURCES[kind](seed))
+        for game in [ctx, *decompose(ctx)]:
+            K = game.grid_denominator * (2 if doubled else 1)
+            budget = _iteration_budget(game, _SlackTable(game, game.vertex, K), K)
+            assert budget >= hat_iteration_budget(game, K)
+            assert budget >= sda(game, K=K)[1].iterations
+
+
 class TestGridProximity:
     """At the fundamental K every sda endpoint r lies in the unit box of the
     exact continuous optimum x*: floor(K x*) <= K r <= ceil(K x*)."""
@@ -389,9 +411,9 @@ class TestContinuous:
         monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 3)
         assert egalitarian_continuous(ctx) == rv(OPTIMUM)
         monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 2)
-        reads = []  # raw characteristic costs read
-        raw_hat = ctx.raw_hat
-        monkeypatch.setattr(ctx, "raw_hat", lambda m: reads.append(m) or raw_hat(m))
+        reads = []  # raw cost evaluations
+        cost = ctx._cost
+        monkeypatch.setattr(ctx, "_cost", lambda m: reads.append(m) or cost(m))
         with pytest.raises(GroundSetTooLarge, match="size 3 exceeds the exhaustive limit 2"):
             egalitarian_continuous(ctx)
         assert reads == []

@@ -139,6 +139,39 @@ class TestDilworthTruncation:
             dilworth_truncation(demo_source, F(13, 2), frozenset())
 
 
+RAW_TABLE_SOURCES = {
+    "packet": random_linear_source,
+    "gf3": random_vector_source,
+    "pmf": lambda seed: random_pmf_twins(seed)[1],
+}
+
+
+class TestRawTable:
+    """raw_table builds each mask's state from its parent's by a bit above
+    the parent's bits, so every total is the fold of the mask's bits, equal
+    floats included, and each nonempty mask costs one truncation step."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", sorted(RAW_TABLE_SOURCES))
+    def test_every_total_is_the_fold(self, kind, seed, monkeypatch):
+        from omnifair import omniscience
+
+        ctx = min_sum_rate(RAW_TABLE_SOURCES[kind](seed))
+        steps = []
+        extend = omniscience._extend
+        monkeypatch.setattr(omniscience, "_extend", lambda *args: steps.append(args) or extend(*args))
+        for game in [ctx, *decompose(ctx)]:
+            steps.clear()
+            table = game.raw_table()
+            n = len(game.users)
+            assert len(table) == 2 ** n and len(steps) == 2 ** n - 1
+            masks = [sum(game.source.mask((u,)) for k, u in enumerate(game.users) if m >> k & 1)
+                     for m in range(2 ** n)]
+            assert table == [omniscience._fold(game._cost, m, game.tol)[0] for m in masks]
+            if game is not ctx:
+                assert ctx.raw_table(game.users) == table
+
+
 class TestMinSumRate:
     def test_demo_instance(self, demo_ctx):
         assert demo_ctx.min_sum_rate == F(13, 2)

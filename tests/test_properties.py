@@ -159,10 +159,10 @@ def queried_in(order: str, seed: int, ctx) -> list[frozenset]:
 @pytest.mark.parametrize("order", ["descending", "random"])
 @pytest.mark.parametrize("seed", range(6))
 def test_hat_memo_is_independent_of_query_order(seed, order):
-    """Each miss of the hat memo extends the truncation state of the nearest
-    memoized ancestor; whatever order fills the memo, every value equals
-    the one-pass truncation exactly (bit for bit on pmf floats), on the
-    whole game and on the subgames that share its memo."""
+    """A context keeps no truncation state between reads, so whatever order
+    the subsets are read in, every value equals the one-pass truncation
+    exactly (bit for bit on pmf floats), on the whole game and on its
+    subgames."""
     for src in (random_linear_source(seed), random_vector_source(seed), random_pmf_twins(seed)[1]):
         ctx = min_sum_rate(src)
         for X in queried_in(order, seed, ctx):

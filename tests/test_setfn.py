@@ -10,7 +10,6 @@ from omnifair import (
     SetFunction,
     SfmResult,
     f_alpha,
-    is_intersecting_submodular,
     is_submodular,
     sfm_min,
 )
@@ -49,19 +48,19 @@ class TestSubmodularityChecks:
     def test_truncated_cost_is_intersecting_submodular(self, demo_source, demo_ctx):
         f = SetFunction(demo_source.ground,
                         lambda X: f_alpha(demo_source, demo_ctx.min_sum_rate, X))
-        ok, _ = is_intersecting_submodular(f)
+        ok, _ = pairwise_first_violation(f, intersecting=True)
         assert ok
 
     def test_submodular_implies_intersecting(self, demo_source):
         f = SetFunction(demo_source.ground, demo_source.entropy)
-        assert is_intersecting_submodular(f)[0]
+        assert pairwise_first_violation(f, intersecting=True)[0]
 
     def test_intersecting_violation_detected(self):
         # lift the supermodular pair by a shared dummy element: the violating
         # pair ({1,3},{2,3}) now intersects
         base = supermodular_pair()
         lifted = SetFunction({1, 2, 3}, lambda X: base(X - {3}))
-        ok, witness = is_intersecting_submodular(lifted)
+        ok, witness = pairwise_first_violation(lifted, intersecting=True)
         assert not ok
         X, Y = witness
         assert X & Y
@@ -235,11 +234,9 @@ def test_witness_matches_pairwise_oracle(kind, positive_tol):
         for seed in range(4):
             for submodular in (True, False):
                 f = random_set_function(seed * 7 + n, n, kind, submodular)
-                for check, intersecting in ((is_submodular, False),
-                                            (is_intersecting_submodular, True)):
-                    got = check(f, tol)
-                    assert got == pairwise_first_violation(f, tol, intersecting), (n, seed)
-                    outcomes.add(got[0])
+                got = is_submodular(f, tol)
+                assert got == pairwise_first_violation(f, tol), (n, seed)
+                outcomes.add(got[0])
     assert outcomes == {True, False}
 
 
@@ -249,8 +246,6 @@ def test_witness_exact_beyond_int64():
         f = random_set_function(seed, 4, "int", submodular=False, step=step)
         for tol in (0, step):
             assert is_submodular(f, tol) == pairwise_first_violation(f, tol)
-            assert (is_intersecting_submodular(f, tol)
-                    == pairwise_first_violation(f, tol, intersecting=True))
     # a violation by one step, invisible in float64
     table = {frozenset(): 0, frozenset({1}): 1, frozenset({2}): 1, frozenset({1, 2}): 2 + step}
     exact = SetFunction({1, 2}, table.__getitem__)
@@ -281,10 +276,8 @@ def test_submodularity_check_refusal_boundary(monkeypatch):
 
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 4)
     f, _ = counting_oracle({1, 2, 3, 4})
-    assert is_submodular(f)[0] and is_intersecting_submodular(f)[0]
+    assert is_submodular(f)[0]
     f, calls = counting_oracle({1, 2, 3, 4, 5})
     with pytest.raises(GroundSetTooLarge, match="size 5 exceeds the exhaustive limit 4"):
         is_submodular(f)
-    with pytest.raises(GroundSetTooLarge, match="size 5 exceeds the exhaustive limit 4"):
-        is_intersecting_submodular(f)
     assert calls == []

@@ -183,7 +183,7 @@ class TestShapleyApprox:
         perms = sample_permutations(ctx.users, 5, seed)
         perms += perms[:3]  # repeated permutations count again
         want = mean_vector([ctx.greedy_vertex(p) for p in perms])
-        # a fresh context, so the memo the vertices filled is not reused
+        # a fresh context, so nothing the vertices computed is reused
         got = shapley_approx(min_sum_rate(random_pmf_twins(seed)[pmf]), perms)
         assert got == want
         assert all(type(got[u]) is type(want[u]) for u in ctx.users)
