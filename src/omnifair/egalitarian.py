@@ -292,19 +292,18 @@ def _lexicographic_base(ctx: GameContext, block: tuple[int, ...], w, exact: bool
     def rate(d, wu, wE):
         return ctx.value_of(Fraction(int(d) * wu, int(wE))) if exact else float(d) * (wu / float(wE))
 
-    def solve(A: int, E: int) -> None:
+    minors = [(0, len(raw) - 1)]  # a stack, so (A, X) is solved before (A ∪ X, E ∖ X)
+    while minors:
+        A, E = minors.pop()
         subs = every[(every & ~E) == 0]
         d, wE = cost[A | E] - cost[A], mass[E]
         excess = wE * (cost[A | subs] - cost[A]) - d * mass[subs]
         low = excess.min()
         if low < -margin * wE:
             X = int(np.bitwise_or.reduce(subs[excess == low]))
-            solve(A, X)
-            solve(A | X, E & ~X)
+            minors += [(A | X, E & ~X), (A, X)]
         else:
             rates.update((u, rate(d, weights[k], wE)) for k, u in enumerate(block) if E >> k & 1)
-
-    solve(0, len(raw) - 1)
     return RateVector(rates)
 
 

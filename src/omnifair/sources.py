@@ -5,7 +5,7 @@ Two source families are supported:
 * :class:`LinearSource` -- the finite linear model used in coded cooperative
   data exchange.  Users hold packets (or coefficient vectors over a prime
   field) and entropies are exact :class:`~fractions.Fraction` values counted
-  in field symbols (bits when the field size is 2).
+  in field symbols (bits when the field size is 2); byte tables count packets.
 * :class:`PmfSource` -- a discrete joint probability mass function.
   Entropies are floats in bits and downstream comparisons use a tolerance.
   One depth-first marginalization pass fills the memo on the first call.
@@ -119,8 +119,11 @@ class Source:
         return X
 
     def mask(self, X: Iterable[int]) -> int:
-        """Bitmask of the users in ``X``, which must be known users."""
-        return sum(self._bit[u] for u in X)
+        """Bitmask of the users in ``X`` (known users; a repeat changes nothing)."""
+        mask = 0
+        for u in X:
+            mask |= self._bit[u]
+        return mask
 
     def members(self, mask: int) -> frozenset:
         """The users whose bits are set in ``mask``."""
@@ -158,9 +161,11 @@ class LinearSource(Source):
     """Finite linear source over a prime field.
 
     In packet form each user holds a subset of independent packets and
-    H(X) is the number of distinct packets held by X.  In vector form each
-    user holds coefficient vectors over GF(q) and H(X) is the rank of the
-    stacked vectors.  Either way the unit is one field symbol.
+    H(X) is the number of distinct packets held by X: the popcount of the
+    OR of one entry per byte of X's mask, each from a 256-entry table of the
+    packets held by every subset of users 8c ... 8c + 7, built once.  In
+    vector form each user holds coefficient vectors over GF(q) and H(X) is
+    the rank of the stacked vectors.  Either way the unit is one field symbol.
     """
 
     is_exact = True
@@ -175,7 +180,12 @@ class LinearSource(Source):
         self._vectors = vectors
         if packets is not None:
             index = {p: k for k, p in enumerate(universe)}
-            self._packet_bits = [sum(1 << index[p] for p in packets[u]) for u in self.users]
+            bits = [sum(1 << index[p] for p in packets[u]) for u in self.users]
+            # entry m of table c: the OR of the bits of users 8c + k, k in m
+            self._byte_tables = [[0] for _ in range(0, len(bits), 8)]
+            for k, b in enumerate(bits):
+                table = self._byte_tables[k >> 3]
+                table += [t | b for t in table]
 
     @classmethod
     def from_packets(
@@ -213,13 +223,13 @@ class LinearSource(Source):
         return cls(users, field, tuple(range(width)), packets=None, vectors=vectors)
 
     def _entropy(self, mask: int) -> int:
-        members = [k for k in range(len(self.users)) if mask >> k & 1]
         if self._packets is not None:
             held = 0
-            for k in members:
-                held |= self._packet_bits[k]
+            for table in self._byte_tables:
+                held |= table[mask & 255]
+                mask >>= 8
             return held.bit_count()
-        rows = [v for k in members for v in self._vectors[self.users[k]]]
+        rows = [v for k, u in enumerate(self.users) if mask >> k & 1 for v in self._vectors[u]]
         return gf_rank(rows, self.field)
 
 
@@ -231,6 +241,8 @@ class PmfSource(Source):
     depth-first pass that drops axes in increasing bit order, so each marginal
     is its parent summed over one more axis and each mask is reached once; at
     most n + 1 marginals are alive, together under twice the table's size.
+    Each marginal keeps only its users' axes of 2+ letters, and a zero-free
+    table (so are its marginals) skips the p > 0 filter: no sum changes.
     """
 
     is_exact = False
@@ -250,20 +262,25 @@ class PmfSource(Source):
         if abs(total - 1.0) > PMF_NORMALIZATION_TOL:
             raise SourceSpecError(f"pmf table sums to {total!r}, expected 1")
         self._table = arr
+        self._zero_free = bool(arr.all())
+        self._wide = sum(1 << k for k, size in enumerate(shape) if size > 1)
         self._H: np.ndarray | None = None
 
     def _entropy(self, mask: int) -> float:
         if self._H is None:
             self._H = np.empty(1 << len(self.users))
-            self._fill(self._table, len(self._H) - 1, 0)
+            self._fill(self._table.squeeze(), len(self._H) - 1, 0)
         return float(self._H[mask])
 
     def _fill(self, marginal: np.ndarray, mask: int, first: int) -> None:
-        p = marginal[marginal > 0]
+        p = marginal.ravel() if self._zero_free else marginal[marginal > 0]
         self._H[mask] = -(p * np.log2(p)).sum()
+        # the axes of mask's users with 2+ letters are left; axis is at pos
+        pos = (mask & self._wide & ((1 << first) - 1)).bit_count()
         for axis in range(first, len(self.users)):
-            # summing a one-letter axis changes nothing, so that child is a view
-            child = marginal if marginal.shape[axis] == 1 else marginal.sum(axis=axis, keepdims=True)
+            child = marginal
+            if self._wide >> axis & 1:
+                child, pos = marginal.sum(axis=pos), pos + 1
             self._fill(child, mask & ~(1 << axis), axis + 1)
 
 

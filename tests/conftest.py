@@ -430,6 +430,45 @@ def pmf_entropy_reference(source: PmfSource, mask: int) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def pmf_fill_reference(source: PmfSource) -> np.ndarray:
+    """H on every mask by the depth-first fill with every marginal kept at
+    all n axes (``keepdims``) and every marginal filtered for p > 0, the
+    pass :meth:`PmfSource._fill` must match bit for bit."""
+    H = np.empty(1 << len(source.users))
+    _keepdims_fill(H, source._table, len(H) - 1, 0)
+    return H
+
+
+def _keepdims_fill(H: np.ndarray, marginal: np.ndarray, mask: int, first: int) -> None:
+    p = marginal[marginal > 0]
+    H[mask] = -(p * np.log2(p)).sum()
+    for axis in range(first, marginal.ndim):
+        child = marginal if marginal.shape[axis] == 1 else marginal.sum(axis=axis, keepdims=True)
+        _keepdims_fill(H, child, mask & ~(1 << axis), axis + 1)
+
+
+def packet_entropy_reference(source: LinearSource, mask: int) -> int:
+    """H of a packet-form source by the members loop: the OR of the packet
+    bitsets of the users in ``mask``, counted."""
+    index = {p: k for k, p in enumerate(source.universe)}
+    held = 0
+    for k, u in enumerate(source.users):
+        if mask >> k & 1:
+            for p in source._packets[u]:
+                held |= 1 << index[p]
+    return held.bit_count()
+
+
+def random_wide_packet_source(seed: int, n: int) -> LinearSource:
+    """Seeded packet source on ``n`` users over 65-130 packets (wider than a
+    machine word); user 1 holds no packet, every other user 0-40 of them."""
+    rng = random.Random(f"wide-packets:{seed}:{n}")
+    universe = [f"p{k}" for k in range(rng.randint(65, 130))]
+    holdings = {u: rng.sample(universe, rng.randint(0, 40)) for u in range(2, n + 1)}
+    holdings[1] = []
+    return LinearSource.from_packets(holdings, universe=universe)
+
+
 def fraction_matrix_rank(rows: list[tuple[F, ...]]) -> int:
     """Rank over the rationals by exact Gaussian elimination."""
     work = [list(map(F, row)) for row in rows]

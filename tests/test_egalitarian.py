@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction as F
 from itertools import permutations
 from types import SimpleNamespace
@@ -24,6 +26,7 @@ from omnifair import (
 )
 
 from conftest import (
+    DEMO_HOLDINGS,
     cross_checked_membership,
     dep_matches_oracle,
     frank_wolfe_reference,
@@ -417,6 +420,20 @@ class TestContinuous:
         with pytest.raises(GroundSetTooLarge, match="size 3 exceeds the exhaustive limit 2"):
             egalitarian_continuous(ctx)
         assert reads == []
+
+    def test_context_freed_without_the_cyclic_collector(self):
+        # a fresh demo source, so no fixture holds it; the weights split
+        # block {1, 4, 5} twice, so minors are pushed
+        ctx = min_sum_rate(LinearSource.from_packets(DEMO_HOLDINGS))
+        refs = weakref.ref(ctx), weakref.ref(ctx.source)
+        gc.disable()
+        try:
+            out = egalitarian_continuous(ctx, {1: 2, 4: 1, 5: 2})
+            del ctx
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+        assert out == rv({1: F(3, 2), 2: F(1, 2), 3: F(1, 2), 4: F(3, 2), 5: F(5, 2)})
 
 
 FW_SOURCES = {

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +14,12 @@ from conftest import (
     DEMO_HOLDINGS,
     DEMO_PACKETS,
     PMF_FUZZ_SEEDS,
+    packet_entropy_reference,
     pmf_entropy_reference,
+    pmf_fill_reference,
     pmf_from_packets,
     random_pmf_source,
+    random_wide_packet_source,
 )
 
 
@@ -68,6 +72,42 @@ class TestLinearEntropy:
     def test_stray_packet_rejected(self):
         with pytest.raises(SourceSpecError, match="universe"):
             LinearSource.from_packets({1: ["a"], 2: ["z"]}, universe=["a", "b"])
+
+
+class TestMask:
+    def test_repeated_user_sets_its_bit_once(self, demo_source):
+        assert demo_source.mask([1, 1]) == demo_source.mask([1]) == 0b1
+        assert demo_source.mask([4, 2, 4, 2]) == 0b1010
+        assert demo_source.raw_entropy(demo_source.mask([1, 1])) == 5
+
+    def test_generator_and_empty(self, demo_source):
+        assert demo_source.mask(u for u in (5, 3, 3)) == 0b10100
+        assert demo_source.mask(()) == 0
+
+
+class TestPacketTables:
+    """Packet entropies from one OR table per byte of the user mask match
+    the members loop on every mask (n <= 12) or 2000 seeded masks and the
+    edge masks, and the tables are built with the source, not per query."""
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 16, 17, 24])
+    def test_matches_members_loop(self, n):
+        src = random_wide_packet_source(0, n)
+        assert len(src.universe) > 64 and src.raw_entropy(1) == 0
+        full = (1 << n) - 1
+        if n <= 12:
+            masks = range(1, full + 1)
+        else:
+            rng = random.Random(f"packet-masks:{n}")
+            masks = [rng.randint(1, full) for _ in range(2000)]
+            masks += [full, full - 1] + [1 << k for k in range(n)]
+        tables = src._byte_tables
+        snapshot = [list(table) for table in tables]
+        assert [len(table) for table in tables] == [1 << min(8, n - c) for c in range(0, n, 8)]
+        bad = {mask for mask in masks if src.raw_entropy(mask) != packet_entropy_reference(src, mask)}
+        assert bad == set()
+        assert src._byte_tables is tables
+        assert all(a is b for a, b in zip(src._byte_tables, tables)) and tables == snapshot
 
 
 class TestConditionalEntropy:
@@ -126,9 +166,10 @@ class TestPmfMarginalizationPass:
         worst = {}
         for seed in PMF_FUZZ_SEEDS:
             src = random_pmf_source(seed)
-            worst[seed] = max(abs(src.raw_entropy(mask) - pmf_entropy_reference(src, mask))
-                              for mask in range(1, 1 << len(src.users)))
-        assert {seed: diff for seed, diff in worst.items() if diff > 1e-12} == {}
+            # np.max and "not <=" let a NaN entropy through neither step
+            worst[seed] = np.max([abs(src.raw_entropy(mask) - pmf_entropy_reference(src, mask))
+                                  for mask in range(1, 1 << len(src.users))])
+        assert {seed: diff for seed, diff in worst.items() if not diff <= 1e-12} == {}
 
     def test_corpus_spans_the_stated_shapes(self):
         sources = [random_pmf_source(seed) for seed in PMF_FUZZ_SEEDS]
@@ -146,6 +187,37 @@ class TestPmfMarginalizationPass:
                 src = random_pmf_source(seed)
                 answers.append({mask: src.raw_entropy(mask) for mask in order})
             assert answers[0] == answers[1] == answers[2]
+
+    def test_fill_matches_keepdims_fill_on_fuzz_corpus(self):
+        differ = []
+        for seed in PMF_FUZZ_SEEDS:
+            src = random_pmf_source(seed)
+            src.raw_entropy(1)
+            if not np.array_equal(src._H, pmf_fill_reference(src)):
+                differ.append(seed)
+        assert differ == []
+
+    def test_fill_matches_keepdims_fill_zero_free_twelve_users(self):
+        # binary alphabets, entries rng.random() ** 3 normalized by their sum
+        rng = random.Random(7)
+        weights = [rng.random() ** 3 for _ in range(2 ** 12)]
+        total = sum(weights)
+        table = np.array([w / total for w in weights]).reshape((2,) * 12)
+        src = PmfSource({u: (0, 1) for u in range(1, 13)}, table)
+        src.raw_entropy(1)
+        assert src._zero_free
+        assert np.array_equal(src._H, pmf_fill_reference(src))
+
+    @pytest.mark.parametrize("zeros", [False, True], ids=["zero-free", "with-zeros"])
+    def test_fill_matches_keepdims_fill_ten_letter_axis(self, zeros):
+        rng = np.random.default_rng(10)
+        shape = (3, 1, 2, 10)
+        table = rng.random(shape) * ((rng.random(shape) >= 0.3) if zeros else 1)
+        src = PmfSource({u: tuple(range(k)) for u, k in enumerate(shape, start=1)},
+                        table / table.sum())
+        src.raw_entropy(1)
+        assert src._zero_free is not zeros
+        assert np.array_equal(src._H, pmf_fill_reference(src))
 
     @pytest.mark.parametrize("seed", PMF_FUZZ_SEEDS[:20])
     def test_each_mask_once_with_bounded_marginals(self, seed):
