@@ -156,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimum sum-rate and fair rate allocation for communication for omniscience")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
-        p.add_argument("--input", required=needs_input, help="JSON source spec path")
+    def add_common(p):
+        p.add_argument("--input", required=True, help="JSON source spec path")
         p.add_argument("--output", help="report path (default: stdout)")
 
     p_solve = sub.add_parser("solve", help="minimum sum-rate, fundamental partition, one core vertex")
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--rates", help="rate vector to test, JSON object or @file")
 
     p_split = sub.add_parser("split-plan", help="integer chunk rates for a fractional rate vector")
-    add_common(p_split, needs_input=False)
+    p_split.add_argument("--output", help="report path (default: stdout)")
     p_split.add_argument("--rates", required=True, help="rate vector, JSON object or @file")
     p_split.add_argument("--K", type=int, help="chunk count (default: minimal valid)")
     return parser

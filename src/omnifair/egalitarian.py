@@ -14,9 +14,8 @@ The weighted quadratic objective sum(r_i^2 / w_i) is minimized two ways:
 * :func:`egalitarian_continuous` -- the exact minimum over the core, the
   lexicographically optimal base of the characteristic cost (Fujishige
   1980), by the decomposition algorithm on each fundamental-partition block:
-  the raw characteristic costs of the block's bitmasks, from one
-  depth-first walk of truncation steps, answer each split, in integers for
-  linear sources.
+  each split is one truncation of the cost less a multiple of the weights,
+  in integers for linear sources.
 
 :func:`egalitarian_decomposed` runs :func:`sda` on each
 fundamental-partition subgame, and :func:`packet_split_plan` turns a
@@ -36,12 +35,13 @@ import numpy as np
 from .omniscience import (
     GameContext,
     RateVector,
+    _extend,
+    _fold,
     _ordered_sum,
     _SlackTable,
     core_membership,
     decompose,
 )
-from .setfn import _check_size, int_array, widen
 from .sources import FLOAT_TOL
 
 
@@ -250,60 +250,62 @@ def egalitarian_continuous(ctx: GameContext, weights=None) -> RateVector:
     to the weights (Fujishige 1980), by the decomposition algorithm.
 
     The cost separates across the fundamental partition, so each block (a
-    subgame is one block) is solved on its own, and refused beyond the
-    exhaustive limit before any cost is read.  Linear sources with rational
-    weights run on integers, the weights scaled by the lcm of their
+    subgame is one block) is solved on its own.  Linear sources with
+    rational weights run on integers, the weights scaled by the lcm of their
     denominators, and return Fractions; pmf sources and float weights run
-    in float64 within the float tolerance (1e-9) and return floats.
-    """
+    in float64 within the float tolerance (1e-9) and return floats."""
     w = _check_weights(weights, ctx.users)
     part = ctx.fundamental_partition
     blocks = [ctx.users] if part is None else [tuple(sorted(C)) for C in part]
-    _check_size(max(map(len, blocks)))
     exact = ctx.source.is_exact and not any(isinstance(v, float) for v in w.values())
     return RateVector.direct_sum(_lexicographic_base(ctx, C, w, exact) for C in blocks)
 
 
 def _lexicographic_base(ctx: GameContext, block: tuple[int, ...], w, exact: bool) -> RateVector:
-    """:func:`egalitarian_continuous` on one block, from its raw costs R
-    and weight mass w on every block bitmask, by minors (A, E) from (∅,
-    block): with λ = (R(A ∪ E) - R(A)) / w(E), the excess w(E)·(R(A ∪ X) -
-    R(A)) - (R(A ∪ E) - R(A))·w(X) is read for every X ⊆ E.  If none is
-    negative, r = λ·w on E; otherwise the union X of the minimizers is
-    tight, and the minors (A, X) and (A ∪ X, E ∖ X) are solved in turn."""
-    raw = ctx.raw_table(block)
+    """:func:`egalitarian_continuous` on one block by minors (A, E) from (∅,
+    block), R being the raw truncation total and d = R(A ∪ E) - R(A).  The
+    least w(E)·R(Y) - d·w(Y ∖ A) over A ⊆ Y ⊆ A ∪ E is one truncation of
+    w(E)·f - d·w(· ∩ E): A's state scaled by w(E), extended by E's bits, a
+    singleton of E costing at most 0 (left out of Y).  If it is below
+    w(E)·R(A), X = E ∩ Y is tight, and the minors (A, X) and (A ∪ X, E ∖ X)
+    are solved in turn; else r = d·w / w(E) on E."""
     if exact:
         scale = lcm(*(Fraction(w[u]).denominator for u in block))
-        weights, margin, table = [int(w[u] * scale) for u in block], 0, int_array
+        weight, margin, value = {ctx._bits[u]: int(w[u] * scale) for u in block}, 0, int
     else:
         # a margin for every float run, linear sources included: rounding
-        # below zero on both halves of a tie could make the union of the
-        # minimizers all of E, which does not split
-        weights, margin, table = [float(w[u]) for u in block], FLOAT_TOL, np.array
-        raw = [float(ctx.value_of(v)) for v in raw]
-    mass = [0]
-    for v in weights:
-        mass += [m + v for m in mass]
-    cost, mass = table(raw), table(mass)
-    big = 2 * int(abs(cost).max()) * int(mass[-1])  # bounds every product below
-    cost, mass = widen(cost, big), widen(mass, big)
-    every, rates = np.arange(len(raw)), {}
+        # below zero on both halves of a tie could keep all of E
+        weight, margin = {ctx._bits[u]: float(w[u]) for u in block}, FLOAT_TOL
+        value = lambda v: float(ctx.value_of(v))  # a raw cost as a float of f
 
-    def rate(d, wu, wE):
-        return ctx.value_of(Fraction(int(d) * wu, int(wE))) if exact else float(d) * (wu / float(wE))
+    def mass(m):  # added in ascending bit order from 0, as by _ordered_sum
+        total = 0
+        while m:
+            total, m = total + weight[m & -m], m & m - 1
+        return total
 
-    minors = [(0, len(raw) - 1)]  # a stack, so (A, X) is solved before (A ∪ X, E ∖ X)
+    rates, minors = {}, [(0, sum(weight))]  # a stack: (A, X) before (A ∪ X, E ∖ X)
     while minors:
         A, E = minors.pop()
-        subs = every[(every & ~E) == 0]
-        d, wE = cost[A | E] - cost[A], mass[E]
-        excess = wE * (cost[A | subs] - cost[A]) - d * mass[subs]
-        low = excess.min()
-        if low < -margin * wE:
-            X = int(np.bitwise_or.reduce(subs[excess == low]))
+        (base, blocks), top = _fold(ctx._cost, A, ctx.tol), _fold(ctx._cost, A | E, ctx.tol)[0]
+        d, wE = value(top) - value(base), mass(E)
+
+        def cost(m):
+            g = wE * value(ctx._cost(m)) - d * mass(m & E)
+            return min(g, 0) if m & (m - 1) == 0 and m & E else g
+
+        state = (wE * value(base), [(b, wE * value(c)) for b, c in blocks])
+        for bit in weight:
+            if bit & E:
+                state = _extend(cost, state, bit, margin * wE)
+        if state[0] < wE * value(base) - margin * wE:
+            X = E & sum(b for b, g in state[1] if b & (b - 1) or b & ~E or g < 0)
+            if X in (0, E):
+                raise ArithmeticError(f"minor {sorted(ctx.source.members(E))} split empty or whole")
             minors += [(A | X, E & ~X), (A, X)]
         else:
-            rates.update((u, rate(d, weights[k], wE)) for k, u in enumerate(block) if E >> k & 1)
+            rates.update((u, ctx.value_of(Fraction(d * weight[bit], wE)) if exact
+                          else d * (weight[bit] / wE)) for u, bit in ctx._bits.items() if bit & E)
     return RateVector(rates)
 
 

@@ -316,13 +316,14 @@ class GameContext:
             return self.source.zero
         return self.value_of(_fold(self._cost, self.source.mask(X), self.tol)[0])
 
-    def raw_table(self, users: tuple[int, ...] | None = None) -> list[int | float]:
+    def raw_table(self) -> list[int | float]:
         """Raw :meth:`hat` totals (ints for linear sources) on every bitmask
-        of ``users`` (ascending; default the game's), bit k being ``users[k]``.
-        One depth-first walk: each child extends its parent's state by a bit
-        above the parent's bits, so it is the :func:`_fold` state, and at
-        most |users| + 1 states are alive."""
-        bits = [self._bits[u] for u in (self.users if users is None else users)]
+        of the game's users, bit k being ``users[k]``, refused past the
+        exhaustive limit before any cost is read.  One depth-first walk: each
+        child extends its parent's state by a bit above the parent's bits, so
+        it is the :func:`_fold` state; at most |users| + 1 states are alive."""
+        _check_size(len(self.users))
+        bits = [self._bits[u] for u in self.users]
         table, stack = [0] * (1 << len(bits)), [((0, ()), 0, 0)]
         while stack:  # (state, its local mask, the next bit to add)
             state, local, k = stack.pop()

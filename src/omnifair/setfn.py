@@ -12,8 +12,7 @@ indexed by subset bitmask and test one set against all others per array
 operation.  Exact values are scaled to integers by the least common
 multiple of their denominators (:func:`tabulate`), so no comparison rounds;
 float values stay float64.  Integer tables hold int64 or Python ints by one
-rule (:func:`int_array`), which the slack table of
-:mod:`omnifair.omniscience` and the continuous egalitarian solver share.
+rule (:func:`int_array`), shared with :mod:`omnifair.omniscience`'s slack table.
 """
 
 from __future__ import annotations

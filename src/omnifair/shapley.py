@@ -23,9 +23,6 @@ from .setfn import GroundSetTooLarge, subsets
 #: Factorial vertex enumeration refuses ground sets beyond this size.
 ENUMERATION_LIMIT = 8
 
-#: Exact Shapley computation needs all 2^|V| characteristic costs.
-EXACT_LIMIT = 20
-
 
 def enumerate_extreme_points(ctx: GameContext) -> tuple[RateVector, ...]:
     """All vertices of the core: greedy vertices over every permutation,
@@ -48,8 +45,6 @@ def shapley_exact(ctx: GameContext) -> RateVector:
     off one :meth:`GameContext.raw_table` in :func:`subsets` order; linear
     sources sum in integers and divide once per user."""
     n = len(ctx.users)
-    if n > EXACT_LIMIT:
-        raise GroundSetTooLarge(f"exact Shapley needs |V| <= {EXACT_LIMIT}, got {n}")
     total = factorial(n)
     weights = [factorial(k) * factorial(n - k - 1) for k in range(n)]
     if not ctx.source.is_exact:
@@ -106,7 +101,8 @@ def shapley_approx(
     if permutations is None:
         if seed is None:
             raise ValueError("sampling permutations needs a seed for reproducibility")
-        permutations = sample_permutations(ctx.users, count or len(ctx.users), seed)
+        count = len(ctx.users) if count is None else count
+        permutations = sample_permutations(ctx.users, count, seed)
     perms = list(permutations)
     if not perms:
         raise ValueError("empty permutation list")
@@ -135,6 +131,8 @@ def shapley_decomposed(
     """
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "approx" and count is not None and count < 1:  # singleton blocks draw none
+        raise ValueError("need at least one permutation")
     subgames = decompose(ctx)
     rng = random.Random(seed)
     child_seeds = {sub.ground: rng.randrange(2**63) for sub in subgames}
@@ -149,6 +147,6 @@ def shapley_decomposed(
             return sub.greedy_vertex(sub.users)
         if seed is None:
             raise ValueError("approx mode needs a seed or explicit permutations")
-        return shapley_approx(sub, count=count or len(sub.users), seed=child_seeds[sub.ground])
+        return shapley_approx(sub, count=count, seed=child_seeds[sub.ground])
 
     return RateVector.direct_sum([solve_block(sub) for sub in subgames])

@@ -33,7 +33,7 @@ from omnifair import (
     shapley_decomposed,
     shapley_exact,
 )
-from omnifair.egalitarian import SdaTrace, dep
+from omnifair.egalitarian import SdaTrace, _check_weights, dep
 from omnifair.omniscience import GameContext, _SlackTable, check_decomposition
 from omnifair.setfn import (
     InfeasibleLattice,
@@ -43,7 +43,7 @@ from omnifair.setfn import (
     sfm_min,
     subsets,
 )
-from omnifair.sources import Source
+from omnifair.sources import FLOAT_TOL, Source
 
 DEMO_HOLDINGS = {
     1: ("b", "c", "d", "h", "i"),
@@ -603,6 +603,52 @@ def is_weighted_min_norm_base(ctx: GameContext, x: RateVector, weights=None) -> 
     ratio = {u: x[u] / (weights or {}).get(u, 1) for u in ctx.users}
     levels = (frozenset(u for u in ctx.users if ratio[u] <= c + tol) for c in ratio.values())
     return all(abs(x.mass(L) - ctx.hat(L)) <= tol for L in levels)
+
+
+def lexicographic_base_table(ctx: GameContext, weights=None) -> RateVector:
+    """Oracle continuous egalitarian point: the decomposition algorithm on
+    a dense table of every block subset's raw characteristic cost and weight
+    mass.  Each minor (A, E) reads the excess w(E)·(R(A ∪ X) - R(A)) -
+    (R(A ∪ E) - R(A))·w(X) for every X ⊆ E and splits at the union of its
+    minimizers if the least excess is negative (below -1e-9·w(E) for float
+    runs); else r = λ·w on E.  Same number types and float formulas as
+    :func:`egalitarian_continuous`."""
+    w = _check_weights(weights, ctx.users)
+    exact = ctx.source.is_exact and not any(isinstance(v, float) for v in w.values())
+    games = [ctx] if ctx.fundamental_partition is None else decompose(ctx)
+    rates = {}
+    for game in games:
+        block, raw = game.users, game.raw_table()
+        if exact:
+            scale = math.lcm(*(F(w[u]).denominator for u in block))
+            weight, margin = [int(w[u] * scale) for u in block], 0
+        else:
+            weight, margin = [float(w[u]) for u in block], FLOAT_TOL
+            raw = [float(ctx.value_of(v)) for v in raw]
+        mass = [0]
+        for v in weight:
+            mass += [m + v for m in mass]
+        if exact:  # Python ints: no product below can overflow
+            cost, mass = np.array(raw, dtype=object), np.array(mass, dtype=object)
+        else:
+            cost, mass = np.array(raw), np.array(mass)
+        every = np.arange(len(raw))
+        minors = [(0, len(raw) - 1)]
+        while minors:
+            A, E = minors.pop()
+            subs = every[(every & ~E) == 0]
+            d, wE = cost[A | E] - cost[A], mass[E]
+            excess = wE * (cost[A | subs] - cost[A]) - d * mass[subs]
+            low = excess.min()
+            if low < -margin * wE:
+                X = int(np.bitwise_or.reduce(subs[excess == low]))
+                minors += [(A | X, E & ~X), (A, X)]
+                continue
+            for k, u in enumerate(block):
+                if E >> k & 1:
+                    rates[u] = (ctx.value_of(F(int(d) * weight[k], int(wE))) if exact
+                                else float(d) * (weight[k] / float(wE)))
+    return RateVector(rates)
 
 
 def chain_greedy_vertex(ctx: GameContext, permutation) -> RateVector:

@@ -162,24 +162,48 @@ def test_tol_is_not_a_flag(capsys, spec_path):
     assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
 
 
-def test_egalitarian_continuous_refuses_a_large_block(capsys, tmp_path, monkeypatch):
-    # blocks {1, ..., 5} and {6}: the solve stays cheap, and each block's
-    # cost table has 2^|C| entries
+def test_egalitarian_continuous_refuses_a_wide_truncation_step(capsys, tmp_path, monkeypatch):
+    # blocks {1, ..., 5} and {6}: the solve's truncation steps hold at most
+    # one block, and block {1, ..., 5}, above a limit of 4, still solves; its
+    # split question leaves four users out as singleton blocks before the
+    # fifth user's step, which a limit of 3 refuses
     from omnifair import setfn
 
     path = tmp_path / "six.json"
     path.write_text(json.dumps(SIX_USERS))
-    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 5)
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 4)
     status, report = run_cli(capsys, "egalitarian", "--input", str(path), "--mode", "continuous")
     assert status == 0
     assert report["fairness"]["vector"] == {"1": 0.4, "2": 0.4, "3": 0.4, "4": 0.4, "5": 0.4, "6": 1.0}
-    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 4)
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 3)
     status, report = run_cli(capsys, "egalitarian", "--input", str(path), "--mode", "continuous")
     assert status == EXIT_TOO_LARGE
     assert report["error"] == {
         "type": "GroundSetTooLarge",
-        "message": "ground set of size 5 exceeds the exhaustive limit 4"}
+        "message": "ground set of size 4 exceeds the exhaustive limit 3"}
     assert report["config"]["mode"] == "continuous"
+    assert "solution" not in report
+
+
+@pytest.mark.parametrize("mode", ["approx", "decomposed"])
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_sampling_no_permutations_is_refused(capsys, spec_path, mode, count):
+    # 0 is a sample size like any other, not a request for the default
+    status, report = run_cli(capsys, "shapley", "--input", spec_path, "--mode", mode,
+                             "--seed", "7", "--permutations", count)
+    assert status == EXIT_PARSE
+    assert report["error"] == {"type": "ValueError", "message": "need at least one permutation"}
+    assert report["config"]["permutations"] == int(count)
+    assert "fairness" not in report
+
+
+def test_split_plan_refuses_input(capsys, tmp_path):
+    # split-plan reads no source, so --input is not one of its flags
+    with pytest.raises(SystemExit) as exit_:
+        main(["split-plan", "--input", str(tmp_path / "missing.json"),
+              "--rates", '{"1":"5/4","2":"1/2"}'])
+    assert exit_.value.code == EXIT_PARSE
+    assert "unrecognized arguments: --input" in capsys.readouterr().err
 
 
 def test_verify_passes(capsys, spec_path):

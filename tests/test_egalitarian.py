@@ -32,6 +32,7 @@ from conftest import (
     frank_wolfe_reference,
     hat_iteration_budget,
     is_weighted_min_norm_base,
+    lexicographic_base_table,
     locally_optimal_reference,
     pmf_from_packets,
     random_linear_source,
@@ -406,20 +407,39 @@ class TestContinuous:
         assert out != rv(WEIGHTED_OPTIMUM)
         assert all(abs(out[u] - WEIGHTED_OPTIMUM[u]) < F(1, 2 ** (bits - 4)) for u in out.users)
 
-    def test_each_block_refused_before_any_cost_is_read(self, demo_source, monkeypatch):
-        # blocks {1, 4, 5}, {2} and {3}: each block's table has 2^|C| entries
-        from omnifair import setfn
+    def test_block_above_the_limit_solves_and_a_wide_step_is_refused(self, demo_source, monkeypatch):
+        # block {1, 4, 5} has more users than a limit of 2, and solves: no
+        # truncation step holds more than two blocks, so a limit of 1 refuses
+        from omnifair import egalitarian, omniscience, setfn
 
         ctx = min_sum_rate(demo_source)
-        monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 3)
-        assert egalitarian_continuous(ctx) == rv(OPTIMUM)
+        w = {1: 2, 4: 1, 5: 2}  # splits the block twice
+        expected = lexicographic_base_table(ctx, w)
+        held = []
+        extend = omniscience._extend
+        for module in (omniscience, egalitarian):
+            monkeypatch.setattr(module, "_extend", lambda *args: held.append(len(args[1][1])) or extend(*args))
         monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 2)
-        reads = []  # raw cost evaluations
-        cost = ctx._cost
-        monkeypatch.setattr(ctx, "_cost", lambda m: reads.append(m) or cost(m))
-        with pytest.raises(GroundSetTooLarge, match="size 3 exceeds the exhaustive limit 2"):
-            egalitarian_continuous(ctx)
-        assert reads == []
+        assert egalitarian_continuous(ctx, w) == expected
+        assert max(held) == 2
+        monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 1)
+        with pytest.raises(GroundSetTooLarge, match="^ground set of size 2 exceeds the exhaustive limit 1$"):
+            egalitarian_continuous(ctx, w)
+
+    @pytest.mark.parametrize("split", [0, "whole"])
+    def test_an_improper_split_is_an_internal_error(self, demo_ctx, monkeypatch, split):
+        # a truncation that reports a gain but keeps none of E, or all of it,
+        # raises instead of looping on the same minor or dividing by w(∅)
+        from omnifair import egalitarian
+
+        def extend(cost, state, bit, tol):
+            total, blocks = state
+            kept = bit if split == 0 else bit | sum(b for b, _ in blocks)
+            return total - 1, [(kept, 0 if split == 0 else -1)]
+
+        monkeypatch.setattr(egalitarian, "_extend", extend)
+        with pytest.raises(ArithmeticError, match=r"^minor \[1, 4, 5\] split empty or whole$"):
+            egalitarian_continuous(demo_ctx, {1: 2, 4: 1, 5: 2})
 
     def test_context_freed_without_the_cyclic_collector(self):
         # a fresh demo source, so no fixture holds it; the weights split
@@ -466,6 +486,47 @@ class TestContinuousBitIdentity:
         assert is_weighted_min_norm_base(ctx, got, w)
         excess = float(objective_g(frank_wolfe_reference(ctx, w), w)) - float(objective_g(got, w))
         assert -1e-12 <= excess <= 1e-9
+
+
+#: The fuzz corpus of the split rule, whole games and their subgames.
+TABLE_SOURCES = {
+    "packet": lambda seed: random_linear_source(seed, min_users=3, max_users=8, max_packets=14),
+    "gf3": lambda seed: random_vector_source(seed, min_users=3, max_users=7),
+    "pmf": random_pmf_source,
+}
+TABLE_SEEDS = range(60)
+
+
+def corpus_weights(users, seed, kind):
+    if kind == "uniform":
+        return None
+    w = uneven_weights(users, seed)
+    return w if kind == "rational" else {u: float(v) for u, v in w.items()}
+
+
+def exact_bits(r: RateVector) -> dict:
+    """Each rate with its type, floats by their hex digits."""
+    return {u: r[u].hex() if isinstance(r[u], float) else (type(r[u]), r[u]) for u in r.users}
+
+
+class TestContinuousMatchesTable:
+    """One truncation per split gives the dense-table solver's output bit for
+    bit: equal Fractions, and equal floats, as the same formula on the same
+    final minors.  Every cell of the corpus splits some block."""
+
+    @pytest.mark.parametrize("weights", ["uniform", "rational", "float"])
+    @pytest.mark.parametrize("kind", sorted(TABLE_SOURCES))
+    def test_bit_identical(self, kind, weights):
+        split = 0
+        for seed in TABLE_SEEDS:
+            ctx = min_sum_rate(TABLE_SOURCES[kind](seed))
+            for game in [ctx, *decompose(ctx)]:
+                w = corpus_weights(game.users, seed, weights)
+                got = egalitarian_continuous(game, w)
+                assert exact_bits(got) == exact_bits(lexicographic_base_table(game, w)), (seed, game.users)
+                levels = {F(got[u]) / F((w or {}).get(u, 1)) for u in game.users}
+                split += game is not ctx and len(levels) > 1
+        assert split > 0
 
 
 class TestWeightsRefused:

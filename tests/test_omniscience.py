@@ -168,8 +168,6 @@ class TestRawTable:
             masks = [sum(game.source.mask((u,)) for k, u in enumerate(game.users) if m >> k & 1)
                      for m in range(2 ** n)]
             assert table == [omniscience._fold(game._cost, m, game.tol)[0] for m in masks]
-            if game is not ctx:
-                assert ctx.raw_table(game.users) == table
 
 
 class TestMinSumRate:
@@ -404,6 +402,25 @@ def test_core_membership_refused_before_any_cost_is_read(demo_source, monkeypatc
     for r in (vertex, rv({u: 0 for u in ctx.users})):
         with pytest.raises(GroundSetTooLarge, match=f"size {n - 1} exceeds the exhaustive limit {n - 2}"):
             core_membership(ctx, r)
+    assert cost_calls == []
+
+
+def test_decomposition_check_refused_before_any_cost_is_read(demo_source, monkeypatch):
+    # the check reads one raw_table of 2^n entries, refused past n users
+    from omnifair import setfn
+
+    ctx = min_sum_rate(demo_source)
+    n = len(ctx.users)
+    cost_calls = []
+    cost = ctx._cost
+    monkeypatch.setattr(ctx, "_cost", lambda m: cost_calls.append(m) or cost(m))
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", n)
+    check_decomposition(ctx)
+    assert cost_calls
+    cost_calls.clear()
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", n - 1)
+    with pytest.raises(GroundSetTooLarge, match=f"^ground set of size {n} exceeds the exhaustive limit {n - 1}$"):
+        check_decomposition(ctx)
     assert cost_calls == []
 
 

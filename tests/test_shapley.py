@@ -123,8 +123,25 @@ class TestShapleyExact:
     def test_size_limit(self):
         src = LinearSource.from_packets({u: [f"p{u}"] for u in range(1, 22)})
         ctx = GameContext(src, src.ground, F(0), F(0), None, None, 1)
-        with pytest.raises(GroundSetTooLarge):
+        with pytest.raises(GroundSetTooLarge, match="^ground set of size 21 exceeds the exhaustive limit 20$"):
             shapley_exact(ctx)
+
+    def test_refused_before_any_cost_is_read(self, demo_source, monkeypatch):
+        # one guard for every dense table: raw_table's, at the exhaustive limit
+        from omnifair import setfn
+
+        ctx = min_sum_rate(demo_source)
+        cost_calls = []
+        cost = ctx._cost
+        monkeypatch.setattr(ctx, "_cost", lambda m: cost_calls.append(m) or cost(m))
+        monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 5)
+        assert shapley_exact(ctx) == rv({1: F(5, 4), 2: F(1, 2), 3: F(1, 2), 4: 3, 5: F(5, 4)})
+        assert cost_calls
+        cost_calls.clear()
+        monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 4)
+        with pytest.raises(GroundSetTooLarge, match="^ground set of size 5 exceeds the exhaustive limit 4$"):
+            shapley_exact(ctx)
+        assert cost_calls == []
 
 
 class TestMeanOfVertices:
@@ -200,6 +217,22 @@ class TestShapleyApprox:
     def test_seed_required_for_sampling(self, demo_ctx):
         with pytest.raises(ValueError, match="seed"):
             shapley_approx(demo_ctx, count=3)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_no_permutations_refused(self, demo_ctx, count):
+        # 0 is a count, not a request for the default of one per user
+        with pytest.raises(ValueError, match="^need at least one permutation$"):
+            shapley_approx(demo_ctx, count=count, seed=7)
+        with pytest.raises(ValueError, match="^need at least one permutation$"):
+            shapley_decomposed(demo_ctx, mode="approx", count=count, seed=7)
+
+    def test_no_permutations_refused_on_singleton_blocks(self):
+        # every block is one user, so no block samples; the count is refused anyway
+        ctx = min_sum_rate(LinearSource.from_packets({1: ["a"], 2: ["a"]}))
+        assert len(ctx.fundamental_partition) == 2
+        assert shapley_decomposed(ctx, mode="approx", count=1, seed=7) == rv({1: 0, 2: 0})
+        with pytest.raises(ValueError, match="^need at least one permutation$"):
+            shapley_decomposed(ctx, mode="approx", count=0, seed=7)
 
 
 class TestSamplePermutations:
