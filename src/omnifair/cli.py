@@ -9,7 +9,8 @@ A flag that the chosen mode never reads is a flag error, not ignored.
 Exit codes: 0 success, 2 parse or flag error, 3 verification failure,
 4 numerical non-convergence, 5 instance too large for an exhaustive routine,
 6 internal invariant violated.  Codes 4-6, and code 2 once the flags have
-parsed, write a JSON error record in place of the report.
+parsed, write a JSON error record in place of the report.  A file that cannot
+be read or written is a code-2 error; if it is the report's, stderr says so.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from .egalitarian import (
     ConvergenceError,
@@ -39,7 +42,7 @@ from .omniscience import (
     core_membership,
     min_sum_rate,
 )
-from .setfn import GroundSetTooLarge, SetFunction, is_submodular
+from .setfn import GroundSetTooLarge, int_array, is_submodular
 from .shapley import shapley_approx, shapley_decomposed, shapley_exact
 from .sources import SourceSpecError, load_source
 
@@ -53,7 +56,7 @@ EXIT_INTERNAL = 6
 #: Submodularity verification enumerates subset pairs; skip beyond this size.
 VERIFY_SUBMODULAR_LIMIT = 12
 
-#: The separability check evaluates 2^|V| truncations; skip beyond this size.
+#: The separability check reads a 2^|V| raw-cost table; skip beyond this size.
 VERIFY_DECOMPOSITION_LIMIT = 10
 
 
@@ -129,10 +132,10 @@ def _parse_user_map(raw: str, what: str) -> dict[int, Fraction]:
     """Parse an inline JSON object (or @file reference) of user -> rational."""
     text = raw
     if raw.startswith("@"):
-        path = Path(raw[1:])
-        if not path.exists():
-            raise ConfigError(f"no such {what} file: {path}")
-        text = path.read_text()
+        try:
+            text = Path(raw[1:]).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {what} file {raw[1:]}: {getattr(exc, 'strerror', exc)}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -292,20 +295,22 @@ def _write_trace_csv(path: Path, trace, endpoint: RateVector) -> None:
     lines = ["iteration,l1_error,objective"]
     for n, (iterate, obj) in enumerate(zip(trace.iterates, trace.objectives)):
         lines.append(f"{n},{float(iterate.l1_distance(endpoint))},{float(obj)}")
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --trace-csv {path}: {exc.strerror}") from exc
 
 
 def _run_verify(cfg: RunConfig, ctx: GameContext) -> list[dict]:
     verdicts = []
     source = ctx.source
     if len(source.users) <= VERIFY_SUBMODULAR_LIMIT:
-        entropy = SetFunction(source.ground, source.entropy)
-        ok, witness = is_submodular(entropy, tol=source.tol)
-        verdicts.append({
-            "check": "entropy_submodular",
-            "pass": ok,
-            "witness": None if ok else f"f({sorted(witness[0])}) + f({sorted(witness[1])}) violates submodularity",
-        })
+        h = [0] + [source.raw_entropy(m) for m in range(1, 1 << len(source.users))]
+        ok, witness = is_submodular(int_array(h) if source.is_exact else np.array(h), tol=source.tol)
+        if not ok:
+            X, Y = (sorted(source.members(m)) for m in witness)
+            witness = f"f({X}) + f({Y}) violates submodularity"
+        verdicts.append({"check": "entropy_submodular", "pass": ok, "witness": witness})
     else:
         verdicts.append({"check": "entropy_submodular", "pass": True,
                          "witness": f"skipped: more than {VERIFY_SUBMODULAR_LIMIT} users"})
@@ -362,18 +367,25 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     return report, status
 
 
-def _emit(report: dict, output: str | None) -> None:
+def _emit(report: dict, output: str | None, status: int) -> int:
+    """Write ``report`` to ``output`` (stdout if None) and return ``status``,
+    or exit 2 with only an ``error:`` line if ``output`` cannot be written."""
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if output:
-        Path(output).write_text(text)
-    else:
+    if not output:
         sys.stdout.write(text)
+        return status
+    try:
+        Path(output).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write --output {output}: {exc.strerror}", file=sys.stderr)
+        return EXIT_PARSE
+    return status
 
 
 def _fail(head: dict, exc: Exception, output: str | None, status: int, **details) -> int:
     """Emit the JSON error record for ``exc`` and return ``status``."""
     error = {"type": type(exc).__name__, "message": str(exc), **details}
-    _emit({**head, "error": error}, output)
+    status = _emit({**head, "error": error}, output, status)
     print(f"error: {exc}", file=sys.stderr)
     return status
 
@@ -399,8 +411,7 @@ def main(argv=None) -> int:
         return _fail(head, exc, cfg.output, EXIT_NONCONVERGENCE)
     except ArithmeticError as exc:
         return _fail(head, exc, cfg.output, EXIT_INTERNAL)
-    _emit(report, cfg.output)
-    return status
+    return _emit(report, cfg.output, status)
 
 
 if __name__ == "__main__":

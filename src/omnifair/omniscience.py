@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .setfn import _check_size, int_array, subsets, widen
+from .setfn import _check_size, int_array, subset_masks, widen
 from .sources import Source
 
 
@@ -400,8 +400,8 @@ class _SlackTable:
     the slack f(X) - r(X) of rate vectors.  Exact games scale by D = lcm(q,
     K, denominators of ``r``), q the sum-rate's denominator, to integers, so
     rates on the 1/K grid around ``r`` stay exact; pmf games, and exact games
-    given float rates, use float64 within ``ctx.tol``.  Like a dependence
-    SFM, the table is refused past n - 1 free users, before any cost is read.
+    given float rates, use float64 within ``ctx.tol``.  The table is refused
+    past n - 1 free users, before any cost is read.
     """
 
     def __init__(self, ctx: GameContext, r: RateVector, K: int = 1):
@@ -454,7 +454,7 @@ def core_membership(ctx: GameContext, r: RateVector,
     for subgames.  Once r(V) = R_CO the former read r(V∖X) <= f(V∖X), so
     both come off one slack table: ``table`` (built for this game and a grid
     ``r`` lies on), or else one built for ``r``.  Returns the verdict plus the first
-    violated constraint in :func:`subsets` order, put in words only on
+    violated constraint in :func:`subset_masks` order, put in words only on
     failure.
     """
     if table is None:
@@ -467,9 +467,8 @@ def core_membership(ctx: GameContext, r: RateVector,
         bad = bad[::-1]  # X's lower bound is its complement's upper bound
     if not bad.any():
         return True, None
-    # the first in subsets() order: by size, then by the bits set
-    first = min(np.flatnonzero(bad).tolist(),
-                key=lambda m: (m.bit_count(), [k for k in range(m.bit_length()) if m >> k & 1]))
+    masks = subset_masks(len(ctx.users))
+    first = int(masks[bad[masks].argmax()])
     X = sorted(u for k, u in enumerate(ctx.users) if first >> k & 1)
     if ctx.is_whole_game:
         bound = ctx.source.conditional_entropy(X, ctx.ground - set(X))
@@ -490,18 +489,20 @@ def conditional_mi_given_U(ctx: GameContext, X: Iterable[int], Y: Iterable[int])
 
 def check_decomposition(ctx: GameContext) -> None:
     """Verify that the characteristic cost of a solved whole-game context
-    splits across its fundamental partition on every subset, read off one
-    :meth:`GameContext.raw_table`.  The first violation in :func:`subsets`
-    order signals an upstream bug and raises :class:`DecompositionError`.
+    splits across its fundamental partition on every subset: one
+    :meth:`GameContext.raw_table` against its blockwise sums, added left to
+    right from 0 as :func:`_ordered_sum` does.  The first violation in
+    :func:`subset_masks` order, an upstream bug, raises :class:`DecompositionError`.
     """
-    raw = ctx.raw_table()  # a whole game: its local masks are the source's
-    blocks = [ctx.source.mask(C) for C in ctx.fundamental_partition.blocks]
-    for X in subsets(ctx.users):
-        m = ctx.source.mask(X)
-        rhs = _ordered_sum(raw[m & C] for C in blocks)
-        if not _eq(raw[m], rhs, ctx.tol):
-            raise DecompositionError(
-                f"hat({sorted(X)}) = {ctx.hat(X)} but the blockwise sum is {ctx.value_of(rhs)}")
+    table = np.array(ctx.raw_table(), dtype=object if ctx.source.is_exact else float)
+    masks = subset_masks(len(ctx.users))  # a whole game: its local masks are the source's
+    sums = _ordered_sum(table[masks & ctx.source.mask(C)] for C in ctx.fundamental_partition.blocks)
+    bad = abs(table[masks] - sums) > ctx.tol
+    if bad.any():
+        x = int(bad.argmax())
+        X = sorted(ctx.source.members(int(masks[x])))
+        raise DecompositionError(
+            f"hat({X}) = {ctx.hat(X)} but the blockwise sum is {ctx.value_of(sums.item(x))}")
 
 
 def decompose(ctx: GameContext) -> list[GameContext]:

@@ -1,18 +1,9 @@
-"""Set-function toolkit: set-function oracles, submodularity checks, and
-submodular function minimization (SFM) on sublattices of the subset
-lattice.
-
-:func:`sfm_min` enumerates the lattice, evaluating the oracle once per
-subset; callers that want a cache put it behind the oracle.  The solver's
-own truncation does not go through it: it enumerates block subsets on
-bitmasks (:mod:`omnifair.omniscience`).
-
-The submodularity checks tabulate the function once into a dense array
-indexed by subset bitmask and test one set against all others per array
-operation.  Exact values are scaled to integers by the least common
-multiple of their denominators (:func:`tabulate`), so no comparison rounds;
-float values stay float64.  Integer tables hold int64 or Python ints by one
-rule (:func:`int_array`), shared with :mod:`omnifair.omniscience`'s slack table.
+"""Set functions as tables indexed by subset bitmask, which is how the
+product reads them: the one subset scan order of the exhaustive checks
+(:func:`subset_masks`), the submodularity check, and the int64-or-Python-int
+rule of integer tables (:func:`int_array`).  :class:`SetFunction` and the
+exhaustive SFM :func:`sfm_min` stay only for the tests and for the benchmark
+tracer, which binds them by name.
 """
 
 from __future__ import annotations
@@ -20,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import floor, lcm
+from math import floor
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -61,11 +52,18 @@ class SetFunction:
         return self._fn(X)
 
 
+def subset_masks(n: int) -> np.ndarray:
+    """Every bitmask of n bits, by popcount, then by the positions of the set
+    bits: the order in which the exhaustive checks scan subsets."""
+    return np.array([sum(1 << k for k in c) for c in chain.from_iterable(
+        combinations(range(n), k) for k in range(n + 1))], dtype=np.int64)
+
+
 def subsets(items: Iterable) -> Iterable[frozenset]:
-    """All subsets of ``items``, ordered by size then by element order."""
+    """All subsets of ``items``, in :func:`subset_masks` order over the sorted items."""
     items = sorted(items)
-    return (frozenset(c) for c in chain.from_iterable(
-        combinations(items, k) for k in range(len(items) + 1)))
+    return (frozenset(u for k, u in enumerate(items) if m >> k & 1)
+            for m in subset_masks(len(items)).tolist())
 
 
 def _check_size(n: int) -> None:
@@ -80,25 +78,6 @@ def int_array(ints: Sequence[int]) -> np.ndarray:
     return np.array(ints, dtype=object if wide else np.int64)
 
 
-def tabulate(f: Callable[[frozenset], Fraction | float],
-             ground: Sequence) -> tuple[np.ndarray, int | None]:
-    """``f`` on every subset of ``ground``, indexed by bitmask: bit k of the
-    index is ``ground[k]``.
-
-    Exact values are scaled by D, the least common multiple of their
-    denominators, into an :func:`int_array`; returns the table and D.  If
-    any value is a float, the table is float64 and D is None.  The table is
-    refused, before ``f`` is evaluated, beyond the exhaustive limit.
-    """
-    _check_size(len(ground))
-    values = [f(frozenset(u for k, u in enumerate(ground) if m >> k & 1))
-              for m in range(1 << len(ground))]
-    if any(isinstance(v, float) for v in values):
-        return np.array(values, dtype=float), None
-    scale = lcm(*(v.denominator for v in values))
-    return int_array([int(v * scale) for v in values]), scale
-
-
 def widen(table: np.ndarray, magnitude: int) -> np.ndarray:
     """``table`` as Python ints if it holds int64 and a term of
     ``magnitude`` could overflow sums of its entries, else unchanged."""
@@ -107,30 +86,26 @@ def widen(table: np.ndarray, magnitude: int) -> np.ndarray:
     return table
 
 
-def is_submodular(f: SetFunction, tol=0):
+def is_submodular(table: np.ndarray, tol=0):
     """Exhaustively check f(X) + f(Y) >= f(X ∩ Y) + f(X ∪ Y) - tol on all
-    pairs, evaluating ``f`` once per subset.
+    pairs of a table of f indexed by bitmask: int64, float64, or an object
+    array of ints or ``Fraction``s, which compare exactly.  The table is
+    refused beyond the exhaustive limit.
 
     Returns ``(True, None)`` or ``(False, (X, Y))`` with the first violating
-    pair, both sets ranging over :func:`subsets` order.
+    pair of masks, both ranging over :func:`subset_masks` order.
     """
-    ground = sorted(f.ground)
-    table, scale = tabulate(f, ground)
-    if scale is None:
-        margin = float(tol)
-    else:
-        # integer sums: a < b - tol*D  <=>  a < b - floor(tol*D)
-        margin = floor(Fraction(tol) * scale)
-        table = widen(table, margin)
-    bit = {u: 1 << k for k, u in enumerate(ground)}
-    order = list(subsets(ground))
-    masks = np.array([sum(bit[u] for u in X) for X in order], dtype=np.int64)
+    n = len(table).bit_length() - 1
+    _check_size(n)
+    if table.dtype == np.int64:  # integer sums: a < b - tol  <=>  a < b - floor(tol)
+        table, tol = widen(table, floor(tol)), floor(tol)
+    masks = subset_masks(n)
     vals = table[masks]
     for x, mx in enumerate(masks):
-        bad = vals[x] + vals < table[masks & mx] + table[masks | mx] - margin
+        bad = vals[x] + vals < table[masks & mx] + table[masks | mx] - tol
         y = int(bad.argmax())
         if bad[y]:
-            return False, (order[x], order[y])
+            return False, (int(mx), int(masks[y]))
     return True, None
 
 

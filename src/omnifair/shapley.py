@@ -18,7 +18,7 @@ from itertools import permutations as iter_permutations
 from typing import Iterable, Mapping, Sequence
 
 from .omniscience import GameContext, RateVector, decompose
-from .setfn import GroundSetTooLarge, subsets
+from .setfn import GroundSetTooLarge, subset_masks
 
 #: Factorial vertex enumeration refuses ground sets beyond this size.
 ENUMERATION_LIMIT = 8
@@ -42,14 +42,14 @@ def enumerate_extreme_points(ctx: GameContext) -> tuple[RateVector, ...]:
 
 def shapley_exact(ctx: GameContext) -> RateVector:
     """Shapley value from its defining sum of weighted marginal costs, read
-    off one :meth:`GameContext.raw_table` in :func:`subsets` order; linear
+    off one :meth:`GameContext.raw_table` in :func:`subset_masks` order; linear
     sources sum in integers and divide once per user."""
     n = len(ctx.users)
     total = factorial(n)
     weights = [factorial(k) * factorial(n - k - 1) for k in range(n)]
     if not ctx.source.is_exact:
         weights = [w / total for w in weights]  # float(Fraction(w, n!))
-    raw, order = ctx.raw_table(), [sum(1 << k for k in X) for X in subsets(range(n))]
+    raw, order = ctx.raw_table(), subset_masks(n).tolist()
     rates = {}
     for k, i in enumerate(ctx.users):
         bit, acc = 1 << k, 0

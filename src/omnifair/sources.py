@@ -219,7 +219,11 @@ class LinearSource(Source):
         if len(lengths) > 1:
             raise SourceSpecError(f"coefficient vectors have mixed lengths {sorted(lengths)}")
         width = lengths.pop() if lengths else 0
-        vectors = {u: tuple(tuple(int(c) for c in v) for v in holdings[u]) for u in users}
+        stray = [c for rows in holdings.values() for v in rows for c in v
+                 if not isinstance(c, int) or isinstance(c, bool)]
+        if stray:
+            raise SourceSpecError(f"coefficients must be integers, got {stray[0]!r}")
+        vectors = {u: tuple(tuple(v) for v in holdings[u]) for u in users}
         return cls(users, field, tuple(range(width)), packets=None, vectors=vectors)
 
     def _entropy(self, mask: int) -> int:
@@ -292,7 +296,8 @@ def _parse_user_key(key) -> int:
 
 
 def load_source(spec: Mapping | str | Path) -> Source:
-    """Parse a JSON source spec (a mapping, a JSON string, or a file path).
+    """Parse a JSON source spec (a mapping, a JSON string starting with "{",
+    or a file path, whose read errors are :class:`SourceSpecError`s).
 
     Linear form::
 
@@ -307,13 +312,14 @@ def load_source(spec: Mapping | str | Path) -> Source:
     with the nested table axes ordered by sorted user id.
     """
     if isinstance(spec, (str, Path)):
-        path = Path(spec)
-        if path.exists():
-            text = path.read_text()
-        elif isinstance(spec, str) and spec.lstrip().startswith("{"):
-            text = spec
-        else:
-            raise SourceSpecError(f"no such source file: {spec}")
+        text = spec
+        if not (isinstance(spec, str) and spec.lstrip().startswith("{")):
+            try:
+                text = Path(spec).read_text()
+            except FileNotFoundError:
+                raise SourceSpecError(f"no such source file: {spec}") from None
+            except (OSError, UnicodeDecodeError) as exc:
+                raise SourceSpecError(f"cannot read source file {spec}: {getattr(exc, 'strerror', exc)}") from exc
         try:
             spec = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -44,12 +44,13 @@ def demo_source() -> LinearSource:
 
 
 def solve_everything(source) -> tuple:
-    """Exact and sampled Shapley, the continuous egalitarian point and sda,
-    each on a context of its own."""
+    """Exact and sampled Shapley, the continuous egalitarian point, sda and
+    the verdicts of ``verify``, each on a context of its own."""
     return (omnifair.shapley_exact(omnifair.min_sum_rate(source)),
             omnifair.shapley_approx(omnifair.min_sum_rate(source), count=4, seed=1),
             omnifair.egalitarian_continuous(omnifair.min_sum_rate(source)),
-            omnifair.sda(omnifair.min_sum_rate(source)))
+            omnifair.sda(omnifair.min_sum_rate(source)),
+            omnifair.cli._run_verify(omnifair.cli.RunConfig("verify"), omnifair.min_sum_rate(source)))
 
 
 def test_bench_tracer_enters_and_leaves():
@@ -74,7 +75,9 @@ def test_bench_tracer_wraps_the_solvers_and_restores_every_binding():
     assert package_bindings() == before
     assert got == want
     metrics = tracing.summarize(tracer)
-    for spanned in ("shapley.exact_s", "shapley.approx_s", "egalitarian.fw_s", "egalitarian.sda_s"):
+    for spanned in ("shapley.exact_s", "shapley.approx_s", "egalitarian.fw_s", "egalitarian.sda_s",
+                    "setfn.is_submodular_s"):
         assert metrics[spanned] > 0, spanned
     assert metrics["egalitarian.sda_iterations"] == want[3][1].iterations > 0
     assert metrics["egalitarian.dep_calls"] > 0
+

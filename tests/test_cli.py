@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from omnifair import RateVector, egalitarian_decomposed, load_source, min_sum_rate
 from omnifair.cli import (
+    RunConfig,
+    _run_verify,
     EXIT_INTERNAL,
     EXIT_NONCONVERGENCE,
     EXIT_PARSE,
@@ -21,7 +23,7 @@ from omnifair.cli import (
     parse_rational,
 )
 
-from conftest import DEMO_HOLDINGS, DEMO_PACKETS
+from conftest import DEMO_HOLDINGS, DEMO_PACKETS, pmf_from_packets
 
 
 @pytest.fixture()
@@ -273,6 +275,66 @@ def test_verify_fails_on_zero_vector(capsys, spec_path):
     verdict = {v["check"]: v for v in report["verification"]}["rate_vector_in_core"]
     assert verdict["pass"] is False
     assert "sum rate" in verdict["witness"]
+
+
+@pytest.mark.parametrize("kind", ["linear", "pmf"])
+def test_verify_names_a_submodularity_violation(spec_path, kind):
+    # a real entropy is always submodular, so poke a supermodular H({1, 2})
+    source = load_source(spec_path) if kind == "linear" else pmf_from_packets(
+        {1: ["a"], 2: ["b"], 3: ["a", "b"]}, ["a", "b"])
+    ctx = min_sum_rate(source)
+    h, bit = source.raw_entropy, source.mask
+    source._cache[bit({1, 2})] = h(bit({1})) + h(bit({2})) + 1
+    entropy_check = _run_verify(RunConfig("verify"), ctx)[0]
+    assert entropy_check == {"check": "entropy_submodular", "pass": False,
+                             "witness": "f([1]) + f([2]) violates submodularity"}
+
+
+def unreadable(tmp_path, kind: str) -> str:
+    """A path that exists but cannot be read as text."""
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+def test_unreadable_input_is_a_spec_error(capsys, tmp_path, kind):
+    path = unreadable(tmp_path, kind)
+    status, report = run_cli(capsys, "solve", "--input", path)
+    assert status == EXIT_PARSE
+    assert report["error"]["type"] == "SourceSpecError"
+    assert report["error"]["message"].startswith(f"cannot read source file {path}: ")
+
+
+@pytest.mark.parametrize("kind", ["directory", "undecodable", "missing"])
+def test_unreadable_rates_file_is_a_config_error(capsys, spec_path, tmp_path, kind):
+    path = str(tmp_path / "missing.json") if kind == "missing" else unreadable(tmp_path, kind)
+    status, report = run_cli(capsys, "verify", "--input", spec_path, "--rates", f"@{path}")
+    assert status == EXIT_PARSE
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["message"].startswith(f"cannot read rates file {path}: ")
+
+
+def test_unwritable_trace_csv_is_a_config_error(capsys, spec_path, tmp_path):
+    csv = tmp_path / "missing" / "trace.csv"
+    status, report = run_cli(capsys, "egalitarian", "--input", spec_path, "--trace-csv", str(csv))
+    assert status == EXIT_PARSE
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["message"].startswith(f"cannot write --trace-csv {csv}")
+
+
+@pytest.mark.parametrize("argv", [[], ["--rates", "{}"]])
+def test_unwritable_output_exits_2_on_stderr(capsys, spec_path, tmp_path, argv):
+    # a report and an error record alike have nowhere to go
+    out = tmp_path / "missing" / "report.json"
+    status = main(["verify", "--input", spec_path, "--output", str(out), *argv])
+    captured = capsys.readouterr()
+    assert status == EXIT_PARSE
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --output {out}: ")
+    assert not out.parent.exists()
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

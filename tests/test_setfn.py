@@ -13,7 +13,7 @@ from omnifair import (
     is_submodular,
     sfm_min,
 )
-from omnifair.setfn import INT64_SAFE, subsets, tabulate, widen
+from omnifair.setfn import INT64_SAFE, _check_size, int_array, subset_masks, subsets, widen
 
 from conftest import (
     greedy_vertex,
@@ -25,6 +25,27 @@ from conftest import (
 )
 
 
+def members(ground: list, mask: int) -> frozenset:
+    return frozenset(u for k, u in enumerate(ground) if mask >> k & 1)
+
+
+def values_by_mask(f: SetFunction) -> list:
+    """``f`` on every bitmask of its sorted ground set."""
+    ground = sorted(f.ground)
+    return [f(members(ground, m)) for m in range(1 << len(ground))]
+
+
+def check_submodular(f: SetFunction, tol=0):
+    """:func:`is_submodular` on ``f``'s table (an object array, float64 if
+    any value is a float), refused before ``f`` is evaluated, with the
+    witness masks as sets."""
+    _check_size(len(f.ground))
+    values = values_by_mask(f)
+    table = np.array(values, dtype=float if any(isinstance(v, float) for v in values) else object)
+    ok, witness = is_submodular(table, tol)
+    return ok, witness and tuple(members(sorted(f.ground), m) for m in witness)
+
+
 def supermodular_pair():
     """f({1}) = f({2}) = 0, f(empty) = f({1,2}) = 1: strictly supermodular."""
     table = {frozenset(): 1, frozenset({1}): 0, frozenset({2}): 0, frozenset({1, 2}): 1}
@@ -33,15 +54,15 @@ def supermodular_pair():
 
 class TestSubmodularityChecks:
     def test_demo_entropy_submodular(self, demo_source):
-        ok, witness = is_submodular(SetFunction(demo_source.ground, demo_source.entropy))
+        ok, witness = check_submodular(SetFunction(demo_source.ground, demo_source.entropy))
         assert ok and witness is None
 
     def test_constant_zero_submodular(self):
-        ok, _ = is_submodular(SetFunction({1, 2, 3}, lambda X: F(0)))
+        ok, _ = check_submodular(SetFunction({1, 2, 3}, lambda X: F(0)))
         assert ok
 
     def test_supermodular_witness(self):
-        ok, witness = is_submodular(supermodular_pair())
+        ok, witness = check_submodular(supermodular_pair())
         assert not ok
         assert witness == (frozenset({1}), frozenset({2}))
 
@@ -68,7 +89,7 @@ class TestSubmodularityChecks:
     def test_ground_set_limit(self):
         big = SetFunction(range(21), lambda X: F(len(X)))
         with pytest.raises(GroundSetTooLarge):
-            is_submodular(big)
+            check_submodular(big)
 
 
 def capped_plus_c(X):
@@ -195,7 +216,7 @@ def test_sfm_min_evaluates_each_lattice_point_once():
 
 def test_is_submodular_evaluates_each_subset_once():
     f, calls = counting_oracle({1, 2, 3})
-    assert is_submodular(f) == (True, None)
+    assert check_submodular(f) == (True, None)
     assert sorted(map(sorted, calls)) == sorted(map(sorted, subsets({1, 2, 3})))
 
 
@@ -234,7 +255,7 @@ def test_witness_matches_pairwise_oracle(kind, positive_tol):
         for seed in range(4):
             for submodular in (True, False):
                 f = random_set_function(seed * 7 + n, n, kind, submodular)
-                got = is_submodular(f, tol)
+                got = check_submodular(f, tol)
                 assert got == pairwise_first_violation(f, tol), (n, seed)
                 outcomes.add(got[0])
     assert outcomes == {True, False}
@@ -245,30 +266,46 @@ def test_witness_exact_beyond_int64():
     for seed in range(6):
         f = random_set_function(seed, 4, "int", submodular=False, step=step)
         for tol in (0, step):
-            assert is_submodular(f, tol) == pairwise_first_violation(f, tol)
+            assert check_submodular(f, tol) == pairwise_first_violation(f, tol)
     # a violation by one step, invisible in float64
     table = {frozenset(): 0, frozenset({1}): 1, frozenset({2}): 1, frozenset({1, 2}): 2 + step}
     exact = SetFunction({1, 2}, table.__getitem__)
-    assert is_submodular(exact) == (False, (frozenset({1}), frozenset({2})))
-    assert is_submodular(exact, step / 2)[0] is False
-    assert is_submodular(exact, step) == (True, None)
-    assert is_submodular(SetFunction({1, 2}, lambda X: float(table[X]))) == (True, None)
+    assert check_submodular(exact) == (False, (frozenset({1}), frozenset({2})))
+    assert check_submodular(exact, step / 2)[0] is False
+    assert check_submodular(exact, step) == (True, None)
+    assert check_submodular(SetFunction({1, 2}, lambda X: float(table[X]))) == (True, None)
 
 
-def test_tabulate_scales_to_int64_and_widens_past_its_headroom():
-    values = {frozenset(): 0, frozenset({"a"}): F(1, 3), frozenset({"b"}): F(5, 6),
-              frozenset({"a", "b"}): 2}
-    table, scale = tabulate(values.__getitem__, ["a", "b"])
-    assert (table.tolist(), scale, table.dtype) == ([0, 2, 5, 12], 6, np.int64)
-    table, scale = tabulate(lambda X: 0.5 * len(X), ["a", "b"])
-    assert (table.tolist(), scale, table.dtype) == ([0, 0.5, 0.5, 1], None, float)
-    assert tabulate(lambda X: (INT64_SAFE - 1) * len(X), ["a"])[0].dtype == np.int64
-    wide, _ = tabulate(lambda X: -INT64_SAFE * len(X), ["a"])
-    assert wide.dtype == object and wide.tolist() == [0, -INT64_SAFE]
-    assert tabulate(lambda X: F(len(X), 2 ** 70), ["a"])[0].tolist() == [0, 1]
+def test_widen_past_the_int64_headroom():
     narrow = np.array([1], dtype=np.int64)
     assert widen(narrow, INT64_SAFE - 1) is narrow
     assert widen(narrow, INT64_SAFE).dtype == object
+
+
+def test_int_array_holds_int64_below_the_headroom():
+    assert int_array([0, INT64_SAFE - 1]).dtype == np.int64
+    wide = int_array([0, -INT64_SAFE])
+    assert wide.dtype == object and wide.tolist() == [0, -INT64_SAFE]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_subset_masks_is_the_subsets_order(n):
+    want = [sum(1 << k for k in X) for X in subsets(range(n))]
+    assert subset_masks(n).tolist() == want
+    assert sorted(want) == list(range(1 << n))
+
+
+@pytest.mark.parametrize("tol", [0, 1, F(1, 3), F(5, 2), 0.5])
+def test_int64_table_matches_the_exact_one(tol):
+    outcomes = set()
+    for n in range(1, 6):
+        for seed in range(4):
+            f = random_set_function(seed * 7 + n, n, "int", submodular=False)
+            values = values_by_mask(f)
+            got = is_submodular(int_array(values), tol)
+            assert got == is_submodular(np.array(values, dtype=object), tol), (n, seed)
+            outcomes.add(got[0])
+    assert outcomes == {True, False}
 
 
 def test_submodularity_check_refusal_boundary(monkeypatch):
@@ -276,8 +313,12 @@ def test_submodularity_check_refusal_boundary(monkeypatch):
 
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 4)
     f, _ = counting_oracle({1, 2, 3, 4})
-    assert is_submodular(f)[0]
+    assert check_submodular(f)[0]
     f, calls = counting_oracle({1, 2, 3, 4, 5})
     with pytest.raises(GroundSetTooLarge, match="size 5 exceeds the exhaustive limit 4"):
-        is_submodular(f)
+        check_submodular(f)
     assert calls == []
+    # the table itself is refused by its size
+    assert is_submodular(np.zeros(16, dtype=np.int64)) == (True, None)
+    with pytest.raises(GroundSetTooLarge, match="size 5 exceeds the exhaustive limit 4"):
+        is_submodular(np.zeros(32, dtype=np.int64))

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnifair import LinearSource, PmfSource, SourceSpecError, gf_rank, load_source
-from omnifair.setfn import SetFunction, is_submodular, subsets
+from omnifair import LinearSource, PmfSource, SourceSpecError, gf_rank, load_source, sources
+from omnifair.setfn import is_submodular, subsets
 
 from conftest import (
     DEMO_HOLDINGS,
     DEMO_PACKETS,
     PMF_FUZZ_SEEDS,
+    entropy_table,
     packet_entropy_reference,
     pmf_entropy_reference,
     pmf_fill_reference,
@@ -280,6 +281,20 @@ class TestLoadSource:
         with pytest.raises(SourceSpecError, match="invalid JSON"):
             load_source('{"model": "linear",')
 
+    @pytest.mark.parametrize("coefficient", [0.5, 1.9, "1", True])
+    def test_non_integer_coefficient_refused(self, coefficient, monkeypatch):
+        ranks = []
+        monkeypatch.setattr(sources, "gf_rank", lambda *args: ranks.append(args))
+        with pytest.raises(SourceSpecError, match=f"coefficients must be integers, got {coefficient!r}"):
+            load_source({"model": "linear", "field": 3,
+                         "users": {"1": [[1, coefficient]], "2": [[0, 1]]}})
+        assert ranks == []
+
+    def test_json_text_longer_than_a_file_name(self):
+        # read as JSON text, not probed as a path the OS refuses to stat
+        spec = {"model": "linear", "users": {"1": [f"p{k}" for k in range(100)], "2": ["p0"]}}
+        assert load_source(json.dumps(spec)).users == (1, 2)
+
     def test_bad_user_key(self):
         with pytest.raises(SourceSpecError, match="not an integer"):
             load_source({"model": "linear", "users": {"alice": ["a"], "2": ["a"]}})
@@ -297,7 +312,7 @@ def assert_polymatroid(source):
         for Y in subs:
             if Y <= X:
                 assert source.entropy(Y) <= source.entropy(X)
-    assert is_submodular(SetFunction(source.ground, source.entropy))[0]
+    assert is_submodular(entropy_table(source))[0]
 
 
 def test_demo_entropy_is_polymatroid(demo_source):
