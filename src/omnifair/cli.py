@@ -20,11 +20,9 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
+from typing import NamedTuple
 
 from .egalitarian import (
     ConvergenceError,
@@ -76,8 +74,7 @@ UNREAD_FLAGS = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Echoed verbatim (minus derived fields) into every report."""
 
     command: str
@@ -93,7 +90,7 @@ class RunConfig:
     rates: dict | None = None
 
     def echo(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = self._asdict()
         for name in USER_MAPS:
             if out[name] is not None:
                 out[name] = emit_user_map(out[name])
@@ -193,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    values = {name: getattr(args, name) for name in RunConfig._fields if hasattr(args, name)}
     for name in USER_MAPS:
         raw = values.get(name)
         values[name] = _parse_user_map(raw, name) if raw else None
@@ -302,6 +299,7 @@ def _write_trace_csv(path: Path, trace, endpoint: RateVector) -> None:
 
 
 def _run_verify(cfg: RunConfig, ctx: GameContext) -> list[dict]:
+    import numpy as np
     verdicts = []
     source = ctx.source
     if len(source.users) <= VERIFY_SUBMODULAR_LIMIT:

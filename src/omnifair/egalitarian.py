@@ -24,13 +24,10 @@ fractional rate vector into integer chunk rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import ceil, isfinite, lcm
-from typing import Mapping
-
-import numpy as np
+from typing import Mapping, NamedTuple
 
 from .omniscience import (
     GameContext,
@@ -93,6 +90,7 @@ def dep(ctx: GameContext, r: RateVector, i: int, table: _SlackTable | None = Non
     bitmask: ``table``, which :func:`sda` builds once per run, or else one
     built for this call.  The AND of the masks containing ``i`` whose slack
     is within ``tol`` of the least such slack is the minimal minimizer."""
+    import numpy as np
     if i not in ctx.ground:
         raise ValueError(f"user {i} is not in this game")
     if table is None:
@@ -105,9 +103,9 @@ def dep(ctx: GameContext, r: RateVector, i: int, table: _SlackTable | None = Non
     return frozenset(u for b, u in enumerate(ctx.users) if minimal >> b & 1)
 
 
-@dataclass
 class SdaTrace:
-    """Record of a steepest-descent run over the 1/K grid.
+    """Record of a steepest-descent run over the 1/K grid, filled in by
+    :func:`sda` as it runs; two traces are equal when every field is.
 
     ``iterates`` holds the estimates from the initial point to the output,
     ``pairs`` the accepted exchange per step as (gainer, loser), and
@@ -116,13 +114,20 @@ class SdaTrace:
     the theory's guarantees lapse.
     """
 
-    K: int
-    iterates: list[RateVector] = field(default_factory=list)
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-    objectives: list = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    locally_optimal: bool | None = None
-    left_core: bool | None = None
+    def __init__(self, K: int, iterates: list[RateVector], objectives: list):
+        self.K = K
+        self.iterates = iterates
+        self.pairs: list[tuple[int, int]] = []
+        self.objectives = objectives
+        self.warnings: list[str] = []
+        self.locally_optimal: bool | None = None
+        self.left_core: bool | None = None
+
+    def __eq__(self, other) -> bool:  # defining it leaves the mutable trace unhashable
+        return vars(self) == vars(other) if type(other) is SdaTrace else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SdaTrace({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def iterations(self) -> int:
@@ -321,8 +326,7 @@ def egalitarian_decomposed(ctx: GameContext, *, weights=None, K: int | None = No
         for sub in decompose(ctx))
 
 
-@dataclass(frozen=True)
-class SplitPlan:
+class SplitPlan(NamedTuple):
     """Integer chunk rates realizing a fractional rate vector: each packet is
     cut into ``chunks_per_packet`` chunks and user ``i`` sends
     ``chunk_rates[i]`` chunk combinations.  Coding coefficients are out of
@@ -346,6 +350,9 @@ def packet_split_plan(r: RateVector, K: int | None = None) -> SplitPlan:
         if isinstance(v, float):
             raise ValueError("packet splitting needs exact rational rates")
         rationals[u] = Fraction(v)
+    negative = sorted(u for u, v in rationals.items() if v < 0)
+    if negative:
+        raise ValueError(f"rates of users {negative} are negative")
     minimal = lcm(*(v.denominator for v in rationals.values()))
     if K is None:
         K = minimal

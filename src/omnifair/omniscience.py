@@ -24,8 +24,6 @@ from math import lcm
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping
 
-import numpy as np
-
 from .setfn import _check_size, int_array, subset_masks, widen
 from .sources import Source
 
@@ -405,6 +403,7 @@ class _SlackTable:
     """
 
     def __init__(self, ctx: GameContext, r: RateVector, K: int = 1):
+        import numpy as np
         if r.users != ctx.users:
             raise ValueError(f"rate vector users {r.users} != game users {ctx.users}")
         _check_size(len(ctx.users) - 1)
@@ -427,6 +426,7 @@ class _SlackTable:
         """f(X) - r(X) over every mask; r(X) by the doubling pass
         mass[2^k:2^(k+1)] = mass[:2^k] + r_k.  The slack of the last ``r``
         asked about is kept, so the questions about one iterate share it."""
+        import numpy as np
         if self._at is not None and self._at[0] is r:
             return self._at[1]
         f, users = self.f, self.users
@@ -468,7 +468,7 @@ def core_membership(ctx: GameContext, r: RateVector,
     if not bad.any():
         return True, None
     masks = subset_masks(len(ctx.users))
-    first = int(masks[bad[masks].argmax()])
+    first = masks[int(bad[masks].argmax())]
     X = sorted(u for k, u in enumerate(ctx.users) if first >> k & 1)
     if ctx.is_whole_game:
         bound = ctx.source.conditional_entropy(X, ctx.ground - set(X))
@@ -494,8 +494,9 @@ def check_decomposition(ctx: GameContext) -> None:
     right from 0 as :func:`_ordered_sum` does.  The first violation in
     :func:`subset_masks` order, an upstream bug, raises :class:`DecompositionError`.
     """
+    import numpy as np
     table = np.array(ctx.raw_table(), dtype=object if ctx.source.is_exact else float)
-    masks = subset_masks(len(ctx.users))  # a whole game: its local masks are the source's
+    masks = np.array(subset_masks(len(ctx.users)))  # a whole game: its local masks are the source's
     sums = _ordered_sum(table[masks & ctx.source.mask(C)] for C in ctx.fundamental_partition.blocks)
     bad = abs(table[masks] - sums) > ctx.tol
     if bad.any():

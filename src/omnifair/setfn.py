@@ -1,20 +1,21 @@
 """Set functions as tables indexed by subset bitmask, which is how the
 product reads them: the one subset scan order of the exhaustive checks
-(:func:`subset_masks`), the submodularity check, and the int64-or-Python-int
-rule of integer tables (:func:`int_array`).  :class:`SetFunction` and the
-exhaustive SFM :func:`sfm_min` stay only for the tests and for the benchmark
-tracer, which binds them by name.
+(:func:`subset_masks`, a list of Python ints), the submodularity check, and
+the int64-or-Python-int rule of integer tables (:func:`int_array`).
+:class:`SetFunction` and the exhaustive SFM :func:`sfm_min` stay only for the
+tests and for the benchmark tracer, which binds them by name.
+
+numpy is imported only by the functions that build or read arrays
+(:func:`int_array`, :func:`widen`, :func:`is_submodular`), so the scan order
+and the exhaustive SFM run without it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from math import floor
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 #: The exhaustive paths refuse ground sets beyond this size (2^20 evaluations).
 EXHAUSTIVE_LIMIT = 20
@@ -52,18 +53,25 @@ class SetFunction:
         return self._fn(X)
 
 
-def subset_masks(n: int) -> np.ndarray:
+def subset_masks(n: int) -> list[int]:
     """Every bitmask of n bits, by popcount, then by the positions of the set
-    bits: the order in which the exhaustive checks scan subsets."""
-    return np.array([sum(1 << k for k in c) for c in chain.from_iterable(
-        combinations(range(n), k) for k in range(n + 1))], dtype=np.int64)
+    bits: the order in which the exhaustive checks scan subsets.
+
+    Built one bit at a time from the top down: ``by_size[k]`` lists the
+    k-subsets of the bits added so far in that order, and a new lowest bit
+    goes first, so the k-subsets holding it precede those that do not."""
+    by_size = [[0]] + [[] for _ in range(n)]
+    for added, bit in enumerate(1 << k for k in reversed(range(n))):
+        for k in range(added + 1, 0, -1):
+            by_size[k] = [bit | m for m in by_size[k - 1]] + by_size[k]
+    return list(chain.from_iterable(by_size))
 
 
 def subsets(items: Iterable) -> Iterable[frozenset]:
     """All subsets of ``items``, in :func:`subset_masks` order over the sorted items."""
     items = sorted(items)
     return (frozenset(u for k, u in enumerate(items) if m >> k & 1)
-            for m in subset_masks(len(items)).tolist())
+            for m in subset_masks(len(items)))
 
 
 def _check_size(n: int) -> None:
@@ -74,6 +82,7 @@ def _check_size(n: int) -> None:
 def int_array(ints: Sequence[int]) -> np.ndarray:
     """``ints`` as int64 while every entry stays below :data:`INT64_SAFE` in
     magnitude, else as Python ints, which are exact at any size."""
+    import numpy as np
     wide = any(abs(v) >= INT64_SAFE for v in ints)
     return np.array(ints, dtype=object if wide else np.int64)
 
@@ -81,6 +90,7 @@ def int_array(ints: Sequence[int]) -> np.ndarray:
 def widen(table: np.ndarray, magnitude: int) -> np.ndarray:
     """``table`` as Python ints if it holds int64 and a term of
     ``magnitude`` could overflow sums of its entries, else unchanged."""
+    import numpy as np
     if table.dtype == np.int64 and magnitude >= INT64_SAFE:
         return table.astype(object)
     return table
@@ -95,11 +105,12 @@ def is_submodular(table: np.ndarray, tol=0):
     Returns ``(True, None)`` or ``(False, (X, Y))`` with the first violating
     pair of masks, both ranging over :func:`subset_masks` order.
     """
+    import numpy as np
     n = len(table).bit_length() - 1
     _check_size(n)
     if table.dtype == np.int64:  # integer sums: a < b - tol  <=>  a < b - floor(tol)
         table, tol = widen(table, floor(tol)), floor(tol)
-    masks = subset_masks(n)
+    masks = np.array(subset_masks(n), dtype=np.int64)
     vals = table[masks]
     for x, mx in enumerate(masks):
         bad = vals[x] + vals < table[masks & mx] + table[masks | mx] - tol
@@ -109,8 +120,7 @@ def is_submodular(table: np.ndarray, tol=0):
     return True, None
 
 
-@dataclass(frozen=True)
-class SfmResult:
+class SfmResult(NamedTuple):
     """Minimum value plus the minimal and maximal minimizing subsets."""
 
     value: Fraction | float

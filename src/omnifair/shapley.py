@@ -49,7 +49,7 @@ def shapley_exact(ctx: GameContext) -> RateVector:
     weights = [factorial(k) * factorial(n - k - 1) for k in range(n)]
     if not ctx.source.is_exact:
         weights = [w / total for w in weights]  # float(Fraction(w, n!))
-    raw, order = ctx.raw_table(), subset_masks(n).tolist()
+    raw, order = ctx.raw_table(), subset_masks(n)
     rates = {}
     for k, i in enumerate(ctx.users):
         bit, acc = 1 << k, 0

@@ -9,6 +9,7 @@ Two source families are supported:
 * :class:`PmfSource` -- a discrete joint probability mass function.
   Entropies are floats in bits and downstream comparisons use a tolerance.
   One depth-first marginalization pass fills the memo on the first call.
+  Only this family loads numpy, when a pmf source is built.
 
 Each source memoizes H by user bitmask (bit k is ``users[k]``) in its raw
 number type, an int for linear sources and a float for pmf sources; the
@@ -21,8 +22,6 @@ import json
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 #: Joint pmf tables must sum to one within this tolerance.
 PMF_NORMALIZATION_TOL = 1e-12
@@ -252,6 +251,7 @@ class PmfSource(Source):
     is_exact = False
 
     def __init__(self, alphabets: Mapping[int, Sequence], table):
+        import numpy as np
         super().__init__(alphabets.keys())
         self.alphabets = {u: tuple(alphabets[u]) for u in self.users}
         arr = np.asarray(table, dtype=float)
@@ -269,16 +269,18 @@ class PmfSource(Source):
         self._zero_free = bool(arr.all())
         self._wide = sum(1 << k for k, size in enumerate(shape) if size > 1)
         self._H: np.ndarray | None = None
+        self._log2 = np.log2  # so that _fill, run once per mask, imports nothing
 
     def _entropy(self, mask: int) -> float:
         if self._H is None:
+            import numpy as np
             self._H = np.empty(1 << len(self.users))
             self._fill(self._table.squeeze(), len(self._H) - 1, 0)
         return float(self._H[mask])
 
     def _fill(self, marginal: np.ndarray, mask: int, first: int) -> None:
         p = marginal.ravel() if self._zero_free else marginal[marginal > 0]
-        self._H[mask] = -(p * np.log2(p)).sum()
+        self._H[mask] = -(p * self._log2(p)).sum()
         # the axes of mask's users with 2+ letters are left; axis is at pos
         pos = (mask & self._wide & ((1 << first) - 1)).bit_count()
         for axis in range(first, len(self.users)):
@@ -288,11 +290,19 @@ class PmfSource(Source):
             self._fill(child, mask & ~(1 << axis), axis + 1)
 
 
-def _parse_user_key(key) -> int:
-    try:
-        return int(key)
-    except (TypeError, ValueError):
-        raise SourceSpecError(f"user id {key!r} is not an integer") from None
+def _parse_user_keys(raw: Mapping) -> dict:
+    """``raw`` keyed by integer user id; two keys naming one user ("1" and
+    "01") are refused rather than merged."""
+    out = {}
+    for key, value in raw.items():
+        try:
+            user = int(key)
+        except (TypeError, ValueError):
+            raise SourceSpecError(f"user id {key!r} is not an integer") from None
+        if user in out:
+            raise SourceSpecError(f"user id {key!r} repeats user {user}")
+        out[user] = value
+    return out
 
 
 def load_source(spec: Mapping | str | Path) -> Source:
@@ -335,7 +345,7 @@ def load_source(spec: Mapping | str | Path) -> Source:
         field = spec.get("field", 2)
         if not isinstance(field, int):
             raise SourceSpecError(f"field size must be an integer, got {field!r}")
-        holdings = {_parse_user_key(k): v for k, v in users_raw.items()}
+        holdings = _parse_user_keys(users_raw)
         vector_form = any(
             rows and isinstance(rows[0], (list, tuple)) for rows in holdings.values()
         )
@@ -353,7 +363,7 @@ def load_source(spec: Mapping | str | Path) -> Source:
         table = spec.get("table")
         if not isinstance(alphabets_raw, Mapping) or table is None:
             raise SourceSpecError("pmf spec needs 'alphabets' and 'table'")
-        alphabets = {_parse_user_key(k): v for k, v in alphabets_raw.items()}
+        alphabets = _parse_user_keys(alphabets_raw)
         try:
             return PmfSource(alphabets, table)
         except SourceSpecError:

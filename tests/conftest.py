@@ -103,6 +103,13 @@ def iter_partitions(items):
         yield sub + (frozenset({first}),)
 
 
+def subset_masks_reference(n: int) -> list[int]:
+    """The subset scan order as first written: each k-subset's mask summed
+    from its bits, over ``itertools.combinations`` by size."""
+    return [sum(1 << k for k in c) for c in itertools.chain.from_iterable(
+        itertools.combinations(range(n), k) for k in range(n + 1))]
+
+
 def dilworth_enumerate(source: Source, alpha, X):
     """Oracle truncation: minimize the parameterized cost over every partition
     of X, return ``(value, finest_minimizer)`` (selected by maximal block

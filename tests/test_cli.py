@@ -479,6 +479,25 @@ def test_split_plan_infeasible_K(capsys):
     assert report["error"]["offending_users"] == [1, 5]
 
 
+def test_split_plan_refuses_negative_rates(capsys):
+    status, report = run_cli(capsys, "split-plan", "--rates", '{"1":"-1/2","2":"3/2"}')
+    assert status == EXIT_PARSE
+    assert report["error"] == {"type": "ValueError", "message": "rates of users [1] are negative"}
+
+
+@pytest.mark.parametrize("spec", [
+    {"model": "linear", "users": {"1": ["a"], "01": ["b"], "2": ["a", "b"]}},
+    {"model": "pmf", "alphabets": {"1": [0, 1], "01": [0], "2": [0, 1]},
+     "table": [[[0.5], [0.0]], [[0.0], [0.5]]]},
+], ids=["linear", "pmf"])
+def test_user_ids_naming_one_user_twice_are_refused(capsys, tmp_path, spec):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(spec))
+    status, report = run_cli(capsys, "solve", "--input", str(path))
+    assert status == EXIT_PARSE
+    assert report["error"] == {"type": "SourceSpecError", "message": "user id '01' repeats user 1"}
+
+
 def test_solve_pmf_source(capsys, tmp_path):
     spec = {
         "model": "pmf",

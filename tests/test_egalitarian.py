@@ -609,3 +609,7 @@ class TestPacketSplitPlan:
     def test_bad_chunk_count_rejected(self):
         with pytest.raises(ValueError, match="positive integer"):
             packet_split_plan(rv({1: 1, 2: 1}), K=0)
+
+    def test_negative_rates_rejected(self):
+        with pytest.raises(ValueError, match=r"^rates of users \[1\] are negative$"):
+            packet_split_plan(rv({1: F(-1, 2), 2: F(3, 2)}))
