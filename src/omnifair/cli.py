@@ -42,7 +42,7 @@ from .omniscience import (
 )
 from .setfn import GroundSetTooLarge, int_array, is_submodular
 from .shapley import shapley_approx, shapley_decomposed, shapley_exact
-from .sources import SourceSpecError, load_source
+from .sources import SourceSpecError, _parse_user_keys, _unique_keys, load_source
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -99,9 +99,7 @@ class RunConfig(NamedTuple):
 
 def emit_value(value):
     """Rationals as 'p/q' strings, floats as JSON numbers."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
+    if isinstance(value, (Fraction, int)):
         return str(value)
     return float(value)
 
@@ -126,7 +124,8 @@ def emit_user_map(values: dict) -> dict:
 
 
 def _parse_user_map(raw: str, what: str) -> dict[int, Fraction]:
-    """Parse an inline JSON object (or @file reference) of user -> rational."""
+    """Parse an inline JSON object (or @file reference) of user -> rational,
+    its keys checked as a source spec's users are."""
     text = raw
     if raw.startswith("@"):
         try:
@@ -134,19 +133,15 @@ def _parse_user_map(raw: str, what: str) -> dict[int, Fraction]:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {what} file {raw[1:]}: {getattr(exc, 'strerror', exc)}") from exc
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{what} must be a JSON object of user -> value")
+        users = _parse_user_keys(obj)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid {what} JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what} must be a JSON object of user -> value")
-    out = {}
-    for key, value in obj.items():
-        try:
-            user = int(key)
-        except ValueError:
-            raise ConfigError(f"{what} key {key!r} is not a user id") from None
-        out[user] = parse_rational(value)
-    return out
+    except SourceSpecError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+    return {user: parse_rational(value) for user, value in users.items()}
 
 
 @functools.cache  # parsing does not change it, and one built per call is cyclic garbage

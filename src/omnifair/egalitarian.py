@@ -14,8 +14,8 @@ The weighted quadratic objective sum(r_i^2 / w_i) is minimized two ways:
 * :func:`egalitarian_continuous` -- the exact minimum over the core, the
   lexicographically optimal base of the characteristic cost (Fujishige
   1980), by the decomposition algorithm on each fundamental-partition block:
-  each split is one truncation of the cost less a multiple of the weights,
-  in integers for linear sources.
+  each split is one truncation, its steps given the scale w(E), E's
+  weights and the level d, in integers for linear sources.
 
 :func:`egalitarian_decomposed` runs :func:`sda` on each
 fundamental-partition subgame, and :func:`packet_split_plan` turns a
@@ -270,39 +270,30 @@ def _lexicographic_base(ctx: GameContext, block: tuple[int, ...], w, exact: bool
     """:func:`egalitarian_continuous` on one block by minors (A, E) from (∅,
     block), R being the raw truncation total and d = R(A ∪ E) - R(A).  The
     least w(E)·R(Y) - d·w(Y ∖ A) over A ⊆ Y ⊆ A ∪ E is one truncation of
-    w(E)·f - d·w(· ∩ E): A's state scaled by w(E), extended by E's bits, a
+    w(E)·f - d·w(· ∩ E): A's state scaled by w(E), extended by E's bits
+    through :func:`_extend` with scale w(E), E's weights and level d, a
     singleton of E costing at most 0 (left out of Y).  If it is below
     w(E)·R(A), X = E ∩ Y is tight, and the minors (A, X) and (A ∪ X, E ∖ X)
     are solved in turn; else r = d·w / w(E) on E."""
     if exact:
         scale = lcm(*(Fraction(w[u]).denominator for u in block))
         weight, margin, value = {ctx._bits[u]: int(w[u] * scale) for u in block}, 0, int
+        cost = ctx._cost
     else:
         # a margin for every float run, linear sources included: rounding
         # below zero on both halves of a tie could keep all of E
         weight, margin = {ctx._bits[u]: float(w[u]) for u in block}, FLOAT_TOL
         value = lambda v: float(ctx.value_of(v))  # a raw cost as a float of f
-
-    def mass(m):  # added in ascending bit order from 0, as by _ordered_sum
-        total = 0
-        while m:
-            total, m = total + weight[m & -m], m & m - 1
-        return total
-
+        cost = lambda m: value(ctx._cost(m))
     rates, minors = {}, [(0, sum(weight))]  # a stack: (A, X) before (A ∪ X, E ∖ X)
     while minors:
         A, E = minors.pop()
         (base, blocks), top = _fold(ctx._cost, A, ctx.tol), _fold(ctx._cost, A | E, ctx.tol)[0]
-        d, wE = value(top) - value(base), mass(E)
-
-        def cost(m):
-            g = wE * value(ctx._cost(m)) - d * mass(m & E)
-            return min(g, 0) if m & (m - 1) == 0 and m & E else g
-
+        weights = {bit: v for bit, v in weight.items() if bit & E}
+        d, wE = value(top) - value(base), _ordered_sum(weights.values())
         state = (wE * value(base), [(b, wE * value(c)) for b, c in blocks])
-        for bit in weight:
-            if bit & E:
-                state = _extend(cost, state, bit, margin * wE)
+        for bit in weights:
+            state = _extend(cost, state, bit, margin * wE, wE, weights, d)
         if state[0] < wE * value(base) - margin * wE:
             X = E & sum(b for b, g in state[1] if b & (b - 1) or b & ~E or g < 0)
             if X in (0, E):

@@ -194,29 +194,38 @@ def _mask_cost(source: Source, alpha):
     return (lambda m: q * h(m) + shift), (lambda v: Fraction(v, q))
 
 
-def _extend(cost: Callable[[int], int | float], state: tuple, bit: int, tol) -> tuple:
-    """One truncation step: the state (total, blocks) of a mask, extended
-    by a ``bit`` above its bits, as a new state.
+def _extend(cost: Callable[[int], int | float], state: tuple, bit: int, tol,
+            scale=1, weights: Mapping[int, int | float] = {}, level=0) -> tuple:
+    """One truncation step of g = scale·cost - level·w(· ∩ E), E the bits
+    of ``weights`` (w), a lone bit of E costing at most 0; the defaults give
+    ``cost`` itself.  The state (total, blocks) of a mask, extended by a
+    ``bit`` (above its bits, but in a split), as a new state.
 
-    Blocks are (mask, cost) pairs.  The step enumerates the subsets S of the
-    blocks by one doubling pass and adds the minimum of cost(bit ∪ S) - Σ_S
-    cost to the total; the merge keeps the minimal minimizer, the AND of
-    every block-subset index within ``tol`` of the minimum.
-    """
+    Blocks are (mask, g) pairs.  One doubling pass builds, for each subset
+    S of the blocks, its union with ``bit``, Σ_S g and its weight mass; the
+    gain g(bit ∪ S) - Σ_S g then replaces the sum.  The least gain is added
+    to the total; the merge keeps the minimal minimizer, the AND of every
+    block-subset index within ``tol`` of the minimum."""
     total, blocks = state
     _check_size(len(blocks))
-    unions, absorbed = [bit], [0]
+    unions, gains, masses = [bit], [0], [weights.get(bit, 0)]
     for block, value in blocks:
+        mass = _ordered_sum(v for b, v in weights.items() if b & block) if weights else 0
         unions += [u | block for u in unions]
-        absorbed += [a + value for a in absorbed]
-    gains = [cost(u) - a for u, a in zip(unions, absorbed)]
+        gains += [a + value for a in gains]
+        masses += [m + mass for m in masses] if mass else masses  # unweighted: a cheap repeat
+    for index, union in enumerate(unions):
+        gains[index] = scale * cost(union) - level * masses[index] - gains[index]
+    if bit in weights:
+        gains[0] = min(gains[0], 0)
     best = min(gains)
-    pick = len(gains) - 1
+    pick, cut = len(gains) - 1, best + tol
     for index, gain in enumerate(gains):
-        if gain <= best + tol:
+        if gain <= cut:
             pick &= index
     kept = [b for i, b in enumerate(blocks) if not pick >> i & 1]
-    return total + best, kept + [(unions[pick], cost(unions[pick]))]
+    g = gains[0] if pick == 0 else scale * cost(unions[pick]) - level * masses[pick]
+    return total + best, kept + [(unions[pick], g)]
 
 
 def _fold(cost: Callable[[int], int | float], mask: int, tol) -> tuple:

@@ -290,6 +290,17 @@ class PmfSource(Source):
             self._fill(child, mask & ~(1 << axis), axis + 1)
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object's (key, value) pairs as a dict, for ``json.loads``'s
+    ``object_pairs_hook``: a repeated key is refused, not overwritten."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise SourceSpecError(f"JSON object repeats key {key!r}")
+        out[key] = value
+    return out
+
+
 def _parse_user_keys(raw: Mapping) -> dict:
     """``raw`` keyed by integer user id; two keys naming one user ("1" and
     "01") are refused rather than merged."""
@@ -307,7 +318,8 @@ def _parse_user_keys(raw: Mapping) -> dict:
 
 def load_source(spec: Mapping | str | Path) -> Source:
     """Parse a JSON source spec (a mapping, a JSON string starting with "{",
-    or a file path, whose read errors are :class:`SourceSpecError`s).
+    or a file path, whose read errors are :class:`SourceSpecError`s).  A key
+    repeated in one JSON object is refused.
 
     Linear form::
 
@@ -331,7 +343,7 @@ def load_source(spec: Mapping | str | Path) -> Source:
             except (OSError, UnicodeDecodeError) as exc:
                 raise SourceSpecError(f"cannot read source file {spec}: {getattr(exc, 'strerror', exc)}") from exc
         try:
-            spec = json.loads(text)
+            spec = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise SourceSpecError(f"invalid JSON: {exc}") from exc
     if not isinstance(spec, Mapping):

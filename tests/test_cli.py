@@ -498,6 +498,32 @@ def test_user_ids_naming_one_user_twice_are_refused(capsys, tmp_path, spec):
     assert report["error"] == {"type": "SourceSpecError", "message": "user id '01' repeats user 1"}
 
 
+def test_a_key_repeated_in_the_source_json_is_refused(capsys, tmp_path):
+    # json.loads alone would keep only ["b"] for user 1
+    path = tmp_path / "repeat.json"
+    path.write_text('{"model": "linear", "users": {"1": ["a"], "1": ["b"], "2": ["a", "b"]}}')
+    status, report = run_cli(capsys, "solve", "--input", str(path))
+    assert status == EXIT_PARSE
+    assert report["error"] == {"type": "SourceSpecError", "message": "JSON object repeats key '1'"}
+
+
+@pytest.mark.parametrize(("users", "message"), [
+    ('{"1": 1, "1": 2}', "{what}: JSON object repeats key '1'"),
+    ('{"1": 1, "01": 2}', "{what}: user id '01' repeats user 1"),
+    ('{"1": 1, "one": 2}', "{what}: user id 'one' is not an integer"),
+], ids=["verbatim", "one-user", "not-a-user"])
+@pytest.mark.parametrize(("command", "flag"), [
+    (["egalitarian", "--mode", "continuous"], "--weights"),
+    (["verify"], "--rates"),
+    (["split-plan"], "--rates"),
+], ids=["egalitarian-weights", "verify-rates", "split-plan-rates"])
+def test_user_map_keys_are_refused_as_in_source_specs(capsys, spec_path, command, flag, users, message):
+    source = [] if command == ["split-plan"] else ["--input", spec_path]
+    status, report = run_cli(capsys, *command, *source, flag, users)
+    assert status == EXIT_PARSE
+    assert report == {"error": {"type": "ConfigError", "message": message.format(what=flag[2:])}}
+
+
 def test_solve_pmf_source(capsys, tmp_path):
     spec = {
         "model": "pmf",

@@ -432,7 +432,7 @@ class TestContinuous:
         # raises instead of looping on the same minor or dividing by w(∅)
         from omnifair import egalitarian
 
-        def extend(cost, state, bit, tol):
+        def extend(cost, state, bit, tol, scale, weights, level):
             total, blocks = state
             kept = bit if split == 0 else bit | sum(b for b, _ in blocks)
             return total - 1, [(kept, 0 if split == 0 else -1)]
@@ -495,6 +495,13 @@ TABLE_SOURCES = {
     "pmf": random_pmf_source,
 }
 TABLE_SEEDS = range(60)
+#: Wider members, run under uneven weights: 11-14 users in blocks of up to
+#: 13, whose splits extend steps of up to 12 blocks.
+WIDE_TABLE_SOURCES = {
+    "packet": lambda seed: random_linear_source(seed, min_users=11, max_users=14, max_packets=14),
+    "gf3": lambda seed: random_vector_source(seed, min_users=11, max_users=14),
+}
+WIDE_TABLE_SEEDS = range(8)
 
 
 def corpus_weights(users, seed, kind):
@@ -512,14 +519,24 @@ def exact_bits(r: RateVector) -> dict:
 class TestContinuousMatchesTable:
     """One truncation per split gives the dense-table solver's output bit for
     bit: equal Fractions, and equal floats, as the same formula on the same
-    final minors.  Every cell of the corpus splits some block."""
+    final minors.  Every cell of the corpus splits some block, and the cells
+    with wide members take a split step of at least 6 blocks."""
 
     @pytest.mark.parametrize("weights", ["uniform", "rational", "float"])
     @pytest.mark.parametrize("kind", sorted(TABLE_SOURCES))
-    def test_bit_identical(self, kind, weights):
+    def test_bit_identical(self, kind, weights, monkeypatch):
+        from omnifair import egalitarian, omniscience
+
+        held = []
+        extend = omniscience._extend
+        monkeypatch.setattr(egalitarian, "_extend", lambda *args: held.append(len(args[1][1])) or extend(*args))
+        members = [TABLE_SOURCES[kind](seed) for seed in TABLE_SEEDS]
+        wide = weights != "uniform" and kind in WIDE_TABLE_SOURCES
+        if wide:
+            members += [WIDE_TABLE_SOURCES[kind](seed) for seed in WIDE_TABLE_SEEDS]
         split = 0
-        for seed in TABLE_SEEDS:
-            ctx = min_sum_rate(TABLE_SOURCES[kind](seed))
+        for seed, source in enumerate(members):
+            ctx = min_sum_rate(source)
             for game in [ctx, *decompose(ctx)]:
                 w = corpus_weights(game.users, seed, weights)
                 got = egalitarian_continuous(game, w)
@@ -527,6 +544,7 @@ class TestContinuousMatchesTable:
                 levels = {F(got[u]) / F((w or {}).get(u, 1)) for u in game.users}
                 split += game is not ctx and len(levels) > 1
         assert split > 0
+        assert max(held) >= (6 if wide else 1)
 
 
 class TestWeightsRefused:

@@ -225,10 +225,15 @@ class TestPmfMarginalizationPass:
         src = random_pmf_source(seed)
         fill, chain, visited, peaks = src._fill, [], [], []
 
+        def owner(m):  # the array whose memory a view shares
+            while isinstance(m.base, np.ndarray):
+                m = m.base
+            return m
+
         def spy(marginal, mask, first):
             chain.append(marginal)
             visited.append(mask)
-            alive = {id(m): m.size for m in chain}
+            alive = {id(owner(m)): owner(m).size for m in chain}  # a view allocates nothing
             peaks.append((len(chain), sum(alive.values())))
             fill(marginal, mask, first)
             chain.pop()
@@ -294,6 +299,19 @@ class TestLoadSource:
         # read as JSON text, not probed as a path the OS refuses to stat
         spec = {"model": "linear", "users": {"1": [f"p{k}" for k in range(100)], "2": ["p0"]}}
         assert load_source(json.dumps(spec)).users == (1, 2)
+
+    @pytest.mark.parametrize("text", [
+        '{"model": "linear", "users": {"1": ["a"], "1": ["b"], "2": ["a", "b"]}}',
+        '{"model": "pmf", "model": "linear", "users": {"1": ["a"], "2": ["a"]}}',
+        '{"model": "linear", "users": {"1": [[1, 0]], "2": [[0, 1]]}, "users": {"1": ["a"], "2": ["a"]}}',
+    ], ids=["user", "top-level", "last-of-two"])
+    def test_a_repeated_json_key_is_refused(self, tmp_path, text):
+        # json.loads alone keeps the last value of a repeated key
+        path = tmp_path / "repeat.json"
+        path.write_text(text)
+        for spec in (text, path, str(path)):
+            with pytest.raises(SourceSpecError, match=r"^JSON object repeats key '(1|model|users)'$"):
+                load_source(spec)
 
     def test_bad_user_key(self):
         with pytest.raises(SourceSpecError, match="not an integer"):
