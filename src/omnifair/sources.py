@@ -8,7 +8,9 @@ Two source families are supported:
   in field symbols (bits when the field size is 2); byte tables count packets.
 * :class:`PmfSource` -- a discrete joint probability mass function.
   Entropies are floats in bits and downstream comparisons use a tolerance.
-  One depth-first marginalization pass fills the memo on the first call.
+  The first query fills H of every subset in batches: a marginal's lowest
+  axes get one extra letter each, the sum over the axis, so that one array
+  holds the marginals over every subset of them.
   Only this family loads numpy, when a pmf source is built.
 
 Each source memoizes H by user bitmask (bit k is ``users[k]``) in its raw
@@ -28,6 +30,9 @@ PMF_NORMALIZATION_TOL = 1e-12
 
 #: Comparison tolerance for float-valued (pmf) entropies and derived values.
 FLOAT_TOL = 1e-9
+
+#: Entries of a pmf batch's extended marginal, and of its -p·log2 p: 256 KB.
+PMF_BATCH_ENTRIES = 1 << 15
 
 
 class SourceSpecError(ValueError):
@@ -240,12 +245,17 @@ class PmfSource(Source):
     """Discrete source given by a joint pmf over per-user finite alphabets.
 
     The table axes follow the sorted user order; entropies are floats in bits.
-    The first :meth:`_entropy` call fills ``H[mask]`` for all 2^n masks in one
-    depth-first pass that drops axes in increasing bit order, so each marginal
-    is its parent summed over one more axis and each mask is reached once; at
-    most n + 1 marginals are alive, together under twice the table's size.
-    Each marginal keeps only its users' axes of 2+ letters, and a zero-free
-    table (so are its marginals) skips the p > 0 filter: no sum changes.
+    The first :meth:`_entropy` call fills ``H[mask]`` for all 2^n masks in
+    batches.  A batch (:meth:`_batch`) gives each of a marginal's l lowest
+    axes an extra letter, the sum over the axis, so that one array holds the
+    marginals over every subset of those axes; l is the most axes that keep
+    this array within :data:`PMF_BATCH_ENTRIES` entries (none if the marginal
+    alone is larger).  Each other axis of the marginal that may still be
+    dropped gives a child, the marginal summed over it (a one-letter axis
+    squeezed as a view), depth-first in decreasing bit order (:meth:`_fill`):
+    each mask is written once, and at most n + 1 marginals are alive,
+    together under twice the table's size.  A batch holds its extended array
+    and one of -p·log2 p.
     """
 
     is_exact = False
@@ -267,27 +277,48 @@ class PmfSource(Source):
             raise SourceSpecError(f"pmf table sums to {total!r}, expected 1")
         self._table = arr
         self._zero_free = bool(arr.all())
-        self._wide = sum(1 << k for k, size in enumerate(shape) if size > 1)
-        self._H: np.ndarray | None = None
-        self._log2 = np.log2  # so that _fill, run once per mask, imports nothing
+        self._H: list[float] | None = None
 
     def _entropy(self, mask: int) -> float:
         if self._H is None:
             import numpy as np
             self._H = np.empty(1 << len(self.users))
-            self._fill(self._table.squeeze(), len(self._H) - 1, 0)
-        return float(self._H[mask])
+            self._fill(self._table, len(self._H) - 1, len(self.users))
+            self._H = self._H.tolist()  # a list reads out a float faster
+        return self._H[mask]
 
-    def _fill(self, marginal: np.ndarray, mask: int, first: int) -> None:
-        p = marginal.ravel() if self._zero_free else marginal[marginal > 0]
-        self._H[mask] = -(p * self._log2(p)).sum()
-        # the axes of mask's users with 2+ letters are left; axis is at pos
-        pos = (mask & self._wide & ((1 << first) - 1)).bit_count()
-        for axis in range(first, len(self.users)):
-            child = marginal
-            if self._wide >> axis & 1:
-                child, pos = marginal.sum(axis=pos), pos + 1
-            self._fill(child, mask & ~(1 << axis), axis + 1)
+    def _fill(self, marginal: np.ndarray, mask: int, last: int) -> None:
+        """H of mask less each subset of the axes below ``last``, all in mask
+        and the first axes of ``marginal``: one batch over the lowest that
+        fit, then one child for each of the others."""
+        shape, l, entries = marginal.shape, 0, marginal.size
+        while l < last and entries // shape[l] * (shape[l] + 1) <= PMF_BATCH_ENTRIES:
+            entries, l = entries // shape[l] * (shape[l] + 1), l + 1
+        self._H[mask + 1 - (1 << l):mask + 1] = self._batch(marginal, l)
+        for axis in range(l, last):
+            child = marginal.sum(axis=axis) if shape[axis] > 1 else marginal.squeeze(axis)
+            self._fill(child, mask & ~(1 << axis), axis)
+
+    def _batch(self, marginal: np.ndarray, l: int) -> np.ndarray:
+        """H of the marginal's users less each subset of its first l axes, by
+        the mask of those kept."""
+        import numpy as np
+        letters = tuple(slice(a) for a in marginal.shape[:l])
+        ext = np.empty(tuple(a + 1 for a in marginal.shape[:l]) + marginal.shape[l:])
+        ext[letters] = marginal
+        for u in reversed(range(l)):  # last axis first: each step reads filled cells
+            a = marginal.shape[u]
+            view = ext.reshape(ext.shape[:u] + (a + 1, -1))[letters[:u]]
+            np.add.reduce(view[..., :a, :], axis=u, out=view[..., a, :])
+        phi = np.empty_like(ext)  # 0·log2 0 is 0, the smallest float's log2 times 0
+        np.log2(ext if self._zero_free else np.maximum(ext, 5e-324, out=phi), out=phi)
+        phi *= ext
+        h = phi.reshape(ext.shape[:l] + (-1,)).sum(axis=-1)
+        ends = tuple(slice(0, a + 1, a) for a in marginal.shape[:l])  # letter 0 and the extra one
+        for u, a in enumerate(marginal.shape[:l]):  # letter 0 of axis u: the sum of its letters
+            view = h.reshape(h.shape[:u] + (a + 1, -1))[ends[:u]]
+            np.add.reduce(view[..., :a, :], axis=u, out=view[..., 0, :])
+        return -h[ends].ravel(order="F")[::-1]  # F order counts the axes at the extra letter
 
 
 def _unique_keys(pairs: list[tuple]) -> dict:
@@ -376,6 +407,15 @@ def load_source(spec: Mapping | str | Path) -> Source:
         if not isinstance(alphabets_raw, Mapping) or table is None:
             raise SourceSpecError("pmf spec needs 'alphabets' and 'table'")
         alphabets = _parse_user_keys(alphabets_raw)
+        for user, letters in alphabets.items():
+            if not isinstance(letters, list) or len(set(map(repr, letters))) < len(letters):
+                raise SourceSpecError(f"alphabet of user {user} must be a list of distinct letters, got {letters!r}")
+        entries = [table]  # numpy would read true, false and numeric strings as numbers
+        while set(map(type, entries)) == {list}:
+            entries = [x for row in entries for x in row]
+        stray = [x for x in entries if type(x) not in (int, float)]
+        if stray:
+            raise SourceSpecError(f"pmf table entries must be numbers, got {stray[0]!r}")
         try:
             return PmfSource(alphabets, table)
         except SourceSpecError:

@@ -414,6 +414,18 @@ def random_pmf_twins(seed: int):
 
 PMF_FUZZ_SEEDS = tuple(range(300))
 
+#: pmf specs (alphabets, table) that numpy would read as numbers or letters,
+#: each with the message that refuses it
+PMF_SPECS_READ_SILENTLY = [
+    ({"1": [0, 1], "2": [0, 1]}, [[0, True], [False, 0]], "pmf table entries must be numbers, got True"),
+    ({"1": [0, 1], "2": [0, 1]}, [["0.5", 0], [0, "5e-1"]], "pmf table entries must be numbers, got '0.5'"),
+    ({"1": [0, 0, 1], "2": [0, 1]}, [[0.5, 0], [0, 0.5], [0, 0]],
+     "alphabet of user 1 must be a list of distinct letters, got [0, 0, 1]"),
+    ({"1": "01", "2": [0, 1]}, [[0.5, 0], [0, 0.5]],
+     "alphabet of user 1 must be a list of distinct letters, got '01'"),
+]
+PMF_SPEC_IDS = ["boolean-entries", "string-entries", "repeated-letter", "string-alphabet"]
+
 
 def random_pmf_source(seed: int) -> PmfSource:
     """A seeded joint pmf: 2-9 users, alphabets of 1-4 letters, about 30% of
@@ -440,8 +452,9 @@ def pmf_entropy_reference(source: PmfSource, mask: int) -> float:
 
 def pmf_fill_reference(source: PmfSource) -> np.ndarray:
     """H on every mask by the depth-first fill with every marginal kept at
-    all n axes (``keepdims``) and every marginal filtered for p > 0, the
-    pass :meth:`PmfSource._fill` must match bit for bit."""
+    all n axes (``keepdims``) and every marginal filtered for p > 0, one
+    numpy sum per subset; the batched :meth:`PmfSource._fill` sums in
+    another order and must match it within 1e-13."""
     H = np.empty(1 << len(source.users))
     _keepdims_fill(H, source._table, len(H) - 1, 0)
     return H

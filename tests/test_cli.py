@@ -23,7 +23,8 @@ from omnifair.cli import (
     parse_rational,
 )
 
-from conftest import DEMO_HOLDINGS, DEMO_PACKETS, pmf_from_packets
+from conftest import (DEMO_HOLDINGS, DEMO_PACKETS, PMF_SPEC_IDS, PMF_SPECS_READ_SILENTLY,
+                      pmf_from_packets)
 
 
 @pytest.fixture()
@@ -553,6 +554,15 @@ def test_grid_egalitarian_refuses_pmf_sources(capsys, tmp_path, mode):
     assert report["error"] == {"type": "ConfigError",
                                "message": "sda runs on the exact 1/K grid; pmf sources are refused"}
     assert report["config"]["mode"] == mode
+
+
+@pytest.mark.parametrize(("alphabets", "table", "message"), PMF_SPECS_READ_SILENTLY, ids=PMF_SPEC_IDS)
+def test_pmf_spec_values_numpy_would_read_are_parse_errors(capsys, tmp_path, alphabets, table, message):
+    path = tmp_path / "pmf.json"
+    path.write_text(json.dumps({"model": "pmf", "alphabets": alphabets, "table": table}))
+    status, report = run_cli(capsys, "solve", "--input", str(path))
+    assert status == EXIT_PARSE
+    assert report["error"] == {"type": "SourceSpecError", "message": message}
 
 
 @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])

@@ -97,6 +97,11 @@ PREVIOUS_PMF_FLOATS = {
         "fairness.vector.1": 0.9052576587558387, "fairness.vector.2": 0.9206602571065196,
         "fairness.vector.3": 1.4347944918866085, "fairness.vector.4": 0.8716026594874531},
 }
+#: the pmf-4 verification as the one marginalization pass gave it, before
+#: batched marginals moved the last bits of its witness's conditional entropy
+#: (a witness's float is the number after its last " = ")
+PREVIOUS_PMF_FLOATS["pmf-4-verify-outside-core"] = PREVIOUS_PMF_SOLUTION | {
+    "verification.3.witness": 0.8247524850551327}
 PREVIOUS_PMF_TOL = 1e-12
 
 #: the floats of the weighted continuous egalitarian reports as Frank-Wolfe
@@ -161,8 +166,11 @@ def test_report_matches_golden(name, tmp_path):
 
 def assert_near_previous_floats(name: str, previous: dict, workdir: Path) -> None:
     status, text = normalized_report(name, workdir)
-    assert status == 0
-    floats = report_floats(json.loads(text))
+    assert status == STATUS.get(name, 0)
+    report = json.loads(text)
+    witnesses = {key: float(value.rsplit(" = ", 1)[1])
+                 for key, value in report_leaves(report).items() if key in previous and isinstance(value, str)}
+    floats = report_floats(report) | witnesses
     assert floats.keys() == previous.keys()
     assert all(abs(floats[k] - previous[k]) <= PREVIOUS_PMF_TOL for k in previous)
 
