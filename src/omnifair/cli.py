@@ -36,6 +36,7 @@ from .omniscience import (
     DecompositionError,
     GameContext,
     RateVector,
+    _SlackTable,
     check_decomposition,
     core_membership,
     min_sum_rate,
@@ -316,11 +317,12 @@ def _run_verify(cfg: RunConfig, ctx: GameContext) -> list[dict]:
     else:
         verdicts.append({"check": "fundamental_decomposition", "pass": True,
                          "witness": f"skipped: more than {VERIFY_DECOMPOSITION_LIMIT} users"})
-    ok, witness = core_membership(ctx, ctx.vertex)
+    table = _SlackTable(ctx)
+    ok, witness = core_membership(ctx, ctx.vertex, table)
     verdicts.append({"check": "solver_vertex_in_core", "pass": ok, "witness": witness})
     if cfg.rates is not None:
         r = _rate_vector_from(cfg.rates, ctx.users, "--rates")
-        ok, witness = core_membership(ctx, r)
+        ok, witness = core_membership(ctx, r, table)
         verdicts.append({"check": "rate_vector_in_core", "pass": ok, "witness": witness})
     return verdicts
 

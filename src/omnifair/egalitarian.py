@@ -86,15 +86,15 @@ def dep(ctx: GameContext, r: RateVector, i: int, table: _SlackTable | None = Non
     f(X) - r(X) over subsets containing ``i``.  These are the users ``i``
     can take rate from while staying in the core; always contains ``i``.
 
-    The minimization runs over a dense slack table of f on every user
-    bitmask: ``table``, which :func:`sda` builds once per run, or else one
-    built for this call.  The AND of the masks containing ``i`` whose slack
-    is within ``tol`` of the least such slack is the minimal minimizer."""
+    The minimization runs over the slack of ``r`` on the game's table of f:
+    ``table``, which :func:`sda` builds once per run, or else one built for
+    this call.  The AND of the masks containing ``i`` whose slack is within
+    ``tol`` of the least such slack is the minimal minimizer."""
     import numpy as np
     if i not in ctx.ground:
         raise ValueError(f"user {i} is not in this game")
     if table is None:
-        table = _SlackTable(ctx, r)
+        table = _SlackTable(ctx)
     k = ctx.users.index(i)
     # masks with bit k set, as (bits above k, bits below k)
     half = table.slack(r).reshape(-1, 2, 1 << k)[:, 1, :]
@@ -156,7 +156,7 @@ def is_locally_optimal(ctx: GameContext, r: RateVector, K: int | None = None,
     global optimality on the grid."""
     K = ctx.grid_denominator if K is None else K
     w = _check_weights(weights, ctx.users)
-    table = _SlackTable(ctx, r, K)
+    table = _SlackTable(ctx)
     a, c, scale = _grid(r, K, w)
     for i, j in permutations(ctx.users, 2):
         if _delta(a, c, i, j) < -ctx.tol * scale and core_membership(
@@ -169,9 +169,9 @@ def _iteration_budget(ctx: GameContext, table: _SlackTable, K: int) -> int:
     # K * (l1 diameter) / 2 bounds the improving steps; the core's coordinate
     # ranges, inside [sum_cost - f(V∖u), f({u})] as hat <= f with equality on
     # singletons, bound the diameter without enumerating vertices.
-    n, full = len(ctx.users), len(table.f) - 1
-    ends = table.f[[1 << k for k in range(n)] + [full ^ 1 << k for k in range(n)]].tolist()
-    spread = Fraction(sum(ends)) / (table.scale or 1) - n * ctx.sum_cost
+    n, full = len(ctx.users), len(table.raw) - 1
+    ends = table.raw[[1 << k for k in range(n)] + [full ^ 1 << k for k in range(n)]].tolist()
+    spread = ctx.value_of(sum(ends)) - n * ctx.sum_cost
     return int(ceil(K * spread / 2)) + 2
 
 
@@ -202,7 +202,7 @@ def sda(
     r0 = ctx.vertex if r0 is None else r0
     w = _check_weights(weights, ctx.users)
 
-    table = _SlackTable(ctx, r0, K)
+    table = _SlackTable(ctx)
     inside, witness = core_membership(ctx, r0, table)
     if not inside:
         raise ValueError(f"initial point is outside the core: {witness}")

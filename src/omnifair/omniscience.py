@@ -403,50 +403,43 @@ def min_sum_rate(source: Source) -> GameContext:
 
 class _SlackTable:
     """:func:`f_alpha` at the solved sum-rate on every user bitmask of a
-    game (bit k is ``ctx.users[k]``), from the truncation's raw costs, and
-    the slack f(X) - r(X) of rate vectors.  Exact games scale by D = lcm(q,
-    K, denominators of ``r``), q the sum-rate's denominator, to integers, so
-    rates on the 1/K grid around ``r`` stay exact; pmf games, and exact games
-    given float rates, use float64 within ``ctx.tol``.  The table is refused
-    past n - 1 free users, before any cost is read.
-    """
+    game (bit k is ``ctx.users[k]``) as the truncation's raw costs: ints
+    (f·q, q the sum-rate's denominator) for linear sources, float64 for pmf
+    sources.  Refused past n - 1 free users, before any cost is read."""
 
-    def __init__(self, ctx: GameContext, r: RateVector, K: int = 1):
+    def __init__(self, ctx: GameContext):
         import numpy as np
-        if r.users != ctx.users:
-            raise ValueError(f"rate vector users {r.users} != game users {ctx.users}")
         _check_size(len(ctx.users) - 1)
         self.users = ctx.users
         masks = [0]
         for u in ctx.users:
             masks += [m | ctx._bits[u] for m in masks]
         raw = [0] + [ctx._cost(m) for m in masks[1:]]
-        rates = [r[u] for u in ctx.users]
-        if ctx.source.is_exact and not any(isinstance(v, float) for v in rates):
-            q = Fraction(ctx.min_sum_rate).denominator
-            self.scale = lcm(q, K, *(v.denominator for v in rates))
-            self.f = int_array([c * (self.scale // q) for c in raw])
-        else:
-            self.scale = None
-            self.f = np.array([ctx.value_of(c) for c in raw], dtype=float)
+        self.q = Fraction(ctx.min_sum_rate).denominator if ctx.source.is_exact else None
+        self.raw = int_array(raw) if self.q else np.array(raw, dtype=float)
+        self._peak = max(map(abs, raw))
         self._at = None
 
     def slack(self, r: RateVector) -> np.ndarray:
-        """f(X) - r(X) over every mask; r(X) by the doubling pass
-        mass[2^k:2^(k+1)] = mass[:2^k] + r_k.  The slack of the last ``r``
-        asked about is kept, so the questions about one iterate share it."""
+        """f(X) - r(X) over every mask for any ``r`` on the game's users,
+        r(X) by the doubling pass mass[2^k:2^(k+1)] = mass[:2^k] + r_k.
+        Rational rates on an exact game scale both by D = lcm(q, their
+        denominators) to integers; other reads are float64.  The slack of
+        the last ``r`` is kept, so the questions about one iterate share it."""
         import numpy as np
         if self._at is not None and self._at[0] is r:
             return self._at[1]
-        f, users = self.f, self.users
-        if self.scale is not None:
-            scaled = [r[u] * self.scale for u in users]
-            if any(v.denominator != 1 for v in scaled):
-                raise ArithmeticError(f"rates {r} are off the 1/{self.scale} grid of the slack table")
-            rates = [int(v) for v in scaled]
-            f = widen(f, sum(map(abs, rates)))
+        if r.users != self.users:
+            raise ValueError(f"rate vector users {r.users} != game users {self.users}")
+        f, rates = self.raw, [r[u] for u in self.users]
+        if self.q is None or any(isinstance(v, float) for v in rates):
+            f = f if self.q is None else np.array([c / self.q for c in f.tolist()])
+            rates = [float(v) for v in rates]
         else:
-            rates = [float(r[u]) for u in users]
+            D = lcm(self.q, *(v.denominator for v in rates))
+            rates, up = [v.numerator * (D // v.denominator) for v in rates], D // self.q
+            f = widen(f, up * self._peak + sum(map(abs, rates)))
+            f = f if up == 1 else f * up
         mass = np.zeros_like(f)
         for k, rate in enumerate(rates):
             mass[1 << k:2 << k] = mass[:1 << k] + rate
@@ -461,16 +454,15 @@ def core_membership(ctx: GameContext, r: RateVector,
     Only the defining rate constraints are checked: Slepian-Wolf lower bounds
     r(X) >= H(X | V∖X) for the whole game, cost upper bounds r(X) <= f(X)
     for subgames.  Once r(V) = R_CO the former read r(V∖X) <= f(V∖X), so
-    both come off one slack table: ``table`` (built for this game and a grid
-    ``r`` lies on), or else one built for ``r``.  Returns the verdict plus the first
-    violated constraint in :func:`subset_masks` order, put in words only on
-    failure.
+    both come off the game's slack table: ``table``, or else one built for
+    this call.  A vector on other users is refused before the sum check.
+    Returns the verdict plus the first violated constraint in
+    :func:`subset_masks` order, put in words only on failure.
     """
-    if table is None:
-        table = _SlackTable(ctx, r)
+    slack = (_SlackTable(ctx) if table is None else table).slack(r)
     if not _eq(r.total(), ctx.sum_cost, ctx.tol):
         return False, f"sum rate {r.total()} != {ctx.sum_cost}"
-    bad = table.slack(r) < -ctx.tol
+    bad = slack < -ctx.tol
     bad[0] = bad[-1] = False  # the empty and the whole set
     if ctx.is_whole_game:
         bad = bad[::-1]  # X's lower bound is its complement's upper bound

@@ -25,6 +25,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .setfn import GroundSetTooLarge, _check_size
+
 #: Joint pmf tables must sum to one within this tolerance.
 PMF_NORMALIZATION_TOL = 1e-12
 
@@ -255,7 +257,8 @@ class PmfSource(Source):
     squeezed as a view), depth-first in decreasing bit order (:meth:`_fill`):
     each mask is written once, and at most n + 1 marginals are alive,
     together under twice the table's size.  A batch holds its extended array
-    and one of -p·log2 p.
+    and one of -p·log2 p.  More than 21 users (n - 1 past the exhaustive
+    limit, as for the slack table) are refused before any entropy is filled.
     """
 
     is_exact = False
@@ -263,6 +266,7 @@ class PmfSource(Source):
     def __init__(self, alphabets: Mapping[int, Sequence], table):
         import numpy as np
         super().__init__(alphabets.keys())
+        _check_size(len(self.users) - 1)  # before the 2^n fill, at the slack table's limit
         self.alphabets = {u: tuple(alphabets[u]) for u in self.users}
         arr = np.asarray(table, dtype=float)
         shape = tuple(len(self.alphabets[u]) for u in self.users)
@@ -318,7 +322,8 @@ class PmfSource(Source):
         for u, a in enumerate(marginal.shape[:l]):  # letter 0 of axis u: the sum of its letters
             view = h.reshape(h.shape[:u] + (a + 1, -1))[ends[:u]]
             np.add.reduce(view[..., :a, :], axis=u, out=view[..., 0, :])
-        return -h[ends].ravel(order="F")[::-1]  # F order counts the axes at the extra letter
+        # F order counts the axes at the extra letter; 0 - h, unlike -h, keeps H = 0 positive
+        return 0.0 - h[ends].ravel(order="F")[::-1]
 
 
 def _unique_keys(pairs: list[tuple]) -> dict:
@@ -357,8 +362,8 @@ def load_source(spec: Mapping | str | Path) -> Source:
         {"model": "linear", "field": 2, "packets": ["a", ..., "j"],
          "users": {"1": ["b", "c", "d", "h", "i"], ...}}
 
-    where each user entry is either a list of packet ids or a list of
-    coefficient vectors over GF(field).  Pmf form::
+    where each user entry is either a list of packet ids (JSON strings or
+    integers) or a list of coefficient vectors over GF(field).  Pmf form::
 
         {"model": "pmf", "alphabets": {"1": [0, 1], ...}, "table": [...]}
 
@@ -389,13 +394,21 @@ def load_source(spec: Mapping | str | Path) -> Source:
         if not isinstance(field, int):
             raise SourceSpecError(f"field size must be an integer, got {field!r}")
         holdings = _parse_user_keys(users_raw)
-        vector_form = any(
-            rows and isinstance(rows[0], (list, tuple)) for rows in holdings.values()
-        )
+        universe = spec.get("packets")
+        lists = {f"holding of user {u}": rows for u, rows in holdings.items()}
+        if universe is not None:
+            lists["'packets'"] = universe
+        for what, items in lists.items():
+            if not isinstance(items, list):
+                raise SourceSpecError(f"{what} must be a JSON list, got {items!r}")
+        vector_form = any(rows and isinstance(rows[0], list) for rows in holdings.values())
+        stray = [] if vector_form else [p for items in lists.values() for p in items
+                                        if type(p) not in (str, int)]
+        if stray:
+            raise SourceSpecError(f"packet ids must be JSON strings or integers, got {stray[0]!r}")
         try:
             if vector_form:
                 return LinearSource.from_vectors(holdings, field=field)
-            universe = spec.get("packets")
             return LinearSource.from_packets(holdings, field=field, universe=universe)
         except SourceSpecError:
             raise
@@ -418,7 +431,7 @@ def load_source(spec: Mapping | str | Path) -> Source:
             raise SourceSpecError(f"pmf table entries must be numbers, got {stray[0]!r}")
         try:
             return PmfSource(alphabets, table)
-        except SourceSpecError:
+        except (SourceSpecError, GroundSetTooLarge):
             raise
         except (TypeError, ValueError) as exc:
             raise SourceSpecError(str(exc)) from exc

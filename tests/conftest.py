@@ -426,6 +426,26 @@ PMF_SPECS_READ_SILENTLY = [
 ]
 PMF_SPEC_IDS = ["boolean-entries", "string-entries", "repeated-letter", "string-alphabet"]
 
+#: Linear specs that plain parsing would misread: a string holding or
+#: ``packets`` as one-letter packets, an object holding as a bare KeyError,
+#: a null, boolean or float packet id as a packet.  Each is (users, packets,
+#: message).
+LINEAR_SPECS_MISREAD = [
+    ({"1": "ab", "2": ["a"]}, None, "holding of user 1 must be a JSON list, got 'ab'"),
+    ({"1": ["a"], "2": ["b"]}, "abc", "'packets' must be a JSON list, got 'abc'"),
+    ({"1": {"a": 1}, "2": ["a"]}, None, "holding of user 1 must be a JSON list, got {'a': 1}"),
+    ({"1": [None], "2": ["a"]}, None, "packet ids must be JSON strings or integers, got None"),
+    ({"1": ["a", True], "2": ["a"]}, None, "packet ids must be JSON strings or integers, got True"),
+    ({"1": ["a"], "2": ["a"]}, ["a", 1.5], "packet ids must be JSON strings or integers, got 1.5"),
+]
+LINEAR_SPEC_IDS = ["string-holding", "string-packets", "object-holding", "null-packet",
+                   "boolean-packet", "float-in-packets"]
+
+
+def linear_spec(users: dict, packets) -> dict:
+    """A linear source spec, with ``packets`` only if it is not None."""
+    return {"model": "linear", "users": users, **({} if packets is None else {"packets": packets})}
+
 
 def random_pmf_source(seed: int) -> PmfSource:
     """A seeded joint pmf: 2-9 users, alphabets of 1-4 letters, about 30% of
@@ -709,12 +729,12 @@ def pairwise_first_violation(f: SetFunction, tol=0, intersecting: bool = False):
     return True, None
 
 
-def dep_matches_oracle(ctx: GameContext, points, K: int | None = None) -> bool:
+def dep_matches_oracle(ctx: GameContext, points) -> bool:
     """Dependence sets of every user at every point of ``points`` agree
-    three ways: the table sda builds (once, at the first point, on the 1/K
-    grid), the public ``dep``, and the :func:`sfm_dep` oracle."""
+    three ways: the game's one table, built once and read at every point,
+    the public ``dep``, and the :func:`sfm_dep` oracle."""
     points = list(points)
-    table = _SlackTable(ctx, points[0], ctx.grid_denominator if K is None else K)
+    table = _SlackTable(ctx)
     for r in points:
         want = [sfm_dep(ctx, r, i) for i in ctx.users]
         if [dep(ctx, r, i, table) for i in ctx.users] != want:
@@ -735,7 +755,7 @@ def sda_reference(ctx: GameContext, r0: RateVector | None = None, K: int | None 
     current = ctx.vertex if r0 is None else r0
     w = None if weights is None else {u: F(v) for u, v in weights.items()}
     step = F(1, K)
-    table = _SlackTable(ctx, current, K)
+    table = _SlackTable(ctx)
     mismatch = K != ctx.grid_denominator
     trace = SdaTrace(K=K, iterates=[current], objectives=[objective_g(current, w)])
     if mismatch:
@@ -778,7 +798,7 @@ def locally_optimal_reference(ctx: GameContext, r: RateVector, K: int, weights=N
     objective, each candidate's objective re-summed by objective_g with the
     weights as Fractions."""
     w = None if weights is None else {u: F(v) for u, v in weights.items()}
-    table = _SlackTable(ctx, r, K)
+    table = _SlackTable(ctx)
     base = objective_g(r, w)
     candidates = (r.exchange(i, j, F(1, K)) for i, j in itertools.permutations(ctx.users, 2))
     return not any(core_membership(ctx, candidate, table)[0] and objective_g(candidate, w) < base
@@ -891,7 +911,7 @@ def run_instance_battery(seed: int) -> dict:
         ctx, MEMBERSHIP_SAMPLES, seed)
 
     endpoint, trace = sda(ctx)
-    out["dep_matches_oracle"] = dep_matches_oracle(ctx, trace.iterates, K)
+    out["dep_matches_oracle"] = dep_matches_oracle(ctx, trace.iterates)
     out["sda_path_feasible"] = all(
         cross_checked_membership(ctx, it)
         and all((it[u] * K).denominator == 1 for u in users)

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -23,8 +24,8 @@ from omnifair.cli import (
     parse_rational,
 )
 
-from conftest import (DEMO_HOLDINGS, DEMO_PACKETS, PMF_SPEC_IDS, PMF_SPECS_READ_SILENTLY,
-                      pmf_from_packets)
+from conftest import (DEMO_HOLDINGS, DEMO_PACKETS, LINEAR_SPEC_IDS, LINEAR_SPECS_MISREAD,
+                      PMF_SPEC_IDS, PMF_SPECS_READ_SILENTLY, linear_spec, pmf_from_packets)
 
 
 @pytest.fixture()
@@ -428,6 +429,22 @@ def test_verify_refuses_the_core_check_above_its_table_limit(capsys, tmp_path, m
     assert report["config"]["command"] == "verify"
 
 
+def test_verify_reads_each_raw_cost_once_for_both_core_checks(demo_ctx, monkeypatch):
+    # the vertex and --rates checks share the game's one slack table
+    import omnifair.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "VERIFY_DECOMPOSITION_LIMIT", 0)  # its walk reads costs too
+    demo_ctx.vertex  # the solution record computes it before verify runs
+    reads = Counter()
+    cost = demo_ctx._cost
+    monkeypatch.setattr(demo_ctx, "_cost", lambda m: reads.update([m]) or cost(m))
+    rates = {1: 1, 2: F(1, 2), 3: F(1, 2), 4: 4, 5: F(1, 2)}
+    verdicts = _run_verify(RunConfig(command="verify", rates=rates), demo_ctx)
+    assert [(v["check"], v["pass"]) for v in verdicts][2:] == [
+        ("solver_vertex_in_core", True), ("rate_vector_in_core", True)]
+    assert reads == Counter(range(1, 2 ** len(demo_ctx.users)))
+
+
 def test_verify_of_twenty_two_users_is_refused_at_once(capsys, tmp_path):
     # users 1-21 share two packets and user 22 holds a third: the solve is
     # cheap, and the core check is refused before any cost is read
@@ -554,6 +571,42 @@ def test_grid_egalitarian_refuses_pmf_sources(capsys, tmp_path, mode):
     assert report["error"] == {"type": "ConfigError",
                                "message": "sda runs on the exact 1/K grid; pmf sources are refused"}
     assert report["config"]["mode"] == mode
+
+
+def test_solve_deterministic_pmf_reports_positive_zeros(capsys, tmp_path):
+    path = tmp_path / "pmf.json"
+    path.write_text(json.dumps({"model": "pmf", "alphabets": {"1": [0], "2": [0]}, "table": [[1.0]]}))
+    status = main(["solve", "--input", str(path)])
+    text = capsys.readouterr().out
+    assert status == 0
+    assert '"I": 0.0,' in text and "-0.0" not in text
+
+
+def test_pmf_past_the_dense_limit_exits_5(capsys, tmp_path, monkeypatch):
+    # users 1-4 see two shared bits and user 5 a third: the first four merge
+    # into one block, so no truncation step is wide
+    from omnifair import setfn
+
+    pmf = pmf_from_packets({**{u: ["a", "b"] for u in range(1, 5)}, 5: ["c"]}, ["a", "b", "c"])
+    path = tmp_path / "pmf.json"
+    path.write_text(json.dumps({"model": "pmf", "table": pmf._table.tolist(), "alphabets": {
+        str(u): list(range(len(pmf.alphabets[u]))) for u in pmf.users}}))
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 4)
+    assert run_cli(capsys, "solve", "--input", str(path))[0] == 0
+    monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 3)
+    status, report = run_cli(capsys, "solve", "--input", str(path))
+    assert status == EXIT_TOO_LARGE
+    assert report["error"] == {"type": "GroundSetTooLarge",
+                               "message": "ground set of size 4 exceeds the exhaustive limit 3"}
+
+
+@pytest.mark.parametrize(("users", "packets", "message"), LINEAR_SPECS_MISREAD, ids=LINEAR_SPEC_IDS)
+def test_linear_spec_values_it_would_misread_are_parse_errors(capsys, tmp_path, users, packets, message):
+    path = tmp_path / "linear.json"
+    path.write_text(json.dumps(linear_spec(users, packets)))
+    status, report = run_cli(capsys, "solve", "--input", str(path))
+    assert status == EXIT_PARSE
+    assert report["error"] == {"type": "SourceSpecError", "message": message}
 
 
 @pytest.mark.parametrize(("alphabets", "table", "message"), PMF_SPECS_READ_SILENTLY, ids=PMF_SPEC_IDS)

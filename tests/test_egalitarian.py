@@ -119,7 +119,7 @@ class TestDependenceTable:
         _, trace = sda(demo_ctx, r0=start, K=4)
         assert demo_ctx.grid_denominator == 2
         assert any(it[u].denominator == 4 for it in trace.iterates for u in it.users)
-        assert dep_matches_oracle(demo_ctx, trace.iterates, K=4)
+        assert dep_matches_oracle(demo_ctx, trace.iterates)
 
     @pytest.mark.parametrize("bits", [58, 70])
     def test_wide_denominators_stay_exact(self, demo_ctx, bits):
@@ -326,7 +326,7 @@ class TestIterationBudget:
         ctx = min_sum_rate(SDA_SOURCES[kind](seed))
         for game in [ctx, *decompose(ctx)]:
             K = game.grid_denominator * (2 if doubled else 1)
-            budget = _iteration_budget(game, _SlackTable(game, game.vertex, K), K)
+            budget = _iteration_budget(game, _SlackTable(game), K)
             assert budget >= hat_iteration_budget(game, K)
             assert budget >= sda(game, K=K)[1].iterations
 

@@ -20,7 +20,7 @@ from omnifair import (
     objective_g,
 )
 from omnifair.egalitarian import dep
-from omnifair.omniscience import DecompositionError, check_decomposition
+from omnifair.omniscience import DecompositionError, _SlackTable, check_decomposition
 from omnifair.setfn import GroundSetTooLarge
 from omnifair.setfn import subsets
 
@@ -364,6 +364,30 @@ def test_core_membership_matches_the_subset_loop(name):
         for r in membership_points(game, rng):
             want = loop_core_membership(game, r)
             assert core_membership(game, r) == want, (game.users, r)
+            verdicts.add(want[0])
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_SOURCES))
+def test_one_table_serves_vectors_of_every_denominator(name, monkeypatch):
+    """A game's slack table, built once, answers core membership and every
+    dependence set for vectors whose denominators it never saw (1/K,
+    1/(7K), 1/11) and for float vectors, with no raw cost read again."""
+    ctx = min_sum_rate(MEMBERSHIP_SOURCES[name]())
+    rng = random.Random(f"one-table:{name}")
+    verdicts = set()
+    for game in [ctx, *decompose(ctx)]:
+        K, order = game.grid_denominator, tuple(rng.sample(game.users, len(game.users)))
+        v = game.greedy_vertex(order)
+        moved = [v.exchange(a, b, step) for step in (F(1, K), F(1, 7 * K), F(1, 11))
+                 for i, j in zip(order, order[1:]) for a, b in ((i, j), (j, i))]
+        points = [v, *moved, *(RateVector({u: float(r[u]) for u in r.users}) for r in [v, *moved[::3]])]
+        table = _SlackTable(game)
+        monkeypatch.setattr(game, "_cost", lambda m: pytest.fail("a raw cost was read again"))
+        for r in points:
+            want = loop_core_membership(game, r)
+            assert core_membership(game, r, table) == want, (game.users, r)
+            assert [dep(game, r, i, table) for i in game.users] == [sfm_dep(game, r, i) for i in game.users]
             verdicts.add(want[0])
     assert verdicts == {True, False}
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -16,10 +17,13 @@ from omnifair.setfn import is_submodular, subsets
 from conftest import (
     DEMO_HOLDINGS,
     DEMO_PACKETS,
+    LINEAR_SPEC_IDS,
+    LINEAR_SPECS_MISREAD,
     PMF_FUZZ_SEEDS,
     PMF_SPEC_IDS,
     PMF_SPECS_READ_SILENTLY,
     entropy_table,
+    linear_spec,
     packet_entropy_reference,
     pmf_entropy_reference,
     pmf_fill_reference,
@@ -165,6 +169,18 @@ class TestPmfSource:
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(SourceSpecError, match="non-finite"):
             PmfSource({1: (0, 1), 2: (0, 1)}, [[0.5, bad], [0.0, 0.5]])
+
+    @pytest.mark.parametrize("batch", [sources.PMF_BATCH_ENTRIES, 4], ids=["one-batch", "batches"])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 3, 2, 1)], ids=["zero-free", "with-zeros"])
+    def test_deterministic_entropies_are_positive_zeros(self, monkeypatch, shape, batch):
+        # H = -Σ p·log2 p sums zeros; negated, a sum of +0.0 would read -0.0
+        monkeypatch.setattr(sources, "PMF_BATCH_ENTRIES", batch)
+        table = np.zeros(shape)
+        table[tuple(a - 1 for a in shape)] = 1.0
+        pmf = PmfSource({u: tuple(range(a)) for u, a in enumerate(shape, start=1)}, table)
+        H = [pmf.raw_entropy(m) for m in range(1 << len(shape))]
+        assert H == [0.0] * len(H)
+        assert [math.copysign(1.0, h) for h in H] == [1.0] * len(H)
 
 
 class TestPmfMarginalizationPass:
@@ -378,6 +394,37 @@ class TestLoadSource:
         for form in (spec, json.dumps(spec)):
             with pytest.raises(SourceSpecError, match=f"^{re.escape(message)}$"):
                 load_source(form)
+
+    @pytest.mark.parametrize(("users", "packets", "message"), LINEAR_SPECS_MISREAD, ids=LINEAR_SPEC_IDS)
+    def test_linear_spec_values_it_would_misread_are_refused(self, users, packets, message):
+        spec = linear_spec(users, packets)
+        for form in (spec, json.dumps(spec)):
+            with pytest.raises(SourceSpecError, match=f"^{re.escape(message)}$"):
+                load_source(form)
+
+    def test_integer_and_string_packet_ids_load(self):
+        source = load_source(linear_spec({"1": [1, "a"], "2": ["a"]}, [1, "a", "b"]))
+        assert source.universe == (1, "a", "b")
+        assert source.entropy({1}) == 2
+
+    def test_pmf_past_the_dense_limit_is_refused_before_the_fill(self, monkeypatch):
+        # H of every subset fills 2^n entries; the limit is the slack table's,
+        # n - 1 free users
+        from omnifair import setfn
+
+        monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 3)
+        four = load_source({"model": "pmf", "alphabets": {str(u): [0, 1] for u in range(1, 5)},
+                            "table": np.full((2,) * 4, 1 / 16).tolist()})
+        assert four.entropy(four.users) == pytest.approx(4.0)
+        fills = []
+        monkeypatch.setattr(PmfSource, "_fill", lambda *args: fills.append(args))
+        for n in (5, 6):
+            spec = {"model": "pmf", "alphabets": {str(u): [0] for u in range(1, n + 1)},
+                    "table": functools.reduce(lambda t, _: [t], range(n), 1.0)}
+            with pytest.raises(setfn.GroundSetTooLarge,
+                               match=f"^ground set of size {n - 1} exceeds the exhaustive limit 3$"):
+                load_source(json.dumps(spec))
+        assert fills == []
 
     def test_bad_user_key(self):
         with pytest.raises(SourceSpecError, match="not an integer"):
