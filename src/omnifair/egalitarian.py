@@ -149,14 +149,15 @@ def _delta(a, c, i: int, j: int):
 
 
 def is_locally_optimal(ctx: GameContext, r: RateVector, K: int | None = None,
-                       weights=None) -> bool:
+                       weights=None, table: _SlackTable | None = None) -> bool:
     """Check single-exchange optimality: no in-core move of 1/K between any
     ordered user pair lowers the objective, each move priced by :func:`_delta`
-    before its core check.  For the fundamental K this is equivalent to
+    before its core check on ``table`` (:func:`sda` passes its own), or else
+    on one built for this call.  For the fundamental K this is equivalent to
     global optimality on the grid."""
     K = ctx.grid_denominator if K is None else K
     w = _check_weights(weights, ctx.users)
-    table = _SlackTable(ctx)
+    table = _SlackTable(ctx) if table is None else table
     a, c, scale = _grid(r, K, w)
     for i, j in permutations(ctx.users, 2):
         if _delta(a, c, i, j) < -ctx.tol * scale and core_membership(
@@ -245,7 +246,7 @@ def sda(
         raise ConvergenceError("steepest descent exceeded its iteration budget")
 
     if mismatch:
-        trace.locally_optimal = is_locally_optimal(ctx, current, K, w)
+        trace.locally_optimal = is_locally_optimal(ctx, current, K, w, table)
     return current, trace
 
 

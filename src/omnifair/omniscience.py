@@ -10,10 +10,11 @@ bit order; one depth-first walk fills every subset's total, and no state
 outlives its call.  For linear sources the pass runs on
 integers (the cost scaled by the sum-rate's denominator), so no ``Fraction``
 appears until a value leaves it.  Core vertices are Edmonds' greedy rule on
-that cost, one walk of raw marginal costs along a permutation.  The raw
-costs on every subset of a game's users also form the one slack table f - r
-that answers every core question: membership, the dependence sets of
-steepest descent and its initial check.
+that cost, one walk of raw marginal costs along a permutation, each taken
+inside its user's fundamental-partition block, across which the cost
+splits.  The raw costs on every subset of a game's users also form the one
+slack table f - r that answers every core question: membership, the
+dependence sets of steepest descent and its initial check.
 """
 
 from __future__ import annotations
@@ -276,7 +277,9 @@ class GameContext:
     A truncation state is a mask's raw total and blocks; ``value_of`` maps
     raw totals to :meth:`hat`'s numbers.  No state outlives the call that
     built it.  Subgames (from :func:`decompose`) are contexts on one block
-    each; their ``sum_cost`` is the block's characteristic cost.
+    each; their ``sum_cost`` is the block's characteristic cost.  ``blocks``
+    holds the fundamental partition's blocks as sorted user tuples (a
+    subgame's one block is its ground set): hat(X) = Σ_C hat(X ∩ C).
     """
 
     def __init__(
@@ -300,6 +303,9 @@ class GameContext:
         self.tol = source.tol
         self._vertex: RateVector | None = None
         self._bits = {u: source.mask((u,)) for u in self.users}
+        blocks = (self.ground,) if fundamental_partition is None else fundamental_partition.blocks
+        self.blocks = tuple(tuple(sorted(C)) for C in blocks)
+        self._block_mask = {u: source.mask(C) for C in blocks for u in C}
         self._cost, self.value_of = _mask_cost(source, min_sum_rate)
 
     @property
@@ -323,14 +329,15 @@ class GameContext:
             return self.source.zero
         return self.value_of(_fold(self._cost, self.source.mask(X), self.tol)[0])
 
-    def raw_table(self) -> list[int | float]:
+    def raw_table(self, users: Iterable[int] | None = None) -> list[int | float]:
         """Raw :meth:`hat` totals (ints for linear sources) on every bitmask
-        of the game's users, bit k being ``users[k]``, refused past the
-        exhaustive limit before any cost is read.  One depth-first walk: each
-        child extends its parent's state by a bit above the parent's bits, so
-        it is the :func:`_fold` state; at most |users| + 1 states are alive."""
-        _check_size(len(self.users))
-        bits = [self._bits[u] for u in self.users]
+        of ``users`` (default: the game's), bit k being ``users[k]``, refused
+        past the exhaustive limit before any cost is read.  One depth-first
+        walk: each child extends its parent's state by a bit above the
+        parent's bits, so it is the :func:`_fold` state; at most |users| + 1
+        states are alive."""
+        bits = [self._bits[u] for u in (self.users if users is None else users)]
+        _check_size(len(bits))
         table, stack = [0] * (1 << len(bits)), [((0, ()), 0, 0)]
         while stack:  # (state, its local mask, the next bit to add)
             state, local, k = stack.pop()
@@ -342,26 +349,29 @@ class GameContext:
 
     def raw_marginals(self, orders: Iterable[Iterable[int]]) -> Iterator[dict[int, int | float]]:
         """For each of ``orders``, which must be permutations of the users,
-        each user mapped to its raw marginal cost over the users before it.
+        each user mapped to its raw marginal cost over the users before it in
+        its own block (the cost separates across the blocks).
 
-        The prefix states of one call are kept while it runs: a missing one
-        walks down "mask minus top bit" to the nearest kept one and extends
-        upward one step per missing mask."""
+        The prefix states of one call, keyed by masks inside one block, are
+        kept while it runs: a missing one walks down "mask minus top bit" to
+        the nearest kept one and extends upward one step per missing mask."""
         states = {0: (0, ())}
         for order in map(tuple, orders):
             if frozenset(order) != self.ground or len(order) != len(self.ground):
                 raise ValueError(f"{order} is not a permutation of {self.users}")
-            marginals, prefix, before = {}, 0, 0
+            marginals, prefix = {}, {}  # block mask -> the prefix's mask inside it
             for u in order:
-                prefix |= self._bits[u]
-                mask, missing = prefix, []
+                block = self._block_mask[u]
+                before = prefix.get(block, 0)
+                mask = prefix[block] = before | self._bits[u]
+                missing = []
                 while mask not in states:
                     missing.append(mask)
                     mask ^= 1 << mask.bit_length() - 1
                 state = states[mask]
                 for m in reversed(missing):
                     state = states[m] = _extend(self._cost, state, 1 << m.bit_length() - 1, self.tol)
-                marginals[u], before = state[0] - before, state[0]
+                marginals[u] = state[0] - states[before][0]
             yield marginals
 
     def greedy_vertex(self, order: Iterable[int]) -> RateVector:

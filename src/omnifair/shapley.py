@@ -5,8 +5,10 @@ characteristic cost, i.e. the mean greedy vertex over all permutations,
 counted with multiplicity.  That yields an approximation scheme: average the
 greedy vertices (:meth:`GameContext.greedy_vertex`) of a random sample of
 permutations.  The centroid of the distinct vertices is a different point
-unless every vertex arises from equally many permutations.  All combine with
-the fundamental-partition decomposition for distributed computation.
+unless every vertex arises from equally many permutations.  At the minimum
+sum-rate the cost splits across the fundamental partition P*, hat(X) =
+Σ_{C ∈ P*} hat(X ∩ C) (the paper's decomposition result), so a user's
+Shapley value and greedy marginals depend on its own block only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import permutations as iter_permutations
 from typing import Iterable, Mapping, Sequence
 
 from .omniscience import GameContext, RateVector, decompose
-from .setfn import GroundSetTooLarge, subset_masks
+from .setfn import GroundSetTooLarge, _check_size, subset_masks
 
 #: Factorial vertex enumeration refuses ground sets beyond this size.
 ENUMERATION_LIMIT = 8
@@ -41,23 +43,28 @@ def enumerate_extreme_points(ctx: GameContext) -> tuple[RateVector, ...]:
 
 
 def shapley_exact(ctx: GameContext) -> RateVector:
-    """Shapley value from its defining sum of weighted marginal costs, read
-    off one :meth:`GameContext.raw_table` in :func:`subset_masks` order; linear
-    sources sum in integers and divide once per user."""
-    n = len(ctx.users)
-    total = factorial(n)
-    weights = [factorial(k) * factorial(n - k - 1) for k in range(n)]
-    if not ctx.source.is_exact:
-        weights = [w / total for w in weights]  # float(Fraction(w, n!))
-    raw, order = ctx.raw_table(), subset_masks(n)
+    """Shapley value from its defining sum of weighted marginal costs, one
+    block of P* at a time by the decomposition result (Σ_C 2^|C| truncation
+    states, not 2^n), read off one :meth:`GameContext.raw_table` per block in
+    :func:`subset_masks` order, every block refused past the exhaustive limit
+    before any cost is read; linear sources sum in integers and divide once
+    per user."""
+    _check_size(max(map(len, ctx.blocks)))
     rates = {}
-    for k, i in enumerate(ctx.users):
-        bit, acc = 1 << k, 0
-        for X in order:
-            if not X & bit:
-                acc += weights[X.bit_count()] * (raw[X | bit] - raw[X])
-        rates[i] = ctx.value_of(Fraction(acc, total) if ctx.source.is_exact else acc)
-    return RateVector(rates)
+    for block in ctx.blocks:
+        n = len(block)
+        total = factorial(n)
+        weights = [factorial(k) * factorial(n - k - 1) for k in range(n)]
+        if not ctx.source.is_exact:
+            weights = [w / total for w in weights]  # float(Fraction(w, n!))
+        raw, order = ctx.raw_table(block), subset_masks(n)
+        for k, i in enumerate(block):
+            bit, acc = 1 << k, 0
+            for X in order:
+                if not X & bit:
+                    acc += weights[X.bit_count()] * (raw[X | bit] - raw[X])
+            rates[i] = ctx.value_of(Fraction(acc, total) if ctx.source.is_exact else acc)
+    return RateVector({u: rates[u] for u in ctx.users})
 
 
 def sample_permutations(users: Sequence[int], count: int, seed) -> list[tuple[int, ...]]:
@@ -124,22 +131,22 @@ def shapley_decomposed(
 ) -> RateVector:
     """Fuse per-subgame Shapley values across the fundamental partition.
 
-    ``mode="exact"`` equals the whole-game Shapley value.  ``mode="approx"``
-    samples ``count`` permutations per subgame (default: the block size) from
-    a per-subgame seed split off ``seed``; explicit ``permutations`` may be
-    supplied per block instead.
+    ``mode="exact"`` is :func:`shapley_exact`, which already runs per block.
+    ``mode="approx"`` samples ``count`` permutations per subgame (default:
+    the block size) from a per-subgame seed split off ``seed``; explicit
+    ``permutations`` may be supplied per block instead.
     """
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "approx" and count is not None and count < 1:  # singleton blocks draw none
+    if mode == "exact":
+        return shapley_exact(ctx)
+    if count is not None and count < 1:  # singleton blocks draw none
         raise ValueError("need at least one permutation")
     subgames = decompose(ctx)
     rng = random.Random(seed)
     child_seeds = {sub.ground: rng.randrange(2**63) for sub in subgames}
 
     def solve_block(sub: GameContext) -> RateVector:
-        if mode == "exact":
-            return shapley_exact(sub)
         explicit = permutations.get(sub.ground) if permutations else None
         if explicit is not None:
             return shapley_approx(sub, explicit)

@@ -5,10 +5,14 @@ the acceptance gate assert against (computed once per session)."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from omnifair import (
     f_alpha,
     is_locally_optimal,
     l1_size,
+    load_source,
     min_sum_rate,
     objective_g,
     sda,
@@ -314,6 +319,27 @@ def shapley_mean_of_vertices(ctx: GameContext) -> RateVector:
     return mean_vector(enumerate_extreme_points(ctx))
 
 
+def shapley_whole_game(ctx: GameContext) -> RateVector:
+    """Oracle Shapley value: the defining sum of weighted marginal costs
+    over all 2^n subsets of the whole game, read off one whole-game
+    :meth:`GameContext.raw_table`, blind to the fundamental partition;
+    linear sources sum in integers and divide once per user."""
+    n = len(ctx.users)
+    total = math.factorial(n)
+    weights = [math.factorial(k) * math.factorial(n - k - 1) for k in range(n)]
+    if not ctx.source.is_exact:
+        weights = [w / total for w in weights]
+    raw, order = ctx.raw_table(), subset_masks_reference(n)
+    rates = {}
+    for k, i in enumerate(ctx.users):
+        bit, acc = 1 << k, 0
+        for X in order:
+            if not X & bit:
+                acc += weights[X.bit_count()] * (raw[X | bit] - raw[X])
+        rates[i] = ctx.value_of(F(acc, total) if ctx.source.is_exact else acc)
+    return RateVector(rates)
+
+
 def frank_wolfe_reference(ctx: GameContext, weights=None) -> RateVector:
     """Oracle Frank-Wolfe with away steps and exact line search on the float
     costs, stopped at a duality gap of 1e-9, which bounds its objective's
@@ -458,6 +484,23 @@ def random_pmf_source(seed: int) -> PmfSource:
         table.flat[int(rng.integers(table.size))] = 1.0
     alphabets = {u: tuple(range(k)) for u, k in enumerate(shape, start=1)}
     return PmfSource(alphabets, table / table.sum())
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+
+
+@functools.cache
+def _corpus():
+    spec = importlib.util.spec_from_file_location("bench_corpus", CORPUS)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def corpus_source(family: str, member: int) -> Source:
+    """Pool member ``member`` of the benchmark corpus family ``family``
+    (e.g. ``"dense-9"``), built from its seeded spec."""
+    return load_source(_corpus().build_spec(family, member))
 
 
 def pmf_entropy_reference(source: PmfSource, mask: int) -> float:
@@ -867,7 +910,8 @@ def run_instance_battery(seed: int) -> dict:
     out["vertex_sets_decompose"] = sorted(fused_sets) == sorted(v.as_tuple(users) for v in vertices)
 
     exact = shapley_exact(ctx)
-    out["shapley_exact_equals_decomposed"] = exact == shapley_decomposed(ctx, mode="exact")
+    out["shapley_exact_equals_decomposed"] = exact == shapley_whole_game(ctx) == shapley_decomposed(
+        ctx, mode="exact")
     # the permutation-multiset average is the exact value on every instance;
     # the mean over *distinct* vertices matches only when each vertex arises
     # from equally many permutations (degenerate instances break uniformity)

@@ -369,13 +369,14 @@ def test_nonconvergence_exit_code(capsys, spec_path, monkeypatch):
 
 
 def test_too_large_instance_exit_code(capsys, tmp_path):
-    # 20 users sharing two packets plus one holding a third: the solve stays
-    # cheap (the first 20 users merge into one block), exact Shapley refuses
+    # 21 users sharing two packets plus one holding a third: the solve stays
+    # cheap (the first 21 users merge into one block), exact Shapley refuses
+    # that 21-user fundamental block
     spec = {
         "model": "linear",
         "field": 2,
         "packets": ["a", "b", "c"],
-        "users": {**{str(u): ["a", "b"] for u in range(1, 21)}, "21": ["c"]},
+        "users": {**{str(u): ["a", "b"] for u in range(1, 22)}, "22": ["c"]},
     }
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(spec))
@@ -383,6 +384,24 @@ def test_too_large_instance_exit_code(capsys, tmp_path):
     assert status == EXIT_TOO_LARGE
     assert report["error"]["type"] == "GroundSetTooLarge"
     assert report["config"]["command"] == "shapley"
+
+
+def test_exact_shapley_beyond_the_limit_in_small_blocks(capsys, tmp_path):
+    # 24 users in three 8-user blocks, each block sharing two packets and its
+    # first user holding a private one: exact Shapley tabulates each block
+    packets, users = [], {}
+    for b in range(3):
+        shared, private = [f"s{b}", f"t{b}"], f"p{b}"
+        packets += [*shared, private]
+        users |= {str(8 * b + k): shared + [private] * (k == 1) for k in range(1, 9)}
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps({"model": "linear", "field": 2, "packets": packets, "users": users}))
+    status, report = run_cli(capsys, "shapley", "--input", str(path), "--mode", "exact")
+    assert status == 0
+    assert report["solution"]["fundamental_partition"] == [
+        list(range(8 * b + 1, 8 * b + 9)) for b in range(3)]
+    assert report["fairness"]["vector"] == {
+        str(u): "5/4" if u % 8 == 1 else "1/4" for u in range(1, 25)}
 
 
 @pytest.mark.parametrize(("command", "free_users"), [("verify", 6), ("egalitarian", 5)])

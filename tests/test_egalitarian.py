@@ -42,6 +42,7 @@ from conftest import (
     rv,
     sda_reference,
     sfm_dep,
+    shapley_whole_game,
 )
 
 R0 = {1: 1, 2: F(1, 2), 3: F(1, 2), 4: F(9, 2), 5: 0}
@@ -105,7 +106,9 @@ class TestDependenceTable:
         holdings = {1: ["a", "b", "d"], 2: ["a"], 3: ["e"], 4: ["c", "e"]}
         ctx = min_sum_rate(pmf_from_packets(holdings, ["a", "b", "c", "d", "e"]))
         assert not ctx.source.is_exact
-        points = [ctx.vertex, shapley_exact(ctx)]
+        # the whole-game float sum lands off the per-block value (rates
+        # 0.49999999999999994, not 0.5) and gives a within-tol tie
+        points = [ctx.vertex, shapley_exact(ctx), shapley_whole_game(ctx)]
         points += [ctx.greedy_vertex(p) for p in permutations(ctx.users)]
         assert dep_matches_oracle(ctx, points)
         # some minimizers tie only within tol, so the float comparison is exercised
@@ -159,6 +162,18 @@ class TestDependenceTable:
         # every user's set still goes through the public dep, off one table
         assert len(dep_calls) == n * (trace.iterations + 1)
         assert len({id(args[3]) for args in dep_calls}) == 1
+
+    def test_off_fundamental_k_reads_each_cost_once(self, monkeypatch):
+        # with K off the fundamental value sda ends with is_locally_optimal,
+        # which checks its exchanges on sda's own table
+        ctx = min_sum_rate(random_linear_source(1, min_users=8, max_users=8, max_packets=12))
+        ctx.vertex  # the starting vertex, a walk of truncation steps
+        f_calls = []  # raw cost evaluations
+        cost = ctx._cost
+        monkeypatch.setattr(ctx, "_cost", lambda m: f_calls.append(m) or cost(m))
+        _, trace = sda(ctx, K=2 * ctx.grid_denominator)
+        assert trace.locally_optimal is not None
+        assert sorted(f_calls) == list(range(1, 2 ** len(ctx.users)))
 
     def test_refusal_boundary(self, demo_source, monkeypatch):
         # each dependence SFM has n - 1 free users; the refusal comes before

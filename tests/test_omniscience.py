@@ -170,6 +170,31 @@ class TestRawTable:
             assert table == [omniscience._fold(game._cost, m, game.tol)[0] for m in masks]
 
 
+class TestRawMarginals:
+    """Each user's raw marginal is taken over the earlier users of its own
+    block; on a linear source that is the whole-prefix truncation
+    difference, exactly, on every permutation."""
+
+    @pytest.mark.parametrize("kind", ["packet", "gf3"])
+    def test_whole_prefix_differences(self, kind):
+        from functools import cache
+        from itertools import permutations
+
+        from omnifair.omniscience import _fold
+
+        split = 0
+        for seed in range(8):
+            ctx = min_sum_rate(RAW_TABLE_SOURCES[kind](seed))
+            split += len(ctx.fundamental_partition) > 1
+            total = cache(lambda mask: _fold(ctx._cost, mask, ctx.tol)[0])
+            orders = list(permutations(ctx.users))
+            for order, marginals in zip(orders, ctx.raw_marginals(orders)):
+                prefixes = [ctx.source.mask(order[:k]) for k in range(len(order) + 1)]
+                assert marginals == {u: total(prefixes[k + 1]) - total(prefixes[k])
+                                     for k, u in enumerate(order)}
+        assert split > 0
+
+
 class TestMinSumRate:
     def test_demo_instance(self, demo_ctx):
         assert demo_ctx.min_sum_rate == F(13, 2)

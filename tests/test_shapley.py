@@ -21,12 +21,14 @@ from omnifair.sources import FLOAT_TOL
 
 from conftest import (
     chain_greedy_vertex,
+    corpus_source,
     cross_checked_membership,
     mean_vector,
     random_linear_source,
     random_pmf_twins,
     rv,
     shapley_mean_of_vertices,
+    shapley_whole_game,
 )
 
 DEMO_VERTICES = {
@@ -127,21 +129,44 @@ class TestShapleyExact:
             shapley_exact(ctx)
 
     def test_refused_before_any_cost_is_read(self, demo_source, monkeypatch):
-        # one guard for every dense table: raw_table's, at the exhaustive limit
+        # one table per fundamental block, the largest being [1, 4, 5]: every
+        # block is checked at the exhaustive limit before any cost is read
         from omnifair import setfn
 
         ctx = min_sum_rate(demo_source)
         cost_calls = []
         cost = ctx._cost
         monkeypatch.setattr(ctx, "_cost", lambda m: cost_calls.append(m) or cost(m))
-        monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 5)
+        monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 3)
         assert shapley_exact(ctx) == rv({1: F(5, 4), 2: F(1, 2), 3: F(1, 2), 4: 3, 5: F(5, 4)})
         assert cost_calls
         cost_calls.clear()
-        monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 4)
-        with pytest.raises(GroundSetTooLarge, match="^ground set of size 5 exceeds the exhaustive limit 4$"):
+        monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 2)
+        with pytest.raises(GroundSetTooLarge, match="^ground set of size 3 exceeds the exhaustive limit 2$"):
             shapley_exact(ctx)
         assert cost_calls == []
+
+
+class TestPerBlockEqualsWholeGame:
+    """The per-block exact value against the whole-game defining sum, on the
+    benchmark corpus's seeded families; equal rationals for linear sources."""
+
+    @pytest.mark.parametrize("member", range(2))
+    @pytest.mark.parametrize("n", range(5, 11))
+    @pytest.mark.parametrize("family", ["mixed", "clustered", "dense", "sparse", "gf3"])
+    def test_linear_corpus(self, family, n, member):
+        ctx = min_sum_rate(corpus_source(f"{family}-{n}", member))
+        assert ctx.source.is_exact
+        assert len(ctx.fundamental_partition) > 1  # every one of these games splits
+        assert shapley_exact(ctx) == shapley_whole_game(ctx)
+
+    @pytest.mark.parametrize("game", [*(f"pmf-{n}:{m}" for n in (4, 5, 6) for m in range(2)),
+                                      *(f"twins:{seed}" for seed in range(6))])
+    def test_pmf_within_1e_12(self, game):
+        family, k = game.split(":")
+        ctx = min_sum_rate(random_pmf_twins(int(k))[1] if family == "twins" else corpus_source(family, int(k)))
+        exact, whole = shapley_exact(ctx), shapley_whole_game(ctx)
+        assert all(abs(exact[u] - whole[u]) <= 1e-12 for u in ctx.users)
 
 
 class TestMeanOfVertices:
