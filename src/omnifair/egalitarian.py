@@ -27,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import ceil, isfinite, lcm
+from types import SimpleNamespace
 from typing import Mapping, NamedTuple
 
 from .omniscience import (
@@ -285,18 +286,19 @@ def _lexicographic_base(ctx: GameContext, block: tuple[int, ...], w, exact: bool
         # below zero on both halves of a tie could keep all of E
         weight, margin = {ctx._bits[u]: float(w[u]) for u in block}, FLOAT_TOL
         value = lambda v: float(ctx.value_of(v))  # a raw cost as a float of f
-        cost = lambda m: value(ctx._cost(m))
+        cost = SimpleNamespace(bit_keys=ctx._cost.bit_keys,
+                               values=lambda keys: [value(v) for v in ctx._cost.values(keys)])
     rates, minors = {}, [(0, sum(weight))]  # a stack: (A, X) before (A ∪ X, E ∖ X)
     while minors:
         A, E = minors.pop()
         (base, blocks), top = _fold(ctx._cost, A, ctx.tol), _fold(ctx._cost, A | E, ctx.tol)[0]
         weights = {bit: v for bit, v in weight.items() if bit & E}
         d, wE = value(top) - value(base), _ordered_sum(weights.values())
-        state = (wE * value(base), [(b, wE * value(c)) for b, c in blocks])
+        state = (wE * value(base), [(b, k, wE * value(c)) for b, k, c in blocks])
         for bit in weights:
             state = _extend(cost, state, bit, margin * wE, wE, weights, d)
         if state[0] < wE * value(base) - margin * wE:
-            X = E & sum(b for b, g in state[1] if b & (b - 1) or b & ~E or g < 0)
+            X = E & sum(b for b, _, g in state[1] if b & (b - 1) or b & ~E or g < 0)
             if X in (0, E):
                 raise ArithmeticError(f"minor {sorted(ctx.source.members(E))} split empty or whole")
             minors += [(A | X, E & ~X), (A, X)]

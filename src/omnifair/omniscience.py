@@ -6,15 +6,16 @@ partition that certifies it, and the optimal rate region (the core of the
 associated cost-sharing game).  The characteristic cost of a user subset is
 the Dilworth truncation of the sum-rate-parameterized cost function,
 computed incrementally on user bitmasks, one step per element in ascending
-bit order; one depth-first walk fills every subset's total, and no state
-outlives its call.  For linear sources the pass runs on
-integers (the cost scaled by the sum-rate's denominator), so no ``Fraction``
-appears until a value leaves it.  Core vertices are Edmonds' greedy rule on
-that cost, one walk of raw marginal costs along a permutation, each taken
-inside its user's fundamental-partition block, across which the cost
-splits.  The raw costs on every subset of a game's users also form the one
-slack table f - r that answers every core question: membership, the
-dependence sets of steepest descent and its initial check.
+bit order, its costs read by keys (held-packet bitsets for packet sources);
+one depth-first walk fills every subset's total, and no state outlives its
+call.  Linear sources run on integers (the cost scaled by the sum-rate's
+denominator), so no ``Fraction`` appears until a value leaves the pass.
+Core vertices are Edmonds' greedy rule on that cost, one walk of raw
+marginal costs along a permutation, each taken inside its user's
+fundamental-partition block, across which the cost splits.  The raw costs on
+every subset of a game's users also form the one slack table f - r that
+answers every core question: membership, the dependence sets of steepest
+descent and its initial check.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import add
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .setfn import _check_size, int_array, subset_masks, widen
 from .sources import Source
@@ -178,58 +179,70 @@ def f_alpha(source: Source, alpha, X: Iterable[int]):
 # --- Dilworth truncation ---------------------------------------------------
 
 
-def _mask_cost(source: Source, alpha):
-    """:func:`f_alpha` on nonempty user bitmasks, plus the map from its
-    values back to f_alpha's.  For a linear source with alpha = p/q the cost
-    is q·H(X) - q·H(V) + p, an integer, and the map divides by q; for a pmf
-    source it is (alpha - H(V)) + H(X) in floats, and the map is the
-    identity."""
-    h = source.raw_entropy
-    whole = h(source.mask(source.users))
-    if not source.is_exact:
-        shift = alpha - whole
-        return (lambda m: shift + h(m)), (lambda v: v)
-    alpha = Fraction(alpha)
-    q = alpha.denominator
-    shift = alpha.numerator - q * whole
-    return (lambda m: q * h(m) + shift), (lambda v: Fraction(v, q))
+class _MaskCost:
+    """:func:`f_alpha` on nonempty user bitmasks by keys (:meth:`Source.keyed`):
+    ``bit_keys`` maps each user's bit to its key, ``values`` reads the raw
+    costs of a list of keys and ``value_of`` maps one to f_alpha's.  A linear
+    source's raw cost at alpha = p/q is q·H(X) - q·H(V) + p, an integer, which
+    ``value_of`` divides by q; a pmf source's is (alpha - H(V)) + H(X) in floats."""
+
+    def __init__(self, source: Source, alpha):
+        user_keys, h = source.keyed()
+        self.bit_keys = {1 << k: key for k, key in enumerate(user_keys)}
+        whole = source.raw_entropy(source.mask(source.users))
+        if not source.is_exact:
+            shift = alpha - whole
+            self.values, self.value_of = (lambda keys: [shift + h(k) for k in keys]), (lambda v: v)
+            return
+        q = Fraction(alpha).denominator
+        shift = Fraction(alpha).numerator - q * whole
+        self.values, self.value_of = (lambda keys: [q * h(k) + shift for k in keys]), (lambda v: Fraction(v, q))
 
 
-def _extend(cost: Callable[[int], int | float], state: tuple, bit: int, tol,
+def _extend(cost: _MaskCost, state: tuple, bit: int, tol,
             scale=1, weights: Mapping[int, int | float] = {}, level=0) -> tuple:
     """One truncation step of g = scale·cost - level·w(· ∩ E), E the bits
     of ``weights`` (w), a lone bit of E costing at most 0; the defaults give
     ``cost`` itself.  The state (total, blocks) of a mask, extended by a
     ``bit`` (above its bits, but in a split), as a new state.
 
-    Blocks are (mask, g) pairs.  One doubling pass builds, for each subset
-    S of the blocks, its union with ``bit``, Σ_S g and its weight mass; the
-    gain g(bit ∪ S) - Σ_S g then replaces the sum.  The least gain is added
-    to the total; the merge keeps the minimal minimizer, the AND of every
+    Blocks are (mask, key, g) triples.  One doubling pass ORs, for each
+    subset S of the blocks, the keys of ``bit`` and S, sums Σ_S g (and, if
+    weighted, the weight mass) and writes g(bit ∪ S) - Σ_S g over the sum,
+    from one batch read of the keys' costs.  The least gain is added to the
+    total; the merge keeps the minimal minimizer, the AND of every
     block-subset index within ``tol`` of the minimum."""
     total, blocks = state
     _check_size(len(blocks))
-    unions, gains, masses = [bit], [0], [weights.get(bit, 0)]
-    for block, value in blocks:
-        mass = _ordered_sum(v for b, v in weights.items() if b & block) if weights else 0
-        unions += [u | block for u in unions]
-        gains += [a + value for a in gains]
-        masses += [m + mass for m in masses] if mass else masses  # unweighted: a cheap repeat
-    for index, union in enumerate(unions):
-        gains[index] = scale * cost(union) - level * masses[index] - gains[index]
-    if bit in weights:
-        gains[0] = min(gains[0], 0)
+    keys, gains, masses = [cost.bit_keys[bit]], [0], [weights.get(bit, 0)]
+    for block, key, g in blocks:
+        keys += [k | key for k in keys]
+        gains += [a + g for a in gains]
+        if weights:
+            mass = _ordered_sum(v for b, v in weights.items() if b & block)
+            masses += [m + mass for m in masses] if mass else masses  # a cheap repeat
+    values = cost.values(keys)
+    if weights:
+        values = [scale * v - level * m for v, m in zip(values, masses)]
+        if bit in weights:
+            values[0] = min(values[0], 0)
+    for index, value in enumerate(values):
+        gains[index] = value - gains[index]
     best = min(gains)
     pick, cut = len(gains) - 1, best + tol
     for index, gain in enumerate(gains):
         if gain <= cut:
             pick &= index
-    kept = [b for i, b in enumerate(blocks) if not pick >> i & 1]
-    g = gains[0] if pick == 0 else scale * cost(unions[pick]) - level * masses[pick]
-    return total + best, kept + [(unions[pick], g)]
+    kept, mask = [], bit
+    for index, block in enumerate(blocks):
+        if pick >> index & 1:
+            mask |= block[0]
+        else:
+            kept.append(block)
+    return total + best, kept + [(mask, keys[pick], values[pick])]
 
 
-def _fold(cost: Callable[[int], int | float], mask: int, tol) -> tuple:
+def _fold(cost: _MaskCost, mask: int, tol) -> tuple:
     """The state of ``mask``: :func:`_extend` folded over its bits in
     ascending order from the empty state, a zero total and no blocks."""
     bits = (1 << k for k in range(mask.bit_length()) if mask >> k & 1)
@@ -245,9 +258,9 @@ def dilworth_truncation(source: Source, alpha, X: Iterable[int]):
     X = source.subset(X)
     if not X:
         raise ValueError("the truncation is evaluated on nonempty subsets")
-    cost, value_of = _mask_cost(source, alpha)
+    cost = _MaskCost(source, alpha)
     value, blocks = _fold(cost, source.mask(X), source.tol)
-    return value_of(value), Partition(source.members(b) for b, _ in blocks)
+    return cost.value_of(value), Partition(source.members(b) for b, _, _ in blocks)
 
 
 # --- solving the minimum sum-rate problem ----------------------------------
@@ -306,7 +319,13 @@ class GameContext:
         blocks = (self.ground,) if fundamental_partition is None else fundamental_partition.blocks
         self.blocks = tuple(tuple(sorted(C)) for C in blocks)
         self._block_mask = {u: source.mask(C) for C in blocks for u in C}
-        self._cost, self.value_of = _mask_cost(source, min_sum_rate)
+        self._cost = _MaskCost(source, min_sum_rate)
+        self.value_of = self._cost.value_of
+
+    def __setattr__(self, name: str, value) -> None:
+        if not name.startswith("_") and name in vars(self):
+            raise AttributeError(f"GameContext.{name} is read-only")
+        super().__setattr__(name, value)
 
     @property
     def vertex(self) -> RateVector:
@@ -421,10 +440,10 @@ class _SlackTable:
         import numpy as np
         _check_size(len(ctx.users) - 1)
         self.users = ctx.users
-        masks = [0]
-        for u in ctx.users:
-            masks += [m | ctx._bits[u] for m in masks]
-        raw = [0] + [ctx._cost(m) for m in masks[1:]]
+        keys = [0]  # by the truncation's doubling, from each user's key
+        for key in [ctx._cost.bit_keys[ctx._bits[u]] for u in ctx.users]:
+            keys += [k | key for k in keys]
+        raw = [0] + ctx._cost.values(keys[1:])
         self.q = Fraction(ctx.min_sum_rate).denominator if ctx.source.is_exact else None
         self.raw = int_array(raw) if self.q else np.array(raw, dtype=float)
         self._peak = max(map(abs, raw))

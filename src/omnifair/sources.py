@@ -14,8 +14,9 @@ Two source families are supported:
   Only this family loads numpy, when a pmf source is built.
 
 Each source memoizes H by user bitmask (bit k is ``users[k]``) in its raw
-number type, an int for linear sources and a float for pmf sources; the
-solver's truncation reads that memo directly (:meth:`Source.raw_entropy`).
+number type, an int for linear sources and a float for pmf sources.  The
+solver's truncation reads H by keys (:meth:`Source.keyed`): bitmasks read from
+that memo for vector and pmf sources, held-packet bitsets counted for packets.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .setfn import GroundSetTooLarge, _check_size
 
@@ -144,6 +145,11 @@ class Source:
             value = self._cache[mask] = self._entropy(mask)
         return value
 
+    def keyed(self) -> tuple[list[int], Callable[[int], int | float]]:
+        """Each user's key, a set's key being the OR of its users', and H of
+        a key: here each user's bit and :meth:`raw_entropy`."""
+        return [1 << k for k in range(len(self.users))], self.raw_entropy
+
     def entropy(self, X: Iterable[int]) -> Fraction | float:
         """Joint entropy H(X); H of the empty set is zero."""
         X = self.subset(X)
@@ -186,7 +192,7 @@ class LinearSource(Source):
         self._vectors = vectors
         if packets is not None:
             index = {p: k for k, p in enumerate(universe)}
-            bits = [sum(1 << index[p] for p in packets[u]) for u in self.users]
+            self._packet_bits = bits = [sum(1 << index[p] for p in packets[u]) for u in self.users]
             # entry m of table c: the OR of the bits of users 8c + k, k in m
             self._byte_tables = [[0] for _ in range(0, len(bits), 8)]
             for k, b in enumerate(bits):
@@ -231,6 +237,9 @@ class LinearSource(Source):
             raise SourceSpecError(f"coefficients must be integers, got {stray[0]!r}")
         vectors = {u: tuple(tuple(v) for v in holdings[u]) for u in users}
         return cls(users, field, tuple(range(width)), packets=None, vectors=vectors)
+
+    def keyed(self) -> tuple[list[int], Callable[[int], int | float]]:
+        return (self._packet_bits, int.bit_count) if self._packets is not None else super().keyed()
 
     def _entropy(self, mask: int) -> int:
         if self._packets is not None:

@@ -11,7 +11,10 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +42,12 @@ from omnifair import (
     shapley_exact,
 )
 from omnifair.egalitarian import SdaTrace, _check_weights, dep
-from omnifair.omniscience import GameContext, _SlackTable, check_decomposition
+from omnifair.omniscience import GameContext, _ordered_sum, _SlackTable, check_decomposition
 from omnifair.setfn import (
     InfeasibleLattice,
     SetFunction,
     SfmResult,
+    _check_size,
     int_array,
     is_submodular,
     sfm_min,
@@ -733,6 +737,77 @@ def lexicographic_base_table(ctx: GameContext, weights=None) -> RateVector:
                     rates[u] = (ctx.value_of(F(int(d) * weight[k], int(wE))) if exact
                                 else float(d) * (weight[k] / float(wE)))
     return RateVector(rates)
+
+
+def key_of(cost, mask: int) -> int:
+    """The key of a nonempty user bitmask under a truncation cost object:
+    the OR of its users' keys."""
+    return reduce(or_, (key for bit, key in cost.bit_keys.items() if bit & mask))
+
+
+def mask_extend(cost, state: tuple, bit: int, tol, scale=1, weights={}, level=0) -> tuple:
+    """Oracle truncation step on user bitmasks: the step as it was before
+    the keyed doubling pass.  Blocks are (mask, g) pairs; the doubling pass
+    builds every union of ``bit`` with a subset S of the blocks, Σ_S g and
+    its weight mass, and reads each union's cost by ``cost(mask)``, one
+    call per union."""
+    total, blocks = state
+    _check_size(len(blocks))
+    unions, gains, masses = [bit], [0], [weights.get(bit, 0)]
+    for block, value in blocks:
+        mass = _ordered_sum(v for b, v in weights.items() if b & block) if weights else 0
+        unions += [u | block for u in unions]
+        gains += [a + value for a in gains]
+        masses += [m + mass for m in masses] if mass else masses
+    for index, union in enumerate(unions):
+        gains[index] = scale * cost(union) - level * masses[index] - gains[index]
+    if bit in weights:
+        gains[0] = min(gains[0], 0)
+    best = min(gains)
+    pick, cut = len(gains) - 1, best + tol
+    for index, gain in enumerate(gains):
+        if gain <= cut:
+            pick &= index
+    kept = [b for i, b in enumerate(blocks) if not pick >> i & 1]
+    g = gains[0] if pick == 0 else scale * cost(unions[pick]) - level * masses[pick]
+    return total + best, kept + [(unions[pick], g)]
+
+
+def mask_step(cost, state: tuple, bit: int, tol, scale=1, weights={}, level=0) -> tuple:
+    """:func:`mask_extend` behind the keyed step's signature: (mask, key, g)
+    blocks in and out, each union's cost read alone from ``cost``."""
+    total, blocks = mask_extend(lambda mask: cost.values([key_of(cost, mask)])[0],
+                                (state[0], [(b, g) for b, _, g in state[1]]), bit, tol, scale, weights, level)
+    return total, [(b, key_of(cost, b), g) for b, g in blocks]
+
+
+class CostSpy:
+    """A truncation cost object that passes every read on to ``cost`` and
+    counts the keys given to its batch read, ``values``."""
+
+    def __init__(self, cost):
+        self.bit_keys, self.value_of, self._cost = cost.bit_keys, cost.value_of, cost
+        self.reads = Counter()
+
+    def values(self, keys):
+        keys = list(keys)
+        self.reads.update(keys)
+        return self._cost.values(keys)
+
+
+def spy_cost(ctx: GameContext, monkeypatch) -> CostSpy:
+    """Put a :class:`CostSpy` in place of the context's cost object."""
+    spy = CostSpy(ctx._cost)
+    monkeypatch.setattr(ctx, "_cost", spy)
+    return spy
+
+
+def every_key(ctx: GameContext) -> Counter:
+    """The keys of every nonempty subset of a game's users, counted: what
+    one read of each raw cost on the game gives a :class:`CostSpy`."""
+    bits = [ctx._bits[u] for u in ctx.users]
+    return Counter(key_of(ctx._cost, sum(b for k, b in enumerate(bits) if m >> k & 1))
+                   for m in range(1, 1 << len(bits)))
 
 
 def chain_greedy_vertex(ctx: GameContext, permutation) -> RateVector:

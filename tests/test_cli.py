@@ -1,7 +1,6 @@
 import json
 import random
 import time
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +24,8 @@ from omnifair.cli import (
 )
 
 from conftest import (DEMO_HOLDINGS, DEMO_PACKETS, LINEAR_SPEC_IDS, LINEAR_SPECS_MISREAD,
-                      PMF_SPEC_IDS, PMF_SPECS_READ_SILENTLY, linear_spec, pmf_from_packets)
+                      PMF_SPEC_IDS, PMF_SPECS_READ_SILENTLY, every_key, linear_spec, pmf_from_packets,
+                      spy_cost)
 
 
 @pytest.fixture()
@@ -454,14 +454,13 @@ def test_verify_reads_each_raw_cost_once_for_both_core_checks(demo_ctx, monkeypa
 
     monkeypatch.setattr(cli_module, "VERIFY_DECOMPOSITION_LIMIT", 0)  # its walk reads costs too
     demo_ctx.vertex  # the solution record computes it before verify runs
-    reads = Counter()
-    cost = demo_ctx._cost
-    monkeypatch.setattr(demo_ctx, "_cost", lambda m: reads.update([m]) or cost(m))
+    expected = every_key(demo_ctx)  # each nonempty mask's key, once
+    spy = spy_cost(demo_ctx, monkeypatch)
     rates = {1: 1, 2: F(1, 2), 3: F(1, 2), 4: 4, 5: F(1, 2)}
     verdicts = _run_verify(RunConfig(command="verify", rates=rates), demo_ctx)
     assert [(v["check"], v["pass"]) for v in verdicts][2:] == [
         ("solver_vertex_in_core", True), ("rate_vector_in_core", True)]
-    assert reads == Counter(range(1, 2 ** len(demo_ctx.users)))
+    assert spy.reads == expected and sum(expected.values()) == 2 ** len(demo_ctx.users) - 1
 
 
 def test_verify_of_twenty_two_users_is_refused_at_once(capsys, tmp_path):

@@ -29,6 +29,7 @@ from conftest import (
     DEMO_HOLDINGS,
     cross_checked_membership,
     dep_matches_oracle,
+    every_key,
     frank_wolfe_reference,
     hat_iteration_budget,
     is_weighted_min_norm_base,
@@ -43,6 +44,7 @@ from conftest import (
     sda_reference,
     sfm_dep,
     shapley_whole_game,
+    spy_cost,
 )
 
 R0 = {1: 1, 2: F(1, 2), 3: F(1, 2), 4: F(9, 2), 5: 0}
@@ -141,15 +143,14 @@ class TestDependenceTable:
 
         ctx = min_sum_rate(random_linear_source(1, min_users=8, max_users=8, max_packets=12))
         sda(ctx)  # computes the starting vertex, a walk of truncation steps
-        sfm_calls, f_calls = [], []  # f_calls: raw cost evaluations
+        sfm_calls = []
         for module in (setfn, omniscience, egalitarian, shapley):
             if hasattr(module, "sfm_min"):
                 def counted(*args, _sfm=module.sfm_min, **kwargs):
                     sfm_calls.append(args)
                     return _sfm(*args, **kwargs)
                 monkeypatch.setattr(module, "sfm_min", counted)
-        cost = ctx._cost
-        monkeypatch.setattr(ctx, "_cost", lambda m: f_calls.append(m) or cost(m))
+        f_calls = spy_cost(ctx, monkeypatch).reads  # raw cost evaluations
         dep_calls = []
         monkeypatch.setattr(egalitarian, "dep",
                             lambda *args, _dep=egalitarian.dep: dep_calls.append(args) or _dep(*args))
@@ -158,7 +159,7 @@ class TestDependenceTable:
         # one SFM per user per iteration would evaluate f n 2^(n-1) times each
         assert n == 8 and trace.iterations == 12
         assert sfm_calls == []
-        assert len(f_calls) <= 2 ** n
+        assert sum(f_calls.values()) <= 2 ** n
         # every user's set still goes through the public dep, off one table
         assert len(dep_calls) == n * (trace.iterations + 1)
         assert len({id(args[3]) for args in dep_calls}) == 1
@@ -168,12 +169,11 @@ class TestDependenceTable:
         # which checks its exchanges on sda's own table
         ctx = min_sum_rate(random_linear_source(1, min_users=8, max_users=8, max_packets=12))
         ctx.vertex  # the starting vertex, a walk of truncation steps
-        f_calls = []  # raw cost evaluations
-        cost = ctx._cost
-        monkeypatch.setattr(ctx, "_cost", lambda m: f_calls.append(m) or cost(m))
+        expected = every_key(ctx)  # each nonempty mask's key, once
+        spy = spy_cost(ctx, monkeypatch)
         _, trace = sda(ctx, K=2 * ctx.grid_denominator)
         assert trace.locally_optimal is not None
-        assert sorted(f_calls) == list(range(1, 2 ** len(ctx.users)))
+        assert spy.reads == expected and sum(expected.values()) == 2 ** len(ctx.users) - 1
 
     def test_refusal_boundary(self, demo_source, monkeypatch):
         # each dependence SFM has n - 1 free users; the refusal comes before
@@ -186,14 +186,12 @@ class TestDependenceTable:
         assert dep(ctx, ctx.vertex, 1) == frozenset({1})
         assert sda(ctx)[0] == rv(OPTIMUM)
         monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", n - 2)
-        f_calls = []  # raw cost evaluations
-        cost = ctx._cost
-        monkeypatch.setattr(ctx, "_cost", lambda m: f_calls.append(m) or cost(m))
+        spy = spy_cost(ctx, monkeypatch)
         with pytest.raises(GroundSetTooLarge, match=f"size {n - 1} exceeds"):
             dep(ctx, ctx.vertex, 1)
         with pytest.raises(GroundSetTooLarge, match=f"size {n - 1} exceeds"):
             sda(ctx)
-        assert f_calls == []
+        assert spy.reads == {}
 
 
 class TestSda:
@@ -373,12 +371,10 @@ class TestPmfRefused:
             ctx = min_sum_rate(source)
             with pytest.raises(ValueError, match="pmf sources are refused"):
                 egalitarian_decomposed(ctx)
-            reads = []  # raw cost evaluations
-            cost = ctx._cost
-            monkeypatch.setattr(ctx, "_cost", lambda m: reads.append(m) or cost(m))
+            spy = spy_cost(ctx, monkeypatch)
             with pytest.raises(ValueError, match="pmf sources are refused"):
                 sda(ctx)
-            assert reads == []
+            assert spy.reads == {}
 
 
 class TestContinuous:
@@ -449,8 +445,8 @@ class TestContinuous:
 
         def extend(cost, state, bit, tol, scale, weights, level):
             total, blocks = state
-            kept = bit if split == 0 else bit | sum(b for b, _ in blocks)
-            return total - 1, [(kept, 0 if split == 0 else -1)]
+            kept = bit if split == 0 else bit | sum(b for b, _, _ in blocks)
+            return total - 1, [(kept, 0, 0 if split == 0 else -1)]
 
         monkeypatch.setattr(egalitarian, "_extend", extend)
         with pytest.raises(ArithmeticError, match=r"^minor \[1, 4, 5\] split empty or whole$"):

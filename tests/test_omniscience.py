@@ -18,6 +18,7 @@ from omnifair import (
     load_source,
     min_sum_rate,
     objective_g,
+    shapley_exact,
 )
 from omnifair.egalitarian import dep
 from omnifair.omniscience import DecompositionError, _SlackTable, check_decomposition
@@ -40,6 +41,7 @@ from conftest import (
     random_vector_source,
     rv,
     sfm_dep,
+    spy_cost,
 )
 
 
@@ -235,6 +237,32 @@ class TestMinSumRate:
         assert f_alpha(demo_source, below, demo_source.ground) > value
 
 
+#: Every public attribute a solved context sets in its constructor.
+CONTEXT_ATTRIBUTES = ["source", "ground", "users", "min_sum_rate", "sum_cost", "fundamental_partition",
+                      "shared_randomness", "grid_denominator", "tol", "blocks", "value_of"]
+
+
+class TestContextReadOnly:
+    """A solved context's truncation cost is built from its sum-rate and
+    source once, so neither can be reassigned, nor any other public
+    attribute; private ones stay assignable."""
+
+    @pytest.mark.parametrize("name", CONTEXT_ATTRIBUTES)
+    def test_assignment_refused(self, name):
+        ctx = min_sum_rate(LinearSource.from_packets({1: "ab", 2: "bc", 3: "c"}))
+        before = getattr(ctx, name)
+        with pytest.raises(AttributeError, match=f"^GameContext.{name} is read-only$"):
+            setattr(ctx, name, F(7))
+        assert getattr(ctx, name) is before
+        assert ctx.min_sum_rate == ctx.sum_cost == ctx.hat(ctx.ground) == 2
+        assert shapley_exact(ctx).total() == 2
+
+    def test_private_attributes_stay_assignable(self, demo_ctx, monkeypatch):
+        monkeypatch.setattr(demo_ctx, "_cost", demo_ctx._cost)
+        demo_ctx._vertex = None
+        assert demo_ctx.vertex == demo_ctx.greedy_vertex(demo_ctx.users)
+
+
 class TestCoreMembership:
     def test_solver_style_vertex(self, demo_ctx):
         assert cross_checked_membership(demo_ctx, rv({1: 1, 2: F(1, 2), 3: F(1, 2), 4: F(9, 2), 5: 0}))
@@ -408,12 +436,13 @@ def test_one_table_serves_vectors_of_every_denominator(name, monkeypatch):
                  for i, j in zip(order, order[1:]) for a, b in ((i, j), (j, i))]
         points = [v, *moved, *(RateVector({u: float(r[u]) for u in r.users}) for r in [v, *moved[::3]])]
         table = _SlackTable(game)
-        monkeypatch.setattr(game, "_cost", lambda m: pytest.fail("a raw cost was read again"))
+        reads = spy_cost(game, monkeypatch).reads
         for r in points:
             want = loop_core_membership(game, r)
             assert core_membership(game, r, table) == want, (game.users, r)
             assert [dep(game, r, i, table) for i in game.users] == [sfm_dep(game, r, i) for i in game.users]
             verdicts.add(want[0])
+        assert reads == {}, "a raw cost was read again"
     assert verdicts == {True, False}
 
 
@@ -440,18 +469,16 @@ def test_core_membership_refused_before_any_cost_is_read(demo_source, monkeypatc
     ctx = min_sum_rate(demo_source)
     n = len(ctx.users)
     vertex = ctx.vertex
-    cost_calls = []
-    cost = ctx._cost
-    monkeypatch.setattr(ctx, "_cost", lambda m: cost_calls.append(m) or cost(m))
+    cost_calls = spy_cost(ctx, monkeypatch).reads
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", n - 1)
     assert core_membership(ctx, vertex) == (True, None)
-    assert len(cost_calls) == 2 ** n - 1
+    assert sum(cost_calls.values()) == 2 ** n - 1
     cost_calls.clear()
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", n - 2)
     for r in (vertex, rv({u: 0 for u in ctx.users})):
         with pytest.raises(GroundSetTooLarge, match=f"size {n - 1} exceeds the exhaustive limit {n - 2}"):
             core_membership(ctx, r)
-    assert cost_calls == []
+    assert cost_calls == {}
 
 
 def test_decomposition_check_refused_before_any_cost_is_read(demo_source, monkeypatch):
@@ -460,9 +487,7 @@ def test_decomposition_check_refused_before_any_cost_is_read(demo_source, monkey
 
     ctx = min_sum_rate(demo_source)
     n = len(ctx.users)
-    cost_calls = []
-    cost = ctx._cost
-    monkeypatch.setattr(ctx, "_cost", lambda m: cost_calls.append(m) or cost(m))
+    cost_calls = spy_cost(ctx, monkeypatch).reads
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", n)
     check_decomposition(ctx)
     assert cost_calls
@@ -470,7 +495,7 @@ def test_decomposition_check_refused_before_any_cost_is_read(demo_source, monkey
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", n - 1)
     with pytest.raises(GroundSetTooLarge, match=f"^ground set of size {n} exceeds the exhaustive limit {n - 1}$"):
         check_decomposition(ctx)
-    assert cost_calls == []
+    assert cost_calls == {}
 
 
 class TestOrderedSums:

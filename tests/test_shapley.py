@@ -29,6 +29,7 @@ from conftest import (
     rv,
     shapley_mean_of_vertices,
     shapley_whole_game,
+    spy_cost,
 )
 
 DEMO_VERTICES = {
@@ -134,9 +135,7 @@ class TestShapleyExact:
         from omnifair import setfn
 
         ctx = min_sum_rate(demo_source)
-        cost_calls = []
-        cost = ctx._cost
-        monkeypatch.setattr(ctx, "_cost", lambda m: cost_calls.append(m) or cost(m))
+        cost_calls = spy_cost(ctx, monkeypatch).reads
         monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 3)
         assert shapley_exact(ctx) == rv({1: F(5, 4), 2: F(1, 2), 3: F(1, 2), 4: 3, 5: F(5, 4)})
         assert cost_calls
@@ -144,7 +143,7 @@ class TestShapleyExact:
         monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 2)
         with pytest.raises(GroundSetTooLarge, match="^ground set of size 3 exceeds the exhaustive limit 2$"):
             shapley_exact(ctx)
-        assert cost_calls == []
+        assert cost_calls == {}
 
 
 class TestPerBlockEqualsWholeGame:
