@@ -5,12 +5,13 @@ The weighted quadratic objective sum(r_i^2 / w_i) is minimized two ways:
 * :func:`sda` -- steepest descent over the 1/K grid inside the core, the
   steepest direction found through the dependence sets of all users.  The
   cost f is read once per run from the truncation's raw costs over every
-  user bitmask; each iteration forms the slack f(X) - r(X) from it with one
-  doubling pass, and :func:`dep` reads every user's dependence set off that
-  one slack table, which also answers the initial core check and bounds
-  the iterations.  Each exchange is ranked by its integer change of the
-  objective; pmf sources are refused.  With K one less than the size of
-  the fundamental partition the output is the exact grid optimum.
+  user bitmask; the slack f(X) - r(X) is built once and each exchange
+  updates it in place, and :func:`dep` reads every user's dependence set
+  off it, all users in one batched pass per iterate.  The same slack table
+  answers the initial core check and bounds the iterations.  Each exchange
+  is ranked by its integer change of the objective; pmf sources are
+  refused.  With K one less than the size of the fundamental partition
+  the output is the exact grid optimum.
 * :func:`egalitarian_continuous` -- the exact minimum over the core, the
   lexicographically optimal base of the characteristic cost (Fujishige
   1980), by the decomposition algorithm on each fundamental-partition block:
@@ -87,21 +88,16 @@ def dep(ctx: GameContext, r: RateVector, i: int, table: _SlackTable | None = Non
     f(X) - r(X) over subsets containing ``i``.  These are the users ``i``
     can take rate from while staying in the core; always contains ``i``.
 
-    The minimization runs over the slack of ``r`` on the game's table of f:
-    ``table``, which :func:`sda` builds once per run, or else one built for
-    this call.  The AND of the masks containing ``i`` whose slack is within
-    ``tol`` of the least such slack is the minimal minimizer."""
-    import numpy as np
+    It is read off the game's slack table: ``table``, which :func:`sda`
+    keeps for its whole run, or else one built for this call.  The table
+    answers every user at ``r`` in one batched pass over the slack of ``r``
+    (:meth:`_SlackTable.dependence`): the AND of the masks containing ``i``
+    whose slack is within ``tol`` of the least such slack is the minimal
+    minimizer."""
     if i not in ctx.ground:
         raise ValueError(f"user {i} is not in this game")
-    if table is None:
-        table = _SlackTable(ctx)
-    k = ctx.users.index(i)
-    # masks with bit k set, as (bits above k, bits below k)
-    half = table.slack(r).reshape(-1, 2, 1 << k)[:, 1, :]
-    high, low = np.nonzero(half <= half.min() + ctx.tol)
-    minimal = int(np.bitwise_and.reduce(high << (k + 1) | low)) | 1 << k
-    return frozenset(u for b, u in enumerate(ctx.users) if minimal >> b & 1)
+    table = _SlackTable(ctx) if table is None else table
+    return table.dependence(r)[ctx.users.index(i)]
 
 
 class SdaTrace:
@@ -234,7 +230,7 @@ def sda(
         if delta >= 0:
             break
         a[i_star], a[j_star] = a[i_star] + 1, a[j_star] - 1
-        current = current.exchange(i_star, j_star, step)
+        current = table.exchange(current, i_star, j_star, step)
         current_obj += Fraction(delta, scale)
         trace.iterates.append(current)
         trace.pairs.append((i_star, j_star))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
@@ -223,23 +223,27 @@ def _extend(cost: _MaskCost, state: tuple, bit: int, tol,
             masses += [m + mass for m in masses] if mass else masses  # a cheap repeat
     values = cost.values(keys)
     if weights:
-        values = [scale * v - level * m for v, m in zip(values, masses)]
+        gains = [scale * v - level * m - a for v, m, a in zip(values, masses, gains)]
         if bit in weights:
-            values[0] = min(values[0], 0)
-    for index, value in enumerate(values):
-        gains[index] = value - gains[index]
+            gains[0] = min(gains[0], 0)
+    else:
+        for index, value in enumerate(values):
+            gains[index] = value - gains[index]
     best = min(gains)
     pick, cut = len(gains) - 1, best + tol
     for index, gain in enumerate(gains):
         if gain <= cut:
             pick &= index
-    kept, mask = [], bit
+    kept, mask, value = [], bit, values[pick]
     for index, block in enumerate(blocks):
         if pick >> index & 1:
             mask |= block[0]
         else:
             kept.append(block)
-    return total + best, kept + [(mask, keys[pick], values[pick])]
+    if weights:  # the picked union's g, as its gain above
+        value = scale * value - level * masses[pick]
+        value = min(value, 0) if pick == 0 and bit in weights else value
+    return total + best, kept + [(mask, keys[pick], value)]
 
 
 def _fold(cost: _MaskCost, mask: int, tol) -> tuple:
@@ -434,12 +438,19 @@ class _SlackTable:
     """:func:`f_alpha` at the solved sum-rate on every user bitmask of a
     game (bit k is ``ctx.users[k]``) as the truncation's raw costs: ints
     (f·q, q the sum-rate's denominator) for linear sources, float64 for pmf
-    sources.  Refused past n - 1 free users, before any cost is read."""
+    sources.  Refused past n - 1 free users, before any cost is read.
+
+    The slack f - r of one rate vector is kept, found by identity, so the
+    questions about one iterate share it: :meth:`slack` builds it from
+    scratch, :meth:`exchange` updates it in place, and :meth:`dependence`
+    reads every user's dependence set off it in one batched pass, kept
+    beside it.  A batch covers max(1, 2^16 >> n) users, so it holds at most
+    max(2^15, 2^(n-1)) masks: all users up to n = 12, one from n = 16."""
 
     def __init__(self, ctx: GameContext):
         import numpy as np
         _check_size(len(ctx.users) - 1)
-        self.users = ctx.users
+        self.users, self.tol = ctx.users, ctx.tol
         keys = [0]  # by the truncation's doubling, from each user's key
         for key in [ctx._cost.bit_keys[ctx._bits[u]] for u in ctx.users]:
             keys += [k | key for k in keys]
@@ -447,20 +458,23 @@ class _SlackTable:
         self.q = Fraction(ctx.min_sum_rate).denominator if ctx.source.is_exact else None
         self.raw = int_array(raw) if self.q else np.array(raw, dtype=float)
         self._peak = max(map(abs, raw))
-        self._at = None
+        self._per_batch = max(1, (1 << 16) >> len(self.users))
+        self._held = None  # (the first user of a batch, its rows of masks)
+        self._at = None  # (r, its slack, the scale D and scaled rates of an exact slack)
+        self._deps = None  # every user's dependence set at the kept r
 
     def slack(self, r: RateVector) -> np.ndarray:
         """f(X) - r(X) over every mask for any ``r`` on the game's users,
         r(X) by the doubling pass mass[2^k:2^(k+1)] = mass[:2^k] + r_k.
         Rational rates on an exact game scale both by D = lcm(q, their
         denominators) to integers; other reads are float64.  The slack of
-        the last ``r`` is kept, so the questions about one iterate share it."""
+        the last ``r`` is kept."""
         import numpy as np
         if self._at is not None and self._at[0] is r:
             return self._at[1]
         if r.users != self.users:
             raise ValueError(f"rate vector users {r.users} != game users {self.users}")
-        f, rates = self.raw, [r[u] for u in self.users]
+        f, rates, D = self.raw, [r[u] for u in self.users], None
         if self.q is None or any(isinstance(v, float) for v in rates):
             f = f if self.q is None else np.array([c / self.q for c in f.tolist()])
             rates = [float(v) for v in rates]
@@ -472,8 +486,68 @@ class _SlackTable:
         mass = np.zeros_like(f)
         for k, rate in enumerate(rates):
             mass[1 << k:2 << k] = mass[:1 << k] + rate
-        self._at = (r, f - mass)
+        self._at, self._deps = (r, f - mass, D, rates), None
         return self._at[1]
+
+    def exchange(self, r: RateVector, gainer: int, loser: int, step) -> RateVector:
+        """``r.exchange(gainer, loser, step)``.  If the table keeps the
+        exact slack of ``r``, that array is updated in place and kept for
+        the new vector: d = step·D comes off the masks holding the gainer
+        and goes onto those holding the loser, one strided-view add each.
+        A step off the scale D first rescales to lcm(D, its denominator),
+        and the slack widens to Python ints as :meth:`slack`'s would.  A
+        float slack or another vector's is left for the next read to redo."""
+        new = r.exchange(gainer, loser, step)
+        kept = self._at
+        if kept is None or kept[0] is not r or kept[2] is None or isinstance(step, float):
+            return new
+        _, slack, D, rates = kept
+        step = Fraction(step)
+        up = step.denominator // gcd(D, step.denominator)
+        D, d = D * up, step.numerator * (D * up // step.denominator)
+        g, l = self.users.index(gainer), self.users.index(loser)
+        rates = [v * up for v in rates]
+        rates[g] += d
+        rates[l] -= d
+        slack = widen(slack, D // self.q * self._peak + sum(map(abs, rates)))
+        slack = slack if up == 1 else slack * up
+        slack.reshape(-1, 2, 1 << g)[:, 1, :] -= d
+        slack.reshape(-1, 2, 1 << l)[:, 1, :] += d
+        self._at, self._deps = (new, slack, D, rates), None
+        return new
+
+    def dependence(self, r: RateVector) -> list[frozenset]:
+        """Every user's dependence set at ``r`` in user order (see
+        :func:`~omnifair.egalitarian.dep`), kept beside the slack of ``r``,
+        from one pass over the batches of users (:meth:`_batch`)."""
+        slack = self.slack(r)
+        if self._deps is None:
+            minimal = [m for start in range(0, len(self.users), self._per_batch)
+                       for m in self._batch(slack, start)]
+            self._deps = [frozenset(u for k, u in enumerate(self.users) if m >> k & 1)
+                          for m in minimal]
+        return self._deps
+
+    def _batch(self, slack: np.ndarray, start: int) -> list[int]:
+        """The minimal minimizer's mask for each user of the batch from
+        ``start``: row c of the batch lists the masks holding user start + c
+        (each index below 2^(n-1) with that bit put in, the last batch's rows
+        kept), and the AND of those whose slack is within ``tol`` of the
+        row's least, ties included, is the user's mask."""
+        import numpy as np
+        if self._held is None or self._held[0] != start:
+            self._held = None  # one batch's rows alive at a time
+            n = len(self.users)
+            ks = np.arange(start, min(start + self._per_batch, n))[:, None]
+            # index H·2^k + L (L < 2^k) becomes H·2^(k+1) + 2^k + L
+            held = np.arange(1 << n - 1) >> ks << ks
+            held += np.arange(1 << n - 1)
+            held |= 1 << ks
+            self._held = (start, held)
+        held = self._held[1]
+        half = slack[held]
+        near = half <= half.min(axis=1)[:, None] + self.tol
+        return np.bitwise_and.reduce(np.where(near, held, -1), axis=1).tolist()
 
 
 def core_membership(ctx: GameContext, r: RateVector,

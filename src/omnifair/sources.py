@@ -16,7 +16,8 @@ Two source families are supported:
 Each source memoizes H by user bitmask (bit k is ``users[k]``) in its raw
 number type, an int for linear sources and a float for pmf sources.  The
 solver's truncation reads H by keys (:meth:`Source.keyed`): bitmasks read from
-that memo for vector and pmf sources, held-packet bitsets counted for packets.
+that memo for vector sources and off the filled table for pmf sources,
+held-packet bitsets counted for packets.
 """
 
 from __future__ import annotations
@@ -299,6 +300,13 @@ class PmfSource(Source):
             self._fill(self._table, len(self._H) - 1, len(self.users))
             self._H = self._H.tolist()  # a list reads out a float faster
         return self._H[mask]
+
+    def keyed(self) -> tuple[list[int], Callable[[int], int | float]]:
+        """Each user's bit, and H read straight off the filled table, past
+        the :meth:`raw_entropy` memo."""
+        if self._H is None:
+            self._entropy(0)  # fills the table
+        return super().keyed()[0], self._H.__getitem__
 
     def _fill(self, marginal: np.ndarray, mask: int, last: int) -> None:
         """H of mask less each subset of the axes below ``last``, all in mask

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from itertools import permutations
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from omnifair import (
@@ -24,9 +25,11 @@ from omnifair import (
     sda,
     shapley_exact,
 )
+from omnifair.omniscience import _SlackTable
 
 from conftest import (
     DEMO_HOLDINGS,
+    PROPERTY_SEEDS,
     cross_checked_membership,
     dep_matches_oracle,
     every_key,
@@ -192,6 +195,113 @@ class TestDependenceTable:
         with pytest.raises(GroundSetTooLarge, match=f"size {n - 1} exceeds"):
             sda(ctx)
         assert spy.reads == {}
+
+
+def per_user_dependence(ctx, r) -> list[frozenset]:
+    """Every user's dependence set at ``r``, one user at a time off a fresh
+    table: the least slack over the masks holding the user, the AND of
+    those within tol of it."""
+    slack = _SlackTable(ctx).slack(r)
+    out = []
+    for k in range(len(ctx.users)):
+        half = slack.reshape(-1, 2, 1 << k)[:, 1, :]  # (bits above k, bits below k)
+        high, low = np.nonzero(half <= half.min() + ctx.tol)
+        minimal = int(np.bitwise_and.reduce(high << (k + 1) | low)) | 1 << k
+        out.append(frozenset(u for b, u in enumerate(ctx.users) if minimal >> b & 1))
+    return out
+
+
+def kept_slack_matches_fresh(ctx, table, r) -> bool:
+    """The table keeps the exact slack of ``r`` itself, equal to a fresh
+    read up to the two scales."""
+    kept, slack, scale = table._at[:3]
+    fresh = _SlackTable(ctx)
+    want = fresh.slack(r)
+    return kept is r and bool((slack * fresh._at[2] == want * scale).all())
+
+
+class TestKeptSlack:
+    """sda's table keeps one slack from iterate to iterate, each exchange
+    updating it in place, and reads every user's dependence set off it in
+    batches of users."""
+
+    @pytest.mark.parametrize("multiple", [1, 2, 3])
+    def test_every_step_reads_the_exchanged_slack(self, monkeypatch, multiple):
+        # off the fundamental K a step of 1/K is off the kept scale at first,
+        # so the table rescales once
+        from omnifair import egalitarian
+
+        def checked(ctx, r, i, table, _dep=egalitarian.dep):
+            assert kept_slack_matches_fresh(ctx, table, r)
+            got = _dep(ctx, r, i, table)
+            assert got == sfm_dep(ctx, r, i)
+            steps.append(r)
+            return got
+
+        monkeypatch.setattr(egalitarian, "dep", checked)
+        for seed in PROPERTY_SEEDS:
+            ctx = min_sum_rate(random_linear_source(seed))
+            steps = []
+            _, trace = sda(ctx, K=multiple * ctx.grid_denominator)
+            assert steps[::len(ctx.users)] == trace.iterates
+
+    @pytest.mark.parametrize("bits", [58, 70])
+    def test_wide_denominators_stay_exact_through_exchange(self, demo_ctx, bits):
+        # as test_wide_denominators_stay_exact, each point reached by one
+        # exchange on a table that keeps the vertex's slack
+        tiny = F(1, 2 ** bits)
+        wide = []
+        for step in (tiny, 64 + tiny):
+            for i, j in permutations(demo_ctx.users, 2):
+                table = _SlackTable(demo_ctx)
+                table.slack(demo_ctx.vertex)
+                r = table.exchange(demo_ctx.vertex, i, j, step)
+                assert r == demo_ctx.vertex.exchange(i, j, step)
+                assert kept_slack_matches_fresh(demo_ctx, table, r)
+                assert table._at[1].dtype == _SlackTable(demo_ctx).slack(r).dtype
+                wide.append(table._at[1].dtype == object)
+                assert [dep(demo_ctx, r, u, table) for u in demo_ctx.users] == [
+                    sfm_dep(demo_ctx, r, u) for u in demo_ctx.users]
+        assert any(wide)
+
+    def test_float_slack_is_left_to_the_next_read(self, demo_ctx):
+        r = RateVector({u: float(v) for u, v in zip(demo_ctx.users, demo_ctx.vertex.as_tuple())})
+        table = _SlackTable(demo_ctx)
+        before = table.slack(r).copy()
+        moved = table.exchange(r, 1, 4, F(1, 2))
+        assert table._at[0] is r and (table._at[1] == before).all()
+        assert dep(demo_ctx, moved, 1, table) == sfm_dep(demo_ctx, moved, 1)
+
+    def test_chunked_batch_matches_per_user_form(self):
+        ctx = min_sum_rate(random_linear_source(2, min_users=14, max_users=14, max_packets=20))
+        table = _SlackTable(ctx)
+        n = len(ctx.users)
+        assert n == 14 and 1 < table._per_batch < n
+        rng = random.Random(14)
+        points = [ctx.greedy_vertex(rng.sample(ctx.users, n)) for _ in range(4)]
+        points += [p.exchange(i, j, F(1, 2)) for p in points[:2]
+                   for i, j in [rng.sample(ctx.users, 2) for _ in range(3)]]
+        points += sda(ctx)[1].iterates
+        assert any(len(s) > 1 for s in per_user_dependence(ctx, points[0]))
+        for r in points:
+            want = per_user_dependence(ctx, r)
+            assert table.dependence(r) == want
+            assert [dep(ctx, r, i, table) for i in ctx.users] == want
+
+    def test_dependence_pass_memory_is_bounded(self):
+        import tracemalloc
+
+        ctx = min_sum_rate(random_linear_source(3, min_users=16, max_users=16, max_packets=20))
+        table = _SlackTable(ctx)
+        slack = table.slack(ctx.vertex)
+        assert len(ctx.users) == 16 and table._per_batch == 1
+        tracemalloc.start()
+        try:
+            table.dependence(ctx.vertex)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * slack.nbytes
 
 
 class TestSda:
