@@ -36,7 +36,6 @@ from .omniscience import (
     DecompositionError,
     GameContext,
     RateVector,
-    _SlackTable,
     check_decomposition,
     core_membership,
     min_sum_rate,
@@ -317,12 +316,11 @@ def _run_verify(cfg: RunConfig, ctx: GameContext) -> list[dict]:
     else:
         verdicts.append({"check": "fundamental_decomposition", "pass": True,
                          "witness": f"skipped: more than {VERIFY_DECOMPOSITION_LIMIT} users"})
-    table = _SlackTable(ctx)
-    ok, witness = core_membership(ctx, ctx.vertex, table)
+    ok, witness = core_membership(ctx, ctx.vertex)
     verdicts.append({"check": "solver_vertex_in_core", "pass": ok, "witness": witness})
     if cfg.rates is not None:
         r = _rate_vector_from(cfg.rates, ctx.users, "--rates")
-        ok, witness = core_membership(ctx, r, table)
+        ok, witness = core_membership(ctx, r)
         verdicts.append({"check": "rate_vector_in_core", "pass": ok, "witness": witness})
     return verdicts
 

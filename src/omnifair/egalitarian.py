@@ -4,14 +4,14 @@ The weighted quadratic objective sum(r_i^2 / w_i) is minimized two ways:
 
 * :func:`sda` -- steepest descent over the 1/K grid inside the core, the
   steepest direction found through the dependence sets of all users.  The
-  cost f is read once per run from the truncation's raw costs over every
-  user bitmask; the slack f(X) - r(X) is built once and each exchange
-  updates it in place, and :func:`dep` reads every user's dependence set
-  off it, all users in one batched pass per iterate.  The same slack table
-  answers the initial core check and bounds the iterations.  Each exchange
-  is ranked by its integer change of the objective; pmf sources are
-  refused.  With K one less than the size of the fundamental partition
-  the output is the exact grid optimum.
+  cost f is read once per game, into its slack table, from the
+  truncation's raw costs over every user bitmask; the slack f(X) - r(X) is
+  built once per run and each exchange updates it in place, and :func:`dep`
+  reads every user's dependence set off it, all users in one batched pass
+  per iterate.  The same table answers the initial core check and bounds
+  the iterations.  Each exchange is ranked by its integer change of the
+  objective; pmf sources are refused.  With K one less than the size of
+  the fundamental partition the output is the exact grid optimum.
 * :func:`egalitarian_continuous` -- the exact minimum over the core, the
   lexicographically optimal base of the characteristic cost (Fujishige
   1980), by the decomposition algorithm on each fundamental-partition block:
@@ -37,7 +37,6 @@ from .omniscience import (
     _extend,
     _fold,
     _ordered_sum,
-    _SlackTable,
     core_membership,
     decompose,
 )
@@ -83,21 +82,19 @@ def objective_g(r: RateVector, weights: Mapping[int, Fraction | float] | None = 
     return _objective(r, _check_weights(weights, r.users))
 
 
-def dep(ctx: GameContext, r: RateVector, i: int, table: _SlackTable | None = None) -> frozenset:
+def dep(ctx: GameContext, r: RateVector, i: int) -> frozenset:
     """Dependence set of user ``i`` at ``r``: the minimal minimizer of
     f(X) - r(X) over subsets containing ``i``.  These are the users ``i``
     can take rate from while staying in the core; always contains ``i``.
 
-    It is read off the game's slack table: ``table``, which :func:`sda`
-    keeps for its whole run, or else one built for this call.  The table
-    answers every user at ``r`` in one batched pass over the slack of ``r``
+    It is read off the game's slack table, which answers every user at
+    ``r`` in one batched pass over the slack of ``r``
     (:meth:`_SlackTable.dependence`): the AND of the masks containing ``i``
     whose slack is within ``tol`` of the least such slack is the minimal
     minimizer."""
     if i not in ctx.ground:
         raise ValueError(f"user {i} is not in this game")
-    table = _SlackTable(ctx) if table is None else table
-    return table.dependence(r)[ctx.users.index(i)]
+    return ctx._slack_table.dependence(r)[ctx.users.index(i)]
 
 
 class SdaTrace:
@@ -146,29 +143,28 @@ def _delta(a, c, i: int, j: int):
 
 
 def is_locally_optimal(ctx: GameContext, r: RateVector, K: int | None = None,
-                       weights=None, table: _SlackTable | None = None) -> bool:
+                       weights=None) -> bool:
     """Check single-exchange optimality: no in-core move of 1/K between any
     ordered user pair lowers the objective, each move priced by :func:`_delta`
-    before its core check on ``table`` (:func:`sda` passes its own), or else
-    on one built for this call.  For the fundamental K this is equivalent to
+    before its core check.  For the fundamental K this is equivalent to
     global optimality on the grid."""
     K = ctx.grid_denominator if K is None else K
     w = _check_weights(weights, ctx.users)
-    table = _SlackTable(ctx) if table is None else table
     a, c, scale = _grid(r, K, w)
     for i, j in permutations(ctx.users, 2):
         if _delta(a, c, i, j) < -ctx.tol * scale and core_membership(
-                ctx, r.exchange(i, j, Fraction(1, K)), table)[0]:
+                ctx, r.exchange(i, j, Fraction(1, K)))[0]:
             return False
     return True
 
 
-def _iteration_budget(ctx: GameContext, table: _SlackTable, K: int) -> int:
+def _iteration_budget(ctx: GameContext, K: int) -> int:
     # K * (l1 diameter) / 2 bounds the improving steps; the core's coordinate
     # ranges, inside [sum_cost - f(V∖u), f({u})] as hat <= f with equality on
     # singletons, bound the diameter without enumerating vertices.
-    n, full = len(ctx.users), len(table.raw) - 1
-    ends = table.raw[[1 << k for k in range(n)] + [full ^ 1 << k for k in range(n)]].tolist()
+    raw = ctx._slack_table.raw
+    n, full = len(ctx.users), len(raw) - 1
+    ends = raw[[1 << k for k in range(n)] + [full ^ 1 << k for k in range(n)]].tolist()
     spread = ctx.value_of(sum(ends)) - n * ctx.sum_cost
     return int(ceil(K * spread / 2)) + 2
 
@@ -200,8 +196,7 @@ def sda(
     r0 = ctx.vertex if r0 is None else r0
     w = _check_weights(weights, ctx.users)
 
-    table = _SlackTable(ctx)
-    inside, witness = core_membership(ctx, r0, table)
+    inside, witness = core_membership(ctx, r0)
     if not inside:
         raise ValueError(f"initial point is outside the core: {witness}")
     a, c, scale = _grid(r0, K, w)
@@ -221,29 +216,29 @@ def sda(
             "iterates may leave the core and the endpoint may be suboptimal")
         trace.left_core = False
 
-    budget = _iteration_budget(ctx, table, K)
+    budget = _iteration_budget(ctx, K)
     for _ in range(budget):
         # every candidate shares current_obj, so the deltas rank them
         delta, i_star, j_star = min(((_delta(a, c, i, j), i, j) for i in ctx.users
-                                     for j in dep(ctx, current, i, table) if j != i),
+                                     for j in dep(ctx, current, i) if j != i),
                                     default=(0, None, None))
         if delta >= 0:
             break
         a[i_star], a[j_star] = a[i_star] + 1, a[j_star] - 1
-        current = table.exchange(current, i_star, j_star, step)
+        current = ctx._slack_table.exchange(current, i_star, j_star, step)
         current_obj += Fraction(delta, scale)
         trace.iterates.append(current)
         trace.pairs.append((i_star, j_star))
         trace.objectives.append(current_obj)
         if mismatch:
-            ok, _ = core_membership(ctx, current, table)
+            ok, _ = core_membership(ctx, current)
             if not ok:
                 trace.left_core = True
     else:
         raise ConvergenceError("steepest descent exceeded its iteration budget")
 
     if mismatch:
-        trace.locally_optimal = is_locally_optimal(ctx, current, K, w, table)
+        trace.locally_optimal = is_locally_optimal(ctx, current, K, w)
     return current, trace
 
 
@@ -258,10 +253,8 @@ def egalitarian_continuous(ctx: GameContext, weights=None) -> RateVector:
     denominators, and return Fractions; pmf sources and float weights run
     in float64 within the float tolerance (1e-9) and return floats."""
     w = _check_weights(weights, ctx.users)
-    part = ctx.fundamental_partition
-    blocks = [ctx.users] if part is None else [tuple(sorted(C)) for C in part]
     exact = ctx.source.is_exact and not any(isinstance(v, float) for v in w.values())
-    return RateVector.direct_sum(_lexicographic_base(ctx, C, w, exact) for C in blocks)
+    return RateVector.direct_sum(_lexicographic_base(ctx, C, w, exact) for C in ctx.blocks)
 
 
 def _lexicographic_base(ctx: GameContext, block: tuple[int, ...], w, exact: bool) -> RateVector:
@@ -310,10 +303,12 @@ def egalitarian_decomposed(ctx: GameContext, *, weights=None, K: int | None = No
     fused.  Each block starts from ``r0`` restricted to it (default: the
     block's greedy vertex)."""
     w = _check_weights(weights, ctx.users)
-    return RateVector.direct_sum(
-        sda(sub, r0=None if r0 is None else r0.restrict(sub.ground), K=K,
-            weights={u: w[u] for u in sub.users})[0]
-        for sub in decompose(ctx))
+    subgames, parts = decompose(ctx)[::-1], []
+    while subgames:  # each subgame, and its slack table, released after its run
+        sub = subgames.pop()
+        parts.append(sda(sub, r0=None if r0 is None else r0.restrict(sub.ground), K=K,
+                         weights={u: w[u] for u in sub.users})[0])
+    return RateVector.direct_sum(parts)
 
 
 class SplitPlan(NamedTuple):

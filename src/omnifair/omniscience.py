@@ -13,15 +13,15 @@ denominator), so no ``Fraction`` appears until a value leaves the pass.
 Core vertices are Edmonds' greedy rule on that cost, one walk of raw
 marginal costs along a permutation, each taken inside its user's
 fundamental-partition block, across which the cost splits.  The raw costs on
-every subset of a game's users also form the one slack table f - r that
-answers every core question: membership, the dependence sets of steepest
-descent and its initial check.
+every subset of a game's users also form its one slack table f - r, kept
+on the game from the first read, that answers every core question:
+membership, the dependence sets of steepest descent and its initial check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping
@@ -292,11 +292,13 @@ class GameContext:
     and one core vertex (computed on first read).
 
     A truncation state is a mask's raw total and blocks; ``value_of`` maps
-    raw totals to :meth:`hat`'s numbers.  No state outlives the call that
-    built it.  Subgames (from :func:`decompose`) are contexts on one block
-    each; their ``sum_cost`` is the block's characteristic cost.  ``blocks``
-    holds the fundamental partition's blocks as sorted user tuples (a
-    subgame's one block is its ground set): hat(X) = Σ_C hat(X ∩ C).
+    raw totals to :meth:`hat`'s numbers.  The game keeps two things past a
+    call: its vertex and its slack table (``_slack_table``), which answers
+    every core question about it.
+    Subgames (from :func:`decompose`) are contexts on one block each; their
+    ``sum_cost`` is the block's characteristic cost.  ``blocks`` holds the
+    fundamental partition's blocks as sorted user tuples (a subgame's one
+    block is its ground set): hat(X) = Σ_C hat(X ∩ C).
     """
 
     def __init__(
@@ -337,6 +339,12 @@ class GameContext:
         if self._vertex is None:
             self._vertex = self.greedy_vertex(self.users)
         return self._vertex
+
+    @cached_property
+    def _slack_table(self) -> "_SlackTable":
+        """The game's :class:`_SlackTable`, built on first read (refused
+        past the exhaustive limit at that read) and kept."""
+        return _SlackTable(self)
 
     @property
     def is_whole_game(self) -> bool:
@@ -438,7 +446,8 @@ class _SlackTable:
     """:func:`f_alpha` at the solved sum-rate on every user bitmask of a
     game (bit k is ``ctx.users[k]``) as the truncation's raw costs: ints
     (f·q, q the sum-rate's denominator) for linear sources, float64 for pmf
-    sources.  Refused past n - 1 free users, before any cost is read.
+    sources.  Refused past n - 1 free users, before any cost is read.  A
+    game builds one, as :attr:`GameContext._slack_table`.
 
     The slack f - r of one rate vector is kept, found by identity, so the
     questions about one iterate share it: :meth:`slack` builds it from
@@ -550,19 +559,18 @@ class _SlackTable:
         return np.bitwise_and.reduce(np.where(near, held, -1), axis=1).tolist()
 
 
-def core_membership(ctx: GameContext, r: RateVector,
-                    table: _SlackTable | None = None) -> tuple[bool, str | None]:
+def core_membership(ctx: GameContext, r: RateVector) -> tuple[bool, str | None]:
     """Check whether ``r`` lies in the optimal rate region of ``ctx``.
 
     Only the defining rate constraints are checked: Slepian-Wolf lower bounds
     r(X) >= H(X | V∖X) for the whole game, cost upper bounds r(X) <= f(X)
     for subgames.  Once r(V) = R_CO the former read r(V∖X) <= f(V∖X), so
-    both come off the game's slack table: ``table``, or else one built for
-    this call.  A vector on other users is refused before the sum check.
+    both come off the game's slack table.  A vector on other users is
+    refused before the sum check.
     Returns the verdict plus the first violated constraint in
     :func:`subset_masks` order, put in words only on failure.
     """
-    slack = (_SlackTable(ctx) if table is None else table).slack(r)
+    slack = ctx._slack_table.slack(r)
     if not _eq(r.total(), ctx.sum_cost, ctx.tol):
         return False, f"sum rate {r.total()} != {ctx.sum_cost}"
     bad = slack < -ctx.tol

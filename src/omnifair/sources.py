@@ -175,10 +175,9 @@ class LinearSource(Source):
 
     In packet form each user holds a subset of independent packets and
     H(X) is the number of distinct packets held by X: the popcount of the
-    OR of one entry per byte of X's mask, each from a 256-entry table of the
-    packets held by every subset of users 8c ... 8c + 7, built once.  In
-    vector form each user holds coefficient vectors over GF(q) and H(X) is
-    the rank of the stacked vectors.  Either way the unit is one field symbol.
+    OR of its users' held-packet bitsets.  In vector form each user holds
+    coefficient vectors over GF(q) and H(X) is the rank of the stacked
+    vectors.  Either way the unit is one field symbol.
     """
 
     is_exact = True
@@ -193,12 +192,7 @@ class LinearSource(Source):
         self._vectors = vectors
         if packets is not None:
             index = {p: k for k, p in enumerate(universe)}
-            self._packet_bits = bits = [sum(1 << index[p] for p in packets[u]) for u in self.users]
-            # entry m of table c: the OR of the bits of users 8c + k, k in m
-            self._byte_tables = [[0] for _ in range(0, len(bits), 8)]
-            for k, b in enumerate(bits):
-                table = self._byte_tables[k >> 3]
-                table += [t | b for t in table]
+            self._packet_bits = [sum(1 << index[p] for p in packets[u]) for u in self.users]
 
     @classmethod
     def from_packets(
@@ -245,9 +239,10 @@ class LinearSource(Source):
     def _entropy(self, mask: int) -> int:
         if self._packets is not None:
             held = 0
-            for table in self._byte_tables:
-                held |= table[mask & 255]
-                mask >>= 8
+            while mask:  # the users of the set bits, lowest first
+                low = mask & -mask
+                held |= self._packet_bits[low.bit_length() - 1]
+                mask ^= low
             return held.bit_count()
         rows = [v for k, u in enumerate(self.users) if mask >> k & 1 for v in self._vectors[u]]
         return gf_rank(rows, self.field)

@@ -42,7 +42,7 @@ from omnifair import (
     shapley_exact,
 )
 from omnifair.egalitarian import SdaTrace, _check_weights, dep
-from omnifair.omniscience import GameContext, _ordered_sum, _SlackTable, check_decomposition
+from omnifair.omniscience import GameContext, _ordered_sum, check_decomposition
 from omnifair.setfn import (
     InfeasibleLattice,
     SetFunction,
@@ -848,16 +848,10 @@ def pairwise_first_violation(f: SetFunction, tol=0, intersecting: bool = False):
 
 
 def dep_matches_oracle(ctx: GameContext, points) -> bool:
-    """Dependence sets of every user at every point of ``points`` agree
-    three ways: the game's one table, built once and read at every point,
-    the public ``dep``, and the :func:`sfm_dep` oracle."""
-    points = list(points)
-    table = _SlackTable(ctx)
+    """The public ``dep``, read off the game's one table, agrees with the
+    :func:`sfm_dep` oracle for every user at every point of ``points``."""
     for r in points:
-        want = [sfm_dep(ctx, r, i) for i in ctx.users]
-        if [dep(ctx, r, i, table) for i in ctx.users] != want:
-            return False
-        if [dep(ctx, r, i) for i in ctx.users] != want:
+        if [dep(ctx, r, i) for i in ctx.users] != [sfm_dep(ctx, r, i) for i in ctx.users]:
             return False
     return True
 
@@ -873,7 +867,6 @@ def sda_reference(ctx: GameContext, r0: RateVector | None = None, K: int | None 
     current = ctx.vertex if r0 is None else r0
     w = None if weights is None else {u: F(v) for u, v in weights.items()}
     step = F(1, K)
-    table = _SlackTable(ctx)
     mismatch = K != ctx.grid_denominator
     trace = SdaTrace(K=K, iterates=[current], objectives=[objective_g(current, w)])
     if mismatch:
@@ -884,7 +877,7 @@ def sda_reference(ctx: GameContext, r0: RateVector | None = None, K: int | None 
     while True:
         best = None
         for i in ctx.users:
-            for j in sorted(dep(ctx, current, i, table)):
+            for j in sorted(dep(ctx, current, i)):
                 if j != i:
                     candidate = current.exchange(i, j, step)
                     key = (objective_g(candidate, w), i, j)
@@ -896,7 +889,7 @@ def sda_reference(ctx: GameContext, r0: RateVector | None = None, K: int | None 
         trace.iterates.append(current)
         trace.pairs.append((i, j))
         trace.objectives.append(objective)
-        if mismatch and not core_membership(ctx, current, table)[0]:
+        if mismatch and not core_membership(ctx, current)[0]:
             trace.left_core = True
     if mismatch:
         trace.locally_optimal = locally_optimal_reference(ctx, current, K, w)
@@ -916,10 +909,9 @@ def locally_optimal_reference(ctx: GameContext, r: RateVector, K: int, weights=N
     objective, each candidate's objective re-summed by objective_g with the
     weights as Fractions."""
     w = None if weights is None else {u: F(v) for u, v in weights.items()}
-    table = _SlackTable(ctx)
     base = objective_g(r, w)
     candidates = (r.exchange(i, j, F(1, K)) for i, j in itertools.permutations(ctx.users, 2))
-    return not any(core_membership(ctx, candidate, table)[0] and objective_g(candidate, w) < base
+    return not any(core_membership(ctx, candidate)[0] and objective_g(candidate, w) < base
                    for candidate in candidates)
 
 

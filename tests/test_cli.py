@@ -448,19 +448,20 @@ def test_verify_refuses_the_core_check_above_its_table_limit(capsys, tmp_path, m
     assert report["config"]["command"] == "verify"
 
 
-def test_verify_reads_each_raw_cost_once_for_both_core_checks(demo_ctx, monkeypatch):
+def test_verify_reads_each_raw_cost_once_for_both_core_checks(demo_source, monkeypatch):
     # the vertex and --rates checks share the game's one slack table
     import omnifair.cli as cli_module
 
     monkeypatch.setattr(cli_module, "VERIFY_DECOMPOSITION_LIMIT", 0)  # its walk reads costs too
-    demo_ctx.vertex  # the solution record computes it before verify runs
-    expected = every_key(demo_ctx)  # each nonempty mask's key, once
-    spy = spy_cost(demo_ctx, monkeypatch)
+    ctx = min_sum_rate(demo_source)  # a fresh game, whose table is not built yet
+    ctx.vertex  # the solution record computes it before verify runs
+    expected = every_key(ctx)  # each nonempty mask's key, once
+    spy = spy_cost(ctx, monkeypatch)
     rates = {1: 1, 2: F(1, 2), 3: F(1, 2), 4: 4, 5: F(1, 2)}
-    verdicts = _run_verify(RunConfig(command="verify", rates=rates), demo_ctx)
+    verdicts = _run_verify(RunConfig(command="verify", rates=rates), ctx)
     assert [(v["check"], v["pass"]) for v in verdicts][2:] == [
         ("solver_vertex_in_core", True), ("rate_vector_in_core", True)]
-    assert spy.reads == expected and sum(expected.values()) == 2 ** len(demo_ctx.users) - 1
+    assert spy.reads == expected and sum(expected.values()) == 2 ** len(ctx.users) - 1
 
 
 def test_verify_of_twenty_two_users_is_refused_at_once(capsys, tmp_path):

@@ -21,7 +21,7 @@ from omnifair import (
     shapley_exact,
 )
 from omnifair.egalitarian import dep
-from omnifair.omniscience import DecompositionError, _SlackTable, check_decomposition
+from omnifair.omniscience import DecompositionError, check_decomposition
 from omnifair.setfn import GroundSetTooLarge
 from omnifair.setfn import subsets
 
@@ -30,6 +30,7 @@ from conftest import (
     bruteforce_min_sum_rate,
     cross_checked_membership,
     dilworth_enumerate,
+    every_key,
     hat_membership,
     iter_partitions,
     left_sum,
@@ -435,15 +436,27 @@ def test_one_table_serves_vectors_of_every_denominator(name, monkeypatch):
         moved = [v.exchange(a, b, step) for step in (F(1, K), F(1, 7 * K), F(1, 11))
                  for i, j in zip(order, order[1:]) for a, b in ((i, j), (j, i))]
         points = [v, *moved, *(RateVector({u: float(r[u]) for u in r.users}) for r in [v, *moved[::3]])]
-        table = _SlackTable(game)
+        game._slack_table  # built before the spy
         reads = spy_cost(game, monkeypatch).reads
         for r in points:
             want = loop_core_membership(game, r)
-            assert core_membership(game, r, table) == want, (game.users, r)
-            assert [dep(game, r, i, table) for i in game.users] == [sfm_dep(game, r, i) for i in game.users]
+            assert core_membership(game, r) == want, (game.users, r)
+            assert [dep(game, r, i) for i in game.users] == [sfm_dep(game, r, i) for i in game.users]
             verdicts.add(want[0])
         assert reads == {}, "a raw cost was read again"
     assert verdicts == {True, False}
+
+
+def test_repeated_public_reads_build_one_table(demo_source, monkeypatch):
+    # every public core question about one game reads its one slack table
+    ctx = min_sum_rate(demo_source)
+    vertex = ctx.vertex
+    expected = every_key(ctx)  # each nonempty mask's key, once
+    want = [sfm_dep(ctx, vertex, i) for i in ctx.users]
+    reads = spy_cost(ctx, monkeypatch).reads
+    assert [dep(ctx, vertex, i) for i in ctx.users] == want
+    assert core_membership(ctx, vertex) == (True, None)
+    assert reads == expected and sum(expected.values()) == 2 ** len(ctx.users) - 1 == 31
 
 
 def test_core_membership_of_float_rates_in_an_exact_game(demo_ctx, demo_subgames):
@@ -473,7 +486,9 @@ def test_core_membership_refused_before_any_cost_is_read(demo_source, monkeypatc
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", n - 1)
     assert core_membership(ctx, vertex) == (True, None)
     assert sum(cost_calls.values()) == 2 ** n - 1
-    cost_calls.clear()
+    ctx = min_sum_rate(demo_source)  # a fresh game: a built table is not refused again
+    vertex = ctx.vertex  # its truncation walk, before the limit drops
+    cost_calls = spy_cost(ctx, monkeypatch).reads
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", n - 2)
     for r in (vertex, rv({u: 0 for u in ctx.users})):
         with pytest.raises(GroundSetTooLarge, match=f"size {n - 1} exceeds the exhaustive limit {n - 2}"):
