@@ -97,7 +97,7 @@ def dep(ctx: GameContext, r: RateVector, i: int) -> frozenset:
     return ctx._slack_table.dependence(r)[ctx.users.index(i)]
 
 
-class SdaTrace:
+class SdaTrace(SimpleNamespace):
     """Record of a steepest-descent run over the 1/K grid, filled in by
     :func:`sda` as it runs; two traces are equal when every field is.
 
@@ -109,19 +109,8 @@ class SdaTrace:
     """
 
     def __init__(self, K: int, iterates: list[RateVector], objectives: list):
-        self.K = K
-        self.iterates = iterates
-        self.pairs: list[tuple[int, int]] = []
-        self.objectives = objectives
-        self.warnings: list[str] = []
-        self.locally_optimal: bool | None = None
-        self.left_core: bool | None = None
-
-    def __eq__(self, other) -> bool:  # defining it leaves the mutable trace unhashable
-        return vars(self) == vars(other) if type(other) is SdaTrace else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"SdaTrace({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+        super().__init__(K=K, iterates=iterates, pairs=[], objectives=objectives,
+                         warnings=[], locally_optimal=None, left_core=None)
 
     @property
     def iterations(self) -> int:

@@ -16,6 +16,10 @@ fundamental-partition block, across which the cost splits.  The raw costs on
 every subset of a game's users also form its one slack table f - r, kept
 on the game from the first read, that answers every core question:
 membership, the dependence sets of steepest descent and its initial check.
+A game is fixed by its source, ground set, sum-rate R_CO and fundamental
+partition P*; :class:`GameContext` derives its sum cost, shared randomness
+and grid denominator from those four, for the whole game that
+:func:`min_sum_rate` returns and the per-block subgames of :func:`decompose`.
 """
 
 from __future__ import annotations
@@ -32,10 +36,6 @@ from .sources import Source
 
 class DecompositionError(RuntimeError):
     """The characteristic cost failed to split across the fundamental partition."""
-
-
-def _eq(a, b, tol) -> bool:
-    return abs(a - b) <= tol
 
 
 def _ordered_sum(values: Iterable):
@@ -270,63 +270,53 @@ def dilworth_truncation(source: Source, alpha, X: Iterable[int]):
 # --- solving the minimum sum-rate problem ----------------------------------
 
 
-def _newton_min_sum_rate(source: Source):
-    """Raise a candidate sum-rate along finest truncation minimizers until the
-    whole-set cost matches its truncation; converges in at most |V| rounds."""
-    users = source.users
-    hv = source.entropy(source.ground)
-    tol = source.tol
-    alpha = _ordered_sum(hv - source.entropy(frozenset({u})) for u in users) / (len(users) - 1)
-    for _ in range(len(users) + 2):
-        value, part = dilworth_truncation(source, alpha, users)
-        if _eq(value, alpha, tol):
-            return alpha, part
-        if len(part) < 2:
-            raise ArithmeticError("truncation minimizer collapsed below the threshold")
-        alpha = _ordered_sum(hv - source.entropy(C) for C in part) / (len(part) - 1)
-    raise ArithmeticError("sum-rate search failed to converge")
-
-
 class GameContext:
-    """A solved instance: the minimum sum-rate, the fundamental partition
-    and one core vertex (computed on first read).
+    """A game of ``source``'s users ``ground`` at the minimum sum-rate R_CO
+    with fundamental partition P*, and one core vertex (computed on first
+    read).
+
+    The four arguments fix every other field.  A whole game (``ground`` the
+    source's ground set) keeps P*, costs ``sum_cost`` = R_CO in all and has
+    ``shared_randomness`` H(V) - R_CO, refused with an ``ArithmeticError``
+    if negative past the tolerance.  A subgame (from :func:`decompose`,
+    ``ground`` a block C of P*) keeps neither P* nor the shared randomness,
+    and its ``sum_cost`` is the block's characteristic cost hat(C).  Both
+    step the egalitarian grid by 1/K, K = ``grid_denominator`` =
+    max(|P*| - 1, 1).  ``blocks`` holds P*'s blocks as sorted user tuples
+    (a subgame's one block is its ground set): hat(X) = Σ_C hat(X ∩ C).
 
     A truncation state is a mask's raw total and blocks; ``value_of`` maps
     raw totals to :meth:`hat`'s numbers.  The game keeps two things past a
     call: its vertex and its slack table (``_slack_table``), which answers
     every core question about it.
-    Subgames (from :func:`decompose`) are contexts on one block each; their
-    ``sum_cost`` is the block's characteristic cost.  ``blocks`` holds the
-    fundamental partition's blocks as sorted user tuples (a subgame's one
-    block is its ground set): hat(X) = Σ_C hat(X ∩ C).
     """
 
-    def __init__(
-        self,
-        source: Source,
-        ground: Iterable[int],
-        min_sum_rate,
-        sum_cost,
-        fundamental_partition: Partition | None,
-        shared_randomness,
-        grid_denominator: int,
-    ):
+    def __init__(self, source: Source, ground: Iterable[int], min_sum_rate,
+                 fundamental_partition: Partition):
         self.source = source
         self.ground = frozenset(ground)
         self.users = tuple(sorted(self.ground))
         self.min_sum_rate = min_sum_rate
-        self.sum_cost = sum_cost
-        self.fundamental_partition = fundamental_partition
-        self.shared_randomness = shared_randomness
-        self.grid_denominator = grid_denominator
+        self.grid_denominator = max(len(fundamental_partition) - 1, 1)
         self.tol = source.tol
+        if not self.is_whole_game and self.ground not in fundamental_partition.blocks:
+            raise ValueError(f"{self.users} is neither the whole game nor a block of {fundamental_partition}")
         self._vertex: RateVector | None = None
         self._bits = {u: source.mask((u,)) for u in self.users}
-        blocks = (self.ground,) if fundamental_partition is None else fundamental_partition.blocks
+        blocks = fundamental_partition.blocks if self.is_whole_game else (self.ground,)
         self.blocks = tuple(tuple(sorted(C)) for C in blocks)
         self._block_mask = {u: source.mask(C) for C in blocks for u in C}
         self._cost = _MaskCost(source, min_sum_rate)
         self.value_of = self._cost.value_of
+        if self.is_whole_game:
+            shared = source.entropy(source.ground) - min_sum_rate
+            if shared < -self.tol:
+                raise ArithmeticError(f"shared randomness came out negative: {shared}")
+            self.fundamental_partition, self.sum_cost = fundamental_partition, min_sum_rate
+            self.shared_randomness = shared
+        else:
+            self.fundamental_partition = self.shared_randomness = None
+            self.sum_cost = self.hat(self.ground)
 
     def __setattr__(self, name: str, value) -> None:
         if not name.startswith("_") and name in vars(self):
@@ -417,26 +407,25 @@ class GameContext:
 
 
 def min_sum_rate(source: Source) -> GameContext:
-    """Solve the minimum sum-rate problem by iterated truncation evaluation
-    with candidate sum-rate updates (at most |V| truncations).
+    """Solve the minimum sum-rate problem: raise a candidate sum-rate along
+    finest truncation minimizers until the whole-set cost matches its
+    truncation; converges in at most |V| rounds.
 
-    The returned context carries the fundamental partition, the shared
+    The returned whole game carries the fundamental partition, the shared
     randomness amount, and one core vertex (greedy on the identity
     permutation).
     """
-    rco, part = _newton_min_sum_rate(source)
-    shared = source.entropy(source.ground) - rco
-    if shared < -source.tol:
-        raise ArithmeticError(f"shared randomness came out negative: {shared}")
-    return GameContext(
-        source=source,
-        ground=source.ground,
-        min_sum_rate=rco,
-        sum_cost=rco,
-        fundamental_partition=part,
-        shared_randomness=shared,
-        grid_denominator=max(len(part) - 1, 1),
-    )
+    users = source.users
+    hv = source.entropy(source.ground)
+    alpha = _ordered_sum(hv - source.entropy(frozenset({u})) for u in users) / (len(users) - 1)
+    for _ in range(len(users) + 2):
+        value, part = dilworth_truncation(source, alpha, users)
+        if abs(value - alpha) <= source.tol:
+            return GameContext(source, source.ground, alpha, part)
+        if len(part) < 2:
+            raise ArithmeticError("truncation minimizer collapsed below the threshold")
+        alpha = _ordered_sum(hv - source.entropy(C) for C in part) / (len(part) - 1)
+    raise ArithmeticError("sum-rate search failed to converge")
 
 
 # --- the slack table, core membership and decomposition --------------------
@@ -571,7 +560,7 @@ def core_membership(ctx: GameContext, r: RateVector) -> tuple[bool, str | None]:
     :func:`subset_masks` order, put in words only on failure.
     """
     slack = ctx._slack_table.slack(r)
-    if not _eq(r.total(), ctx.sum_cost, ctx.tol):
+    if abs(r.total() - ctx.sum_cost) > ctx.tol:
         return False, f"sum rate {r.total()} != {ctx.sum_cost}"
     bad = slack < -ctx.tol
     bad[0] = bad[-1] = False  # the empty and the whole set
@@ -600,45 +589,34 @@ def conditional_mi_given_U(ctx: GameContext, X: Iterable[int], Y: Iterable[int])
 
 
 def check_decomposition(ctx: GameContext) -> None:
-    """Verify that the characteristic cost of a solved whole-game context
-    splits across its fundamental partition on every subset: one
-    :meth:`GameContext.raw_table` against its blockwise sums, added left to
-    right from 0 as :func:`_ordered_sum` does.  The first violation in
-    :func:`subset_masks` order, an upstream bug, raises :class:`DecompositionError`.
+    """Verify that the characteristic cost of a solved whole game splits
+    across its fundamental partition on every subset: each entry of one
+    :meth:`GameContext.raw_table` against the sum of its blocks' entries,
+    added left to right from 0 as :func:`_ordered_sum` does.  The first
+    violation in :func:`subset_masks` order, an upstream bug, raises
+    :class:`DecompositionError`.
     """
-    import numpy as np
-    table = np.array(ctx.raw_table(), dtype=object if ctx.source.is_exact else float)
-    masks = np.array(subset_masks(len(ctx.users)))  # a whole game: its local masks are the source's
-    sums = _ordered_sum(table[masks & ctx.source.mask(C)] for C in ctx.fundamental_partition.blocks)
-    bad = abs(table[masks] - sums) > ctx.tol
-    if bad.any():
-        x = int(bad.argmax())
-        X = sorted(ctx.source.members(int(masks[x])))
-        raise DecompositionError(
-            f"hat({X}) = {ctx.hat(X)} but the blockwise sum is {ctx.value_of(sums.item(x))}")
+    raw = ctx.raw_table()  # a whole game: its local masks are the source's
+    block_masks = [ctx.source.mask(C) for C in ctx.fundamental_partition.blocks]
+    for m in subset_masks(len(ctx.users)):
+        total = _ordered_sum(raw[m & b] for b in block_masks)
+        if abs(raw[m] - total) > ctx.tol:
+            X = sorted(ctx.source.members(m))
+            raise DecompositionError(
+                f"hat({X}) = {ctx.hat(X)} but the blockwise sum is {ctx.value_of(total)}")
 
 
 def decompose(ctx: GameContext) -> list[GameContext]:
-    """Split a solved whole-game context into one subgame per block of the
-    fundamental partition.  The characteristic cost is separable across the
-    blocks, so each subgame evaluates truncations only inside its block;
+    """Split a solved whole game into one subgame per block C of its
+    fundamental partition, each ``GameContext(source, C, R_CO, P*)``.  The
+    characteristic cost is separable across the blocks, so each subgame
+    evaluates truncations only inside its block;
     :func:`check_decomposition` verifies the separability.
     """
-    if ctx.fundamental_partition is None or not ctx.is_whole_game:
+    if not ctx.is_whole_game:
         raise ValueError("decompose needs a solved whole-game context")
-    subgames = []
-    for C in ctx.fundamental_partition.blocks:
-        sub = GameContext(
-            source=ctx.source,
-            ground=C,
-            min_sum_rate=ctx.min_sum_rate,
-            sum_cost=ctx.hat(C),
-            fundamental_partition=None,
-            shared_randomness=None,
-            grid_denominator=ctx.grid_denominator,
-        )
-        subgames.append(sub)
-    return subgames
+    return [GameContext(ctx.source, C, ctx.min_sum_rate, ctx.fundamental_partition)
+            for C in ctx.fundamental_partition.blocks]
 
 
 def l1_size(ctx: GameContext):

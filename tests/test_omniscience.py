@@ -24,6 +24,7 @@ from omnifair.egalitarian import dep
 from omnifair.omniscience import DecompositionError, check_decomposition
 from omnifair.setfn import GroundSetTooLarge
 from omnifair.setfn import subsets
+from omnifair.sources import FLOAT_TOL
 
 from conftest import (
     DEMO_HOLDINGS,
@@ -38,6 +39,7 @@ from conftest import (
     pmf_from_packets,
     random_core_direction,
     random_linear_source,
+    random_pmf_source,
     random_pmf_twins,
     random_vector_source,
     rv,
@@ -311,11 +313,48 @@ class TestConditionalMi:
 
 def decomposition_failure(ctx, blocks) -> str:
     """check_decomposition's message for ``ctx`` with a wrong partition."""
-    wrong = GameContext(ctx.source, ctx.ground, ctx.min_sum_rate, ctx.sum_cost,
-                        Partition(blocks), ctx.shared_randomness, ctx.grid_denominator)
+    wrong = GameContext(ctx.source, ctx.ground, ctx.min_sum_rate, Partition(blocks))
     with pytest.raises(DecompositionError) as failure:
         check_decomposition(wrong)
     return str(failure.value)
+
+
+#: Every field a context derives from (source, ground, R_CO, P*).
+DERIVED_FIELDS = ["sum_cost", "shared_randomness", "grid_denominator", "blocks", "vertex"]
+
+
+class TestDerivedContexts:
+    """A game is fixed by its source, ground set, sum-rate and fundamental
+    partition: rebuilding a solved game or one of its subgames from those
+    four gives every derived field."""
+
+    @pytest.mark.parametrize("make", [random_linear_source, random_vector_source, random_pmf_source])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rebuilt_from_four_arguments(self, make, seed):
+        src = make(seed)
+        ctx = min_sum_rate(src)
+        rco, part = ctx.min_sum_rate, ctx.fundamental_partition
+        subgames = decompose(ctx)
+        assert [sub.ground for sub in subgames] == list(part.blocks)
+        pairs = [(ctx, GameContext(src, src.ground, rco, part))]
+        pairs += [(sub, GameContext(src, sub.ground, rco, part)) for sub in subgames]
+        for game, rebuilt in pairs:
+            for name in DERIVED_FIELDS:
+                assert getattr(rebuilt, name) == getattr(game, name), name
+        assert [sub.sum_cost for sub in subgames] == [ctx.hat(C) for C in part.blocks]
+
+    @pytest.mark.parametrize("source, excess", [
+        (LinearSource.from_packets({1: ["a"], 2: ["a", "b"]}), F(1)),
+        (pmf_from_packets({1: ["a"], 2: ["a", "b"]}, ["a", "b"]), 2 * FLOAT_TOL),
+    ])
+    def test_sum_rate_above_the_joint_entropy_is_refused(self, source, excess):
+        hv = source.entropy(source.ground)
+        with pytest.raises(ArithmeticError, match="^shared randomness came out negative: -"):
+            GameContext(source, source.ground, hv + excess, Partition([source.ground]))
+
+    def test_ground_must_be_the_whole_game_or_a_block(self, demo_source, demo_ctx):
+        with pytest.raises(ValueError, match="neither the whole game nor a block"):
+            GameContext(demo_source, {1, 4}, demo_ctx.min_sum_rate, demo_ctx.fundamental_partition)
 
 
 class TestDecomposition:

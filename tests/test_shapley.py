@@ -8,6 +8,7 @@ from omnifair import (
     GameContext,
     GroundSetTooLarge,
     LinearSource,
+    Partition,
     RateVector,
     enumerate_extreme_points,
     min_sum_rate,
@@ -125,7 +126,7 @@ class TestShapleyExact:
 
     def test_size_limit(self):
         src = LinearSource.from_packets({u: [f"p{u}"] for u in range(1, 22)})
-        ctx = GameContext(src, src.ground, F(0), F(0), None, None, 1)
+        ctx = GameContext(src, src.ground, F(0), Partition([src.ground]))
         with pytest.raises(GroundSetTooLarge, match="^ground set of size 21 exceeds the exhaustive limit 20$"):
             shapley_exact(ctx)
 
