@@ -30,7 +30,6 @@ from .omniscience import (
     decompose,
     dilworth_truncation,
     f_alpha,
-    l1_size,
     min_sum_rate,
 )
 from .setfn import (
@@ -44,6 +43,7 @@ from .setfn import (
 )
 from .shapley import (
     enumerate_extreme_points,
+    l1_size,
     sample_permutations,
     shapley_approx,
     shapley_decomposed,

@@ -40,7 +40,7 @@ from .omniscience import (
     core_membership,
     min_sum_rate,
 )
-from .setfn import GroundSetTooLarge, int_array, is_submodular
+from .setfn import GroundSetTooLarge, int_array, is_submodular, subset_keys
 from .shapley import shapley_approx, shapley_decomposed, shapley_exact
 from .sources import SourceSpecError, _parse_user_keys, _unique_keys, load_source
 
@@ -129,7 +129,7 @@ def _parse_user_map(raw: str, what: str) -> dict[int, Fraction]:
     text = raw
     if raw.startswith("@"):
         try:
-            text = Path(raw[1:]).read_text()
+            text = Path(raw[1:]).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {what} file {raw[1:]}: {getattr(exc, 'strerror', exc)}") from exc
     try:
@@ -288,7 +288,7 @@ def _write_trace_csv(path: Path, trace, endpoint: RateVector) -> None:
     for n, (iterate, obj) in enumerate(zip(trace.iterates, trace.objectives)):
         lines.append(f"{n},{float(iterate.l1_distance(endpoint))},{float(obj)}")
     try:
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write --trace-csv {path}: {exc.strerror}") from exc
 
@@ -298,7 +298,8 @@ def _run_verify(cfg: RunConfig, ctx: GameContext) -> list[dict]:
     verdicts = []
     source = ctx.source
     if len(source.users) <= VERIFY_SUBMODULAR_LIMIT:
-        h = [0] + [source.raw_entropy(m) for m in range(1, 1 << len(source.users))]
+        keys, entropy = source.keyed()
+        h = [0] + [entropy(k) for k in subset_keys(keys)]  # a pmf H of {} may not be 0
         ok, witness = is_submodular(int_array(h) if source.is_exact else np.array(h), tol=source.tol)
         if not ok:
             X, Y = (sorted(source.members(m)) for m in witness)
@@ -368,7 +369,7 @@ def _emit(report: dict, output: str | None, status: int) -> int:
         sys.stdout.write(text)
         return status
     try:
-        Path(output).write_text(text)
+        Path(output).write_text(text, encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot write --output {output}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE

@@ -20,6 +20,7 @@ A game is fixed by its source, ground set, sum-rate R_CO and fundamental
 partition P*; :class:`GameContext` derives its sum cost, shared randomness
 and grid denominator from those four, for the whole game that
 :func:`min_sum_rate` returns and the per-block subgames of :func:`decompose`.
+Vertex enumeration and the core's l1 size sit beside the Shapley values.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
-from .setfn import _check_size, int_array, subset_masks, widen
+from .setfn import _check_size, int_array, subset_keys, subset_masks, widen
 from .sources import Source
 
 
@@ -301,7 +302,6 @@ class GameContext:
         self.tol = source.tol
         if not self.is_whole_game and self.ground not in fundamental_partition.blocks:
             raise ValueError(f"{self.users} is neither the whole game nor a block of {fundamental_partition}")
-        self._vertex: RateVector | None = None
         self._bits = {u: source.mask((u,)) for u in self.users}
         blocks = fundamental_partition.blocks if self.is_whole_game else (self.ground,)
         self.blocks = tuple(tuple(sorted(C)) for C in blocks)
@@ -319,16 +319,15 @@ class GameContext:
             self.sum_cost = self.hat(self.ground)
 
     def __setattr__(self, name: str, value) -> None:
-        if not name.startswith("_") and name in vars(self):
+        # a cached property is assignable until its first read
+        if not name.startswith("_") and (name in vars(self) or hasattr(type(self), name)):
             raise AttributeError(f"GameContext.{name} is read-only")
         super().__setattr__(name, value)
 
-    @property
+    @cached_property
     def vertex(self) -> RateVector:
         """The greedy core vertex on the identity permutation."""
-        if self._vertex is None:
-            self._vertex = self.greedy_vertex(self.users)
-        return self._vertex
+        return self.greedy_vertex(self.users)
 
     @cached_property
     def _slack_table(self) -> "_SlackTable":
@@ -449,10 +448,7 @@ class _SlackTable:
         import numpy as np
         _check_size(len(ctx.users) - 1)
         self.users, self.tol = ctx.users, ctx.tol
-        keys = [0]  # by the truncation's doubling, from each user's key
-        for key in [ctx._cost.bit_keys[ctx._bits[u]] for u in ctx.users]:
-            keys += [k | key for k in keys]
-        raw = [0] + ctx._cost.values(keys[1:])
+        raw = [0] + ctx._cost.values(subset_keys([ctx._cost.bit_keys[ctx._bits[u]] for u in ctx.users]))
         self.q = Fraction(ctx.min_sum_rate).denominator if ctx.source.is_exact else None
         self.raw = int_array(raw) if self.q else np.array(raw, dtype=float)
         self._peak = max(map(abs, raw))
@@ -618,16 +614,3 @@ def decompose(ctx: GameContext) -> list[GameContext]:
     return [GameContext(ctx.source, C, ctx.min_sum_rate, ctx.fundamental_partition)
             for C in ctx.fundamental_partition.blocks]
 
-
-def l1_size(ctx: GameContext):
-    """Largest l1 distance between extreme points of the core (and hence
-    between any two of its points, by convexity)."""
-    from .shapley import enumerate_extreme_points
-
-    vertices = enumerate_extreme_points(ctx)
-    if len(vertices) < 2:
-        return ctx.source.zero
-    return max(
-        a.l1_distance(b)
-        for i, a in enumerate(vertices)
-        for b in vertices[i + 1:])

@@ -67,6 +67,15 @@ def subset_masks(n: int) -> list[int]:
     return list(chain.from_iterable(by_size))
 
 
+def subset_keys(keys: Sequence[int]) -> list[int]:
+    """The OR of ``keys[k]`` over the bits k of each nonempty mask m of
+    ``len(keys)`` bits, in order of m, by doubling (m | 2^k from m < 2^k)."""
+    table = [0]
+    for key in keys:
+        table += [k | key for k in table]
+    return table[1:]
+
+
 def subsets(items: Iterable) -> Iterable[frozenset]:
     """All subsets of ``items``, in :func:`subset_masks` order over the sorted items."""
     items = sorted(items)

@@ -1,4 +1,4 @@
-"""Extreme points of the optimal rate region and Shapley-value allocation.
+"""Extreme points and l1 size of the optimal rate region; Shapley values.
 
 The Shapley value charges each user their permutation-averaged marginal
 characteristic cost, i.e. the mean greedy vertex over all permutations,
@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from math import factorial
 from itertools import permutations as iter_permutations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .omniscience import GameContext, RateVector, decompose
 from .setfn import GroundSetTooLarge, _check_size, subset_masks
@@ -40,6 +40,18 @@ def enumerate_extreme_points(ctx: GameContext) -> tuple[RateVector, ...]:
             key = tuple(round(v, 12) for v in key)
         seen.setdefault(key, vertex)
     return tuple(seen[key] for key in sorted(seen))
+
+
+def l1_size(ctx: GameContext):
+    """Largest l1 distance between extreme points of the core (and hence
+    between any two of its points, by convexity)."""
+    vertices = enumerate_extreme_points(ctx)
+    if len(vertices) < 2:
+        return ctx.source.zero
+    return max(
+        a.l1_distance(b)
+        for i, a in enumerate(vertices)
+        for b in vertices[i + 1:])
 
 
 def shapley_exact(ctx: GameContext) -> RateVector:
@@ -127,14 +139,13 @@ def shapley_decomposed(
     *,
     count: int | None = None,
     seed=None,
-    permutations: Mapping[frozenset, Iterable[Sequence[int]]] | None = None,
 ) -> RateVector:
     """Fuse per-subgame Shapley values across the fundamental partition.
 
     ``mode="exact"`` is :func:`shapley_exact`, which already runs per block.
-    ``mode="approx"`` samples ``count`` permutations per subgame (default:
-    the block size) from a per-subgame seed split off ``seed``; explicit
-    ``permutations`` may be supplied per block instead.
+    ``mode="approx"`` samples ``count`` permutations (default: the block
+    size) of subgame k of :func:`decompose` on the k-th ``randrange(2**63)``
+    of ``random.Random(seed)``; a one-user subgame is its greedy vertex.
     """
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -142,18 +153,13 @@ def shapley_decomposed(
         return shapley_exact(ctx)
     if count is not None and count < 1:  # singleton blocks draw none
         raise ValueError("need at least one permutation")
-    subgames = decompose(ctx)
-    rng = random.Random(seed)
-    child_seeds = {sub.ground: rng.randrange(2**63) for sub in subgames}
-
-    def solve_block(sub: GameContext) -> RateVector:
-        explicit = permutations.get(sub.ground) if permutations else None
-        if explicit is not None:
-            return shapley_approx(sub, explicit)
+    rng, parts = random.Random(seed), []
+    for sub in decompose(ctx):
+        child = rng.randrange(2**63)
         if len(sub.users) == 1:
-            return sub.greedy_vertex(sub.users)
-        if seed is None:
-            raise ValueError("approx mode needs a seed or explicit permutations")
-        return shapley_approx(sub, count=count, seed=child_seeds[sub.ground])
-
-    return RateVector.direct_sum([solve_block(sub) for sub in subgames])
+            parts.append(sub.greedy_vertex(sub.users))
+        elif seed is None:
+            raise ValueError("approx mode needs a seed")
+        else:
+            parts.append(shapley_approx(sub, count=count, seed=child))
+    return RateVector.direct_sum(parts)

@@ -385,7 +385,7 @@ def load_source(spec: Mapping | str | Path) -> Source:
         text = spec
         if not (isinstance(spec, str) and spec.lstrip().startswith("{")):
             try:
-                text = Path(spec).read_text()
+                text = Path(spec).read_text(encoding="utf-8")
             except FileNotFoundError:
                 raise SourceSpecError(f"no such source file: {spec}") from None
             except (OSError, UnicodeDecodeError) as exc:

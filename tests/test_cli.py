@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -280,16 +284,33 @@ def test_verify_fails_on_zero_vector(capsys, spec_path):
 
 
 @pytest.mark.parametrize("kind", ["linear", "pmf"])
-def test_verify_names_a_submodularity_violation(spec_path, kind):
+def test_verify_names_a_submodularity_violation(spec_path, kind, monkeypatch):
     # a real entropy is always submodular, so poke a supermodular H({1, 2})
     source = load_source(spec_path) if kind == "linear" else pmf_from_packets(
         {1: ["a"], 2: ["b"], 3: ["a", "b"]}, ["a", "b"])
     ctx = min_sum_rate(source)
-    h, bit = source.raw_entropy, source.mask
-    source._cache[bit({1, 2})] = h(bit({1})) + h(bit({2})) + 1
+    keys, h = source.keyed()
+    poked = {keys[0] | keys[1]: h(keys[0]) + h(keys[1]) + 1}
+    monkeypatch.setattr(source, "keyed", lambda: (keys, lambda k: poked.get(k, h(k))))
     entropy_check = _run_verify(RunConfig("verify"), ctx)[0]
     assert entropy_check == {"check": "entropy_submodular", "pass": False,
                              "witness": "f([1]) + f([2]) violates submodularity"}
+
+
+@pytest.mark.parametrize("kind", ["packets", "pmf"])
+def test_verify_reads_entropies_by_keys(spec_path, kind, monkeypatch):
+    # the submodularity table comes off the source's keys, not one memoized
+    # entropy call per mask
+    source = load_source(spec_path) if kind == "packets" else pmf_from_packets(
+        {1: ["a"], 2: ["b"], 3: ["a", "b"]}, ["a", "b"])
+    ctx = min_sum_rate(source)
+    ctx.vertex  # the solution record computes it before verify runs
+    calls = []
+    for name in ("raw_entropy", "_entropy"):
+        read = getattr(source, name)
+        monkeypatch.setattr(source, name, lambda mask, read=read: calls.append(mask) or read(mask))
+    verdicts = _run_verify(RunConfig("verify"), ctx)
+    assert all(v["pass"] for v in verdicts) and calls == []
 
 
 def unreadable(tmp_path, kind: str) -> str:
@@ -662,6 +683,29 @@ def test_output_file(spec_path, tmp_path, capsys):
     assert status == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["solution"]["R_CO"] == "13/2"
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale with Python's UTF-8 mode and locale coercion off: a
+    # UTF-8 spec with non-ASCII packet ids still loads, and every file the
+    # run reads or writes names its encoding
+    spec = {"model": "linear", "field": 2, "packets": ["é", "ü"],
+            "users": {"1": ["é"], "2": ["ü"], "3": ["é", "ü"]}}
+    (tmp_path / "spec.json").write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    (tmp_path / "rates.json").write_text('{"1": 0, "2": 0, "3": 1}', encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+           "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "omnifair.cli", "egalitarian", "--mode", "sda", "--input", "spec.json",
+         "--rates", "@rates.json", "--trace-csv", "trace.csv", "--output", "report.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["solution"]["R_CO"] == "1"
+    assert report["solution"]["fundamental_partition"] == [[1], [2], [3]]
+    assert report["fairness"]["vector"] == {"1": "0", "2": "0", "3": "1"}
+    assert (tmp_path / "trace.csv").read_text(encoding="utf-8").startswith("iteration,")
 
 
 def strip_timings(report):

@@ -217,10 +217,13 @@ class TestMinSumRate:
         assert demo_ctx.vertex == demo_ctx.greedy_vertex(demo_ctx.users)
         assert cross_checked_membership(demo_ctx, demo_ctx.vertex)
 
-    def test_vertex_is_read_only(self, demo_ctx):
-        with pytest.raises(AttributeError):
-            demo_ctx.vertex = demo_ctx.greedy_vertex((5, 4, 3, 2, 1))
-        assert demo_ctx.vertex == demo_ctx.greedy_vertex(demo_ctx.users)
+    def test_vertex_is_read_only(self, demo_source):
+        ctx = min_sum_rate(demo_source)  # a fresh game, its vertex not yet read
+        with pytest.raises(AttributeError, match="^GameContext.vertex is read-only$"):
+            ctx.vertex = ctx.greedy_vertex((5, 4, 3, 2, 1))
+        assert ctx.vertex == ctx.greedy_vertex(ctx.users)
+        with pytest.raises(AttributeError, match="^GameContext.vertex is read-only$"):
+            ctx.vertex = ctx.greedy_vertex((5, 4, 3, 2, 1))
 
     def test_shared_single_packet_needs_no_exchange(self):
         src = LinearSource.from_packets({1: ["a"], 2: ["a"]})
@@ -262,7 +265,6 @@ class TestContextReadOnly:
 
     def test_private_attributes_stay_assignable(self, demo_ctx, monkeypatch):
         monkeypatch.setattr(demo_ctx, "_cost", demo_ctx._cost)
-        demo_ctx._vertex = None
         assert demo_ctx.vertex == demo_ctx.greedy_vertex(demo_ctx.users)
 
 

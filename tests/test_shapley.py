@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import permutations
 from math import factorial
@@ -10,6 +11,7 @@ from omnifair import (
     LinearSource,
     Partition,
     RateVector,
+    decompose,
     enumerate_extreme_points,
     min_sum_rate,
     sample_permutations,
@@ -26,7 +28,9 @@ from conftest import (
     cross_checked_membership,
     mean_vector,
     random_linear_source,
+    random_pmf_source,
     random_pmf_twins,
+    random_vector_source,
     rv,
     shapley_mean_of_vertices,
     shapley_whole_game,
@@ -286,11 +290,33 @@ class TestShapleyDecomposed:
         fused = shapley_decomposed(ctx, mode="exact")
         assert fused == RateVector({u: ctx.hat(frozenset({u})) for u in ctx.users})
 
-    def test_approx_with_explicit_block_permutations(self, demo_ctx):
-        fused = shapley_decomposed(
-            demo_ctx, mode="approx",
-            permutations={frozenset({1, 4, 5}): [(1, 4, 5), (1, 5, 4), (4, 1, 5)]})
-        assert fused == rv({1: F(4, 3), 2: F(1, 2), 3: F(1, 2), 4: F(10, 3), 5: F(5, 6)})
+    @pytest.mark.parametrize("game", [
+        *(f"packets:{k}" for k in (0, 1, 2, 27)), *(f"gf3:{k}" for k in (1, 27, 114)),
+        *(f"twins:{k}" for k in (0, 74, 141)), *(f"pmf:{k}" for k in (1, 5))])
+    def test_approx_samples_each_subgame_on_its_child_seed(self, game):
+        # subgame k of decompose(ctx), singletons included, draws the k-th
+        # randrange(2**63) of random.Random(seed) and samples on it; a
+        # one-user subgame is its greedy vertex (the k-seeds: two or more
+        # multi-user blocks)
+        family, k = game.split(":")
+        ctx = min_sum_rate({"packets": random_linear_source, "gf3": random_vector_source,
+                            "twins": lambda k: random_pmf_twins(k)[1],
+                            "pmf": random_pmf_source}[family](int(k)))
+        assert any(len(C) > 1 for C in ctx.fundamental_partition)
+
+        def coordinates(r):
+            return {u: v.hex() if isinstance(v, float) else v for u, v in zip(r.users, r.as_tuple())}
+
+        for count in (None, 1, 3):
+            for seed in (0, 7):
+                rng, parts = random.Random(seed), []
+                for sub in decompose(ctx):
+                    child = rng.randrange(2**63)
+                    perms = sample_permutations(sub.users, count or len(sub.users), child)
+                    parts.append(sub.greedy_vertex(sub.users) if len(sub.users) == 1
+                                 else shapley_approx(sub, perms))
+                got = shapley_decomposed(ctx, mode="approx", count=count, seed=seed)
+                assert coordinates(got) == coordinates(RateVector.direct_sum(parts))
 
     def test_approx_seeded_deterministic(self, demo_ctx):
         a = shapley_decomposed(demo_ctx, mode="approx", seed=3)
