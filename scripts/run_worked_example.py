@@ -61,7 +61,7 @@ def main() -> None:
     lines = ["iteration,l1_error,objective"]
     for n, (point, obj) in enumerate(zip(trace.iterates, trace.objectives)):
         lines.append(f"{n},{float(point.l1_distance(egal))},{float(obj)}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"\nsteepest-descent error curve -> {csv_path}")
     print(f"iterations: {trace.iterations}, exchanges: {trace.pairs}")
 

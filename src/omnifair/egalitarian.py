@@ -40,7 +40,6 @@ from .omniscience import (
     core_membership,
     decompose,
 )
-from .sources import FLOAT_TOL
 
 
 class ConvergenceError(RuntimeError):
@@ -58,7 +57,9 @@ class SplitError(ValueError):
             f"the minimal valid chunk count is {minimal_chunks}")
 
 
-def _check_weights(weights, users: tuple[int, ...]) -> dict[int, Fraction | float]:
+def _check_weights(weights, users: tuple[int, ...]) -> dict[int, Fraction]:
+    """The weights as exact Fractions (1 where none is given, a float at its
+    exact value), each checked positive and finite, none for an unknown user."""
     if weights is None:
         return {u: Fraction(1) for u in users}
     unknown = set(weights) - set(users)
@@ -69,16 +70,16 @@ def _check_weights(weights, users: tuple[int, ...]) -> dict[int, Fraction | floa
         w = weights.get(u, 1)
         if not w > 0 or isinstance(w, float) and not isfinite(w):
             raise ValueError(f"weight for user {u} must be positive and finite, got {w}")
-        out[u] = w
+        out[u] = Fraction(w)
     return out
 
 
-def _objective(r: RateVector, w: Mapping[int, Fraction | float]):
+def _objective(r: RateVector, w: Mapping[int, Fraction]):
     return _ordered_sum(r[u] * r[u] / w[u] for u in r.users)
 
 
 def objective_g(r: RateVector, weights: Mapping[int, Fraction | float] | None = None):
-    """Weighted sum of squared rates, exact for rational inputs."""
+    """Weighted sum of squared rates, exact for rational rates and any weights."""
     return _objective(r, _check_weights(weights, r.users))
 
 
@@ -120,7 +121,6 @@ class SdaTrace(SimpleNamespace):
 def _grid(r: RateVector, K: int, w) -> tuple[dict, dict, int]:
     """a_u = K·r_u, c_u = L/w_u (L the lcm of the exact weights' numerators)
     and K²L, so that sum(r_u² / w_u) = sum(a_u² c_u) / (K²L)."""
-    w = {u: Fraction(v) for u, v in w.items()}
     L = lcm(*(v.numerator for v in w.values()))
     return ({u: K * Fraction(r[u]) for u in r.users},
             {u: L * v.denominator // v.numerator for u, v in w.items()}, K * K * L)
@@ -237,16 +237,15 @@ def egalitarian_continuous(ctx: GameContext, weights=None) -> RateVector:
     to the weights (Fujishige 1980), by the decomposition algorithm.
 
     The cost separates across the fundamental partition, so each block (a
-    subgame is one block) is solved on its own.  Linear sources with
-    rational weights run on integers, the weights scaled by the lcm of their
-    denominators, and return Fractions; pmf sources and float weights run
-    in float64 within the float tolerance (1e-9) and return floats."""
+    subgame is one block) is solved on its own.  Linear sources run on
+    integers, the weights (float ones at their exact rational value) scaled
+    by the lcm of their denominators, and return Fractions; pmf sources run
+    in float64 within the source's tolerance (1e-9) and return floats."""
     w = _check_weights(weights, ctx.users)
-    exact = ctx.source.is_exact and not any(isinstance(v, float) for v in w.values())
-    return RateVector.direct_sum(_lexicographic_base(ctx, C, w, exact) for C in ctx.blocks)
+    return RateVector.direct_sum(_lexicographic_base(ctx, C, w) for C in ctx.blocks)
 
 
-def _lexicographic_base(ctx: GameContext, block: tuple[int, ...], w, exact: bool) -> RateVector:
+def _lexicographic_base(ctx: GameContext, block: tuple[int, ...], w) -> RateVector:
     """:func:`egalitarian_continuous` on one block by minors (A, E) from (∅,
     block), R being the raw truncation total and d = R(A ∪ E) - R(A).  The
     least w(E)·R(Y) - d·w(Y ∖ A) over A ⊆ Y ⊆ A ∪ E is one truncation of
@@ -254,28 +253,22 @@ def _lexicographic_base(ctx: GameContext, block: tuple[int, ...], w, exact: bool
     through :func:`_extend` with scale w(E), E's weights and level d, a
     singleton of E costing at most 0 (left out of Y).  If it is below
     w(E)·R(A), X = E ∩ Y is tight, and the minors (A, X) and (A ∪ X, E ∖ X)
-    are solved in turn; else r = d·w / w(E) on E."""
-    if exact:
-        scale = lcm(*(Fraction(w[u]).denominator for u in block))
-        weight, margin, value = {ctx._bits[u]: int(w[u] * scale) for u in block}, 0, int
-        cost = ctx._cost
-    else:
-        # a margin for every float run, linear sources included: rounding
-        # below zero on both halves of a tie could keep all of E
-        weight, margin = {ctx._bits[u]: float(w[u]) for u in block}, FLOAT_TOL
-        value = lambda v: float(ctx.value_of(v))  # a raw cost as a float of f
-        cost = SimpleNamespace(bit_keys=ctx._cost.bit_keys,
-                               values=lambda keys: [value(v) for v in ctx._cost.values(keys)])
+    are solved in turn; else r = d·w / w(E) on E.  Linear sources run on
+    raw ints and integer weights; a pmf run keeps a margin of ctx.tol·w(E)
+    in each step and at the split test, lest rounding below zero on both
+    halves of a tie keep all of E."""
+    exact, scale = ctx.source.is_exact, lcm(*(w[u].denominator for u in block))
+    weight = {ctx._bits[u]: int(w[u] * scale) if exact else float(w[u]) for u in block}
     rates, minors = {}, [(0, sum(weight))]  # a stack: (A, X) before (A ∪ X, E ∖ X)
     while minors:
         A, E = minors.pop()
-        (base, blocks), top = _fold(ctx._cost, A, ctx.tol), _fold(ctx._cost, A | E, ctx.tol)[0]
+        (base, blocks), top = _fold(ctx._cost, A), _fold(ctx._cost, A | E)[0]
         weights = {bit: v for bit, v in weight.items() if bit & E}
-        d, wE = value(top) - value(base), _ordered_sum(weights.values())
-        state = (wE * value(base), [(b, k, wE * value(c)) for b, k, c in blocks])
+        d, wE = top - base, _ordered_sum(weights.values())
+        state = (wE * base, [(b, k, wE * c) for b, k, c in blocks])
         for bit in weights:
-            state = _extend(cost, state, bit, margin * wE, wE, weights, d)
-        if state[0] < wE * value(base) - margin * wE:
+            state = _extend(ctx._cost, state, bit, wE, weights, d)
+        if state[0] < wE * base - ctx.tol * wE:
             X = E & sum(b for b, _, g in state[1] if b & (b - 1) or b & ~E or g < 0)
             if X in (0, E):
                 raise ArithmeticError(f"minor {sorted(ctx.source.members(E))} split empty or whole")

@@ -183,24 +183,26 @@ def f_alpha(source: Source, alpha, X: Iterable[int]):
 class _MaskCost:
     """:func:`f_alpha` on nonempty user bitmasks by keys (:meth:`Source.keyed`):
     ``bit_keys`` maps each user's bit to its key, ``values`` reads the raw
-    costs of a list of keys and ``value_of`` maps one to f_alpha's.  A linear
-    source's raw cost at alpha = p/q is q·H(X) - q·H(V) + p, an integer, which
-    ``value_of`` divides by q; a pmf source's is (alpha - H(V)) + H(X) in floats."""
+    costs of a list of keys and ``value_of`` maps one to f_alpha's; ``tol``
+    is the source's tolerance.  A linear source's raw cost at alpha = p/q is
+    q·H(X) - q·H(V) + p, an integer, which ``value_of`` divides by ``q``; a
+    pmf source's is (alpha - H(V)) + H(X) in floats, and its ``q`` is None."""
 
     def __init__(self, source: Source, alpha):
         user_keys, h = source.keyed()
         self.bit_keys = {1 << k: key for k, key in enumerate(user_keys)}
+        self.tol, self.q = source.tol, None
         whole = source.raw_entropy(source.mask(source.users))
         if not source.is_exact:
             shift = alpha - whole
             self.values, self.value_of = (lambda keys: [shift + h(k) for k in keys]), (lambda v: v)
             return
-        q = Fraction(alpha).denominator
+        q = self.q = Fraction(alpha).denominator
         shift = Fraction(alpha).numerator - q * whole
         self.values, self.value_of = (lambda keys: [q * h(k) + shift for k in keys]), (lambda v: Fraction(v, q))
 
 
-def _extend(cost: _MaskCost, state: tuple, bit: int, tol,
+def _extend(cost: _MaskCost, state: tuple, bit: int,
             scale=1, weights: Mapping[int, int | float] = {}, level=0) -> tuple:
     """One truncation step of g = scale·cost - level·w(· ∩ E), E the bits
     of ``weights`` (w), a lone bit of E costing at most 0; the defaults give
@@ -212,7 +214,8 @@ def _extend(cost: _MaskCost, state: tuple, bit: int, tol,
     weighted, the weight mass) and writes g(bit ∪ S) - Σ_S g over the sum,
     from one batch read of the keys' costs.  The least gain is added to the
     total; the merge keeps the minimal minimizer, the AND of every
-    block-subset index within ``tol`` of the minimum."""
+    block-subset index within ``cost.tol``·``scale`` of the minimum: the
+    source's tolerance (0 on linear sources), scaled as g is."""
     total, blocks = state
     _check_size(len(blocks))
     keys, gains, masses = [cost.bit_keys[bit]], [0], [weights.get(bit, 0)]
@@ -231,7 +234,7 @@ def _extend(cost: _MaskCost, state: tuple, bit: int, tol,
         for index, value in enumerate(values):
             gains[index] = value - gains[index]
     best = min(gains)
-    pick, cut = len(gains) - 1, best + tol
+    pick, cut = len(gains) - 1, best + cost.tol * scale
     for index, gain in enumerate(gains):
         if gain <= cut:
             pick &= index
@@ -247,11 +250,12 @@ def _extend(cost: _MaskCost, state: tuple, bit: int, tol,
     return total + best, kept + [(mask, keys[pick], value)]
 
 
-def _fold(cost: _MaskCost, mask: int, tol) -> tuple:
+def _fold(cost: _MaskCost, mask: int) -> tuple:
     """The state of ``mask``: :func:`_extend` folded over its bits in
-    ascending order from the empty state, a zero total and no blocks."""
+    ascending order from the empty state, a zero total and no blocks, each
+    step within the tolerance of ``cost``."""
     bits = (1 << k for k in range(mask.bit_length()) if mask >> k & 1)
-    return reduce(lambda state, bit: _extend(cost, state, bit, tol), bits, (0, ()))
+    return reduce(lambda state, bit: _extend(cost, state, bit), bits, (0, ()))
 
 
 def dilworth_truncation(source: Source, alpha, X: Iterable[int]):
@@ -264,7 +268,7 @@ def dilworth_truncation(source: Source, alpha, X: Iterable[int]):
     if not X:
         raise ValueError("the truncation is evaluated on nonempty subsets")
     cost = _MaskCost(source, alpha)
-    value, blocks = _fold(cost, source.mask(X), source.tol)
+    value, blocks = _fold(cost, source.mask(X))
     return cost.value_of(value), Partition(source.members(b) for b, _, _ in blocks)
 
 
@@ -347,7 +351,7 @@ class GameContext:
             raise ValueError(f"{sorted(X - self.ground)} outside this game's ground set")
         if not X:
             return self.source.zero
-        return self.value_of(_fold(self._cost, self.source.mask(X), self.tol)[0])
+        return self.value_of(_fold(self._cost, self.source.mask(X))[0])
 
     def raw_table(self, users: Iterable[int] | None = None) -> list[int | float]:
         """Raw :meth:`hat` totals (ints for linear sources) on every bitmask
@@ -362,7 +366,7 @@ class GameContext:
         while stack:  # (state, its local mask, the next bit to add)
             state, local, k = stack.pop()
             if k < len(bits):
-                child = _extend(self._cost, state, bits[k], self.tol)
+                child = _extend(self._cost, state, bits[k])
                 table[local | 1 << k] = child[0]
                 stack += [(state, local, k + 1), (child, local | 1 << k, k + 1)]
         return table
@@ -390,7 +394,7 @@ class GameContext:
                     mask ^= 1 << mask.bit_length() - 1
                 state = states[mask]
                 for m in reversed(missing):
-                    state = states[m] = _extend(self._cost, state, 1 << m.bit_length() - 1, self.tol)
+                    state = states[m] = _extend(self._cost, state, 1 << m.bit_length() - 1)
                 marginals[u] = state[0] - states[before][0]
             yield marginals
 
@@ -433,9 +437,9 @@ def min_sum_rate(source: Source) -> GameContext:
 class _SlackTable:
     """:func:`f_alpha` at the solved sum-rate on every user bitmask of a
     game (bit k is ``ctx.users[k]``) as the truncation's raw costs: ints
-    (f·q, q the sum-rate's denominator) for linear sources, float64 for pmf
-    sources.  Refused past n - 1 free users, before any cost is read.  A
-    game builds one, as :attr:`GameContext._slack_table`.
+    (f·q, q the sum-rate's denominator, read off the game's cost object) for
+    linear sources, float64 for pmf sources.  Refused past n - 1 free users,
+    before any cost is read.  A game builds one, as :attr:`GameContext._slack_table`.
 
     The slack f - r of one rate vector is kept, found by identity, so the
     questions about one iterate share it: :meth:`slack` builds it from
@@ -447,9 +451,8 @@ class _SlackTable:
     def __init__(self, ctx: GameContext):
         import numpy as np
         _check_size(len(ctx.users) - 1)
-        self.users, self.tol = ctx.users, ctx.tol
+        self.users, self.tol, self.q = ctx.users, ctx.tol, ctx._cost.q
         raw = [0] + ctx._cost.values(subset_keys([ctx._cost.bit_keys[ctx._bits[u]] for u in ctx.users]))
-        self.q = Fraction(ctx.min_sum_rate).denominator if ctx.source.is_exact else None
         self.raw = int_array(raw) if self.q else np.array(raw, dtype=float)
         self._peak = max(map(abs, raw))
         self._per_batch = max(1, (1 << 16) >> len(self.users))
@@ -488,15 +491,14 @@ class _SlackTable:
         exact slack of ``r``, that array is updated in place and kept for
         the new vector: d = step·D comes off the masks holding the gainer
         and goes onto those holding the loser, one strided-view add each.
-        A step off the scale D first rescales to lcm(D, its denominator),
-        and the slack widens to Python ints as :meth:`slack`'s would.  A
-        float slack or another vector's is left for the next read to redo."""
+        A rational step (sda's is 1/K) off the scale D first rescales to
+        lcm(D, its denominator), and the slack widens to Python ints as
+        :meth:`slack`'s would.  Any other slack is rebuilt by the next read."""
         new = r.exchange(gainer, loser, step)
         kept = self._at
-        if kept is None or kept[0] is not r or kept[2] is None or isinstance(step, float):
+        if kept is None or kept[0] is not r or kept[2] is None:
             return new
         _, slack, D, rates = kept
-        step = Fraction(step)
         up = step.denominator // gcd(D, step.denominator)
         D, d = D * up, step.numerator * (D * up // step.denominator)
         g, l = self.users.index(gainer), self.users.index(loser)
@@ -516,10 +518,14 @@ class _SlackTable:
         from one pass over the batches of users (:meth:`_batch`)."""
         slack = self.slack(r)
         if self._deps is None:
-            minimal = [m for start in range(0, len(self.users), self._per_batch)
-                       for m in self._batch(slack, start)]
-            self._deps = [frozenset(u for k, u in enumerate(self.users) if m >> k & 1)
-                          for m in minimal]
+            self._deps = []
+            for start in range(0, len(self.users), self._per_batch):
+                for m in self._batch(slack, start):  # m's set bits, not all n
+                    held = []
+                    while m:
+                        held.append(self.users[(m & -m).bit_length() - 1])
+                        m &= m - 1
+                    self._deps.append(frozenset(held))
         return self._deps
 
     def _batch(self, slack: np.ndarray, start: int) -> list[int]:

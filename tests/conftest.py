@@ -501,10 +501,16 @@ def _corpus():
     return module
 
 
+def corpus_spec(family: str, member: int) -> dict:
+    """The seeded spec of pool member ``member`` of the benchmark corpus
+    family ``family`` (e.g. ``"dense-9"``)."""
+    return _corpus().build_spec(family, member)
+
+
 def corpus_source(family: str, member: int) -> Source:
-    """Pool member ``member`` of the benchmark corpus family ``family``
-    (e.g. ``"dense-9"``), built from its seeded spec."""
-    return load_source(_corpus().build_spec(family, member))
+    """Pool member ``member`` of the benchmark corpus family ``family``,
+    built from its seeded spec."""
+    return load_source(corpus_spec(family, member))
 
 
 def pmf_entropy_reference(source: PmfSource, mask: int) -> float:
@@ -698,11 +704,11 @@ def lexicographic_base_table(ctx: GameContext, weights=None) -> RateVector:
     a dense table of every block subset's raw characteristic cost and weight
     mass.  Each minor (A, E) reads the excess w(E)·(R(A ∪ X) - R(A)) -
     (R(A ∪ E) - R(A))·w(X) for every X ⊆ E and splits at the union of its
-    minimizers if the least excess is negative (below -1e-9·w(E) for float
-    runs); else r = λ·w on E.  Same number types and float formulas as
+    minimizers if the least excess is negative (below -1e-9·w(E) for pmf
+    sources); else r = λ·w on E.  Same number types and float formulas as
     :func:`egalitarian_continuous`."""
     w = _check_weights(weights, ctx.users)
-    exact = ctx.source.is_exact and not any(isinstance(v, float) for v in w.values())
+    exact = ctx.source.is_exact
     games = [ctx] if ctx.fundamental_partition is None else decompose(ctx)
     rates = {}
     for game in games:
@@ -712,7 +718,6 @@ def lexicographic_base_table(ctx: GameContext, weights=None) -> RateVector:
             weight, margin = [int(w[u] * scale) for u in block], 0
         else:
             weight, margin = [float(w[u]) for u in block], FLOAT_TOL
-            raw = [float(ctx.value_of(v)) for v in raw]
         mass = [0]
         for v in weight:
             mass += [m + v for m in mass]
@@ -773,11 +778,13 @@ def mask_extend(cost, state: tuple, bit: int, tol, scale=1, weights={}, level=0)
     return total + best, kept + [(unions[pick], g)]
 
 
-def mask_step(cost, state: tuple, bit: int, tol, scale=1, weights={}, level=0) -> tuple:
+def mask_step(cost, state: tuple, bit: int, scale=1, weights={}, level=0) -> tuple:
     """:func:`mask_extend` behind the keyed step's signature: (mask, key, g)
-    blocks in and out, each union's cost read alone from ``cost``."""
+    blocks in and out, each union's cost read alone from ``cost``, the cut
+    at ``cost.tol``·``scale`` above the least gain."""
     total, blocks = mask_extend(lambda mask: cost.values([key_of(cost, mask)])[0],
-                                (state[0], [(b, g) for b, _, g in state[1]]), bit, tol, scale, weights, level)
+                                (state[0], [(b, g) for b, _, g in state[1]]), bit, cost.tol * scale,
+                                scale, weights, level)
     return total, [(b, key_of(cost, b), g) for b, g in blocks]
 
 
@@ -787,6 +794,7 @@ class CostSpy:
 
     def __init__(self, cost):
         self.bit_keys, self.value_of, self._cost = cost.bit_keys, cost.value_of, cost
+        self.tol, self.q = cost.tol, cost.q
         self.reads = Counter()
 
     def values(self, keys):

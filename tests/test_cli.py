@@ -41,7 +41,7 @@ def spec_path(tmp_path):
         "users": {str(u): list(p) for u, p in DEMO_HOLDINGS.items()},
     }
     path = tmp_path / "demo.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(spec), encoding="utf-8")
     return str(path)
 
 
@@ -148,7 +148,7 @@ def test_egalitarian_sda_trace(capsys, spec_path, tmp_path):
     assert fairness["vector"] == {"1": "3/2", "2": "1/2", "3": "1/2", "4": "2", "5": "2"}
     assert fairness["iterations"] == 5
     assert len(fairness["trace"]["iterates"]) == 6
-    lines = csv_path.read_text().strip().splitlines()
+    lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "iteration,l1_error,objective"
     errors = [float(line.split(",")[1]) for line in lines[1:]]
     assert errors == [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
@@ -178,7 +178,7 @@ def test_egalitarian_continuous_refuses_a_wide_truncation_step(capsys, tmp_path,
     from omnifair import setfn
 
     path = tmp_path / "six.json"
-    path.write_text(json.dumps(SIX_USERS))
+    path.write_text(json.dumps(SIX_USERS), encoding="utf-8")
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 4)
     status, report = run_cli(capsys, "egalitarian", "--input", str(path), "--mode", "continuous")
     assert status == 0
@@ -238,7 +238,7 @@ def test_verify_skips_decomposition_above_its_limit(capsys, tmp_path):
         "users": {str(u): rng.sample(packets, rng.randint(1, 6)) for u in range(1, 14)},
     }
     path = tmp_path / "thirteen.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(spec), encoding="utf-8")
     started = time.perf_counter()
     status, report = run_cli(capsys, "verify", "--input", str(path))
     assert time.perf_counter() - started < 15
@@ -260,7 +260,7 @@ def test_verify_checks_submodularity_of_eleven_users_quickly(capsys, tmp_path):
         "users": {str(u): rng.sample(packets, rng.randint(1, 8)) for u in range(1, 12)},
     }
     path = tmp_path / "eleven.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(spec), encoding="utf-8")
     started = time.perf_counter()
     status, report = run_cli(capsys, "verify", "--input", str(path))
     assert time.perf_counter() - started < 15
@@ -362,7 +362,7 @@ def test_unwritable_output_exits_2_on_stderr(capsys, spec_path, tmp_path, argv):
 
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text("{not json", encoding="utf-8")
     status, report = run_cli(capsys, "solve", "--input", str(bad))
     assert status == EXIT_PARSE
     assert report["error"]["type"] == "SourceSpecError"
@@ -400,7 +400,7 @@ def test_too_large_instance_exit_code(capsys, tmp_path):
         "users": {**{str(u): ["a", "b"] for u in range(1, 22)}, "22": ["c"]},
     }
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(spec), encoding="utf-8")
     status, report = run_cli(capsys, "shapley", "--input", str(path), "--mode", "exact")
     assert status == EXIT_TOO_LARGE
     assert report["error"]["type"] == "GroundSetTooLarge"
@@ -416,7 +416,8 @@ def test_exact_shapley_beyond_the_limit_in_small_blocks(capsys, tmp_path):
         packets += [*shared, private]
         users |= {str(8 * b + k): shared + [private] * (k == 1) for k in range(1, 9)}
     path = tmp_path / "blocks.json"
-    path.write_text(json.dumps({"model": "linear", "field": 2, "packets": packets, "users": users}))
+    path.write_text(json.dumps({"model": "linear", "field": 2, "packets": packets, "users": users}),
+                    encoding="utf-8")
     status, report = run_cli(capsys, "shapley", "--input", str(path), "--mode", "exact")
     assert status == 0
     assert report["solution"]["fundamental_partition"] == [
@@ -433,7 +434,7 @@ def test_exhaustive_limit_boundary_exit_code(capsys, tmp_path, monkeypatch, comm
     from omnifair import setfn
 
     path = tmp_path / "six.json"
-    path.write_text(json.dumps(SIX_USERS))
+    path.write_text(json.dumps(SIX_USERS), encoding="utf-8")
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", free_users)
     status, _ = run_cli(capsys, command, "--input", str(path))
     assert status == 0
@@ -453,7 +454,7 @@ def test_verify_refuses_the_core_check_above_its_table_limit(capsys, tmp_path, m
     from omnifair import setfn
 
     path = tmp_path / "six.json"
-    path.write_text(json.dumps(SIX_USERS))
+    path.write_text(json.dumps(SIX_USERS), encoding="utf-8")
     monkeypatch.setattr(cli_module, "VERIFY_SUBMODULAR_LIMIT", 5)
     monkeypatch.setattr(cli_module, "VERIFY_DECOMPOSITION_LIMIT", 5)
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 5)
@@ -495,7 +496,7 @@ def test_verify_of_twenty_two_users_is_refused_at_once(capsys, tmp_path):
         "users": {**{str(u): ["a", "b"] for u in range(1, 22)}, "22": ["c"]},
     }
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(spec), encoding="utf-8")
     started = time.perf_counter()
     status, report = run_cli(capsys, "verify", "--input", str(path))
     assert time.perf_counter() - started < 5
@@ -550,7 +551,7 @@ def test_split_plan_refuses_negative_rates(capsys):
 ], ids=["linear", "pmf"])
 def test_user_ids_naming_one_user_twice_are_refused(capsys, tmp_path, spec):
     path = tmp_path / "twice.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(spec), encoding="utf-8")
     status, report = run_cli(capsys, "solve", "--input", str(path))
     assert status == EXIT_PARSE
     assert report["error"] == {"type": "SourceSpecError", "message": "user id '01' repeats user 1"}
@@ -559,7 +560,8 @@ def test_user_ids_naming_one_user_twice_are_refused(capsys, tmp_path, spec):
 def test_a_key_repeated_in_the_source_json_is_refused(capsys, tmp_path):
     # json.loads alone would keep only ["b"] for user 1
     path = tmp_path / "repeat.json"
-    path.write_text('{"model": "linear", "users": {"1": ["a"], "1": ["b"], "2": ["a", "b"]}}')
+    path.write_text('{"model": "linear", "users": {"1": ["a"], "1": ["b"], "2": ["a", "b"]}}',
+                    encoding="utf-8")
     status, report = run_cli(capsys, "solve", "--input", str(path))
     assert status == EXIT_PARSE
     assert report["error"] == {"type": "SourceSpecError", "message": "JSON object repeats key '1'"}
@@ -589,7 +591,7 @@ def test_solve_pmf_source(capsys, tmp_path):
         "table": [[0.5, 0.0], [0.0, 0.5]],
     }
     path = tmp_path / "pmf.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(spec), encoding="utf-8")
     status, report = run_cli(capsys, "solve", "--input", str(path))
     assert status == 0
     # one fully shared bit: no exchange needed, all randomness already common
@@ -605,7 +607,7 @@ def test_grid_egalitarian_refuses_pmf_sources(capsys, tmp_path, mode):
         "model": "pmf",
         "alphabets": {"1": [0, 1], "2": [0, 1], "3": [0, 1]},
         "table": [[[0.25, 0.0], [0.0, 0.25]], [[0.0, 0.25], [0.25, 0.0]]],
-    }))
+    }), encoding="utf-8")
     status, report = run_cli(capsys, "egalitarian", "--input", str(path), "--mode", mode)
     assert status == EXIT_PARSE
     assert report["error"] == {"type": "ConfigError",
@@ -615,7 +617,8 @@ def test_grid_egalitarian_refuses_pmf_sources(capsys, tmp_path, mode):
 
 def test_solve_deterministic_pmf_reports_positive_zeros(capsys, tmp_path):
     path = tmp_path / "pmf.json"
-    path.write_text(json.dumps({"model": "pmf", "alphabets": {"1": [0], "2": [0]}, "table": [[1.0]]}))
+    path.write_text(json.dumps({"model": "pmf", "alphabets": {"1": [0], "2": [0]}, "table": [[1.0]]}),
+                    encoding="utf-8")
     status = main(["solve", "--input", str(path)])
     text = capsys.readouterr().out
     assert status == 0
@@ -630,7 +633,7 @@ def test_pmf_past_the_dense_limit_exits_5(capsys, tmp_path, monkeypatch):
     pmf = pmf_from_packets({**{u: ["a", "b"] for u in range(1, 5)}, 5: ["c"]}, ["a", "b", "c"])
     path = tmp_path / "pmf.json"
     path.write_text(json.dumps({"model": "pmf", "table": pmf._table.tolist(), "alphabets": {
-        str(u): list(range(len(pmf.alphabets[u]))) for u in pmf.users}}))
+        str(u): list(range(len(pmf.alphabets[u]))) for u in pmf.users}}), encoding="utf-8")
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 4)
     assert run_cli(capsys, "solve", "--input", str(path))[0] == 0
     monkeypatch.setattr(setfn, "EXHAUSTIVE_LIMIT", 3)
@@ -643,7 +646,7 @@ def test_pmf_past_the_dense_limit_exits_5(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize(("users", "packets", "message"), LINEAR_SPECS_MISREAD, ids=LINEAR_SPEC_IDS)
 def test_linear_spec_values_it_would_misread_are_parse_errors(capsys, tmp_path, users, packets, message):
     path = tmp_path / "linear.json"
-    path.write_text(json.dumps(linear_spec(users, packets)))
+    path.write_text(json.dumps(linear_spec(users, packets)), encoding="utf-8")
     status, report = run_cli(capsys, "solve", "--input", str(path))
     assert status == EXIT_PARSE
     assert report["error"] == {"type": "SourceSpecError", "message": message}
@@ -652,7 +655,7 @@ def test_linear_spec_values_it_would_misread_are_parse_errors(capsys, tmp_path, 
 @pytest.mark.parametrize(("alphabets", "table", "message"), PMF_SPECS_READ_SILENTLY, ids=PMF_SPEC_IDS)
 def test_pmf_spec_values_numpy_would_read_are_parse_errors(capsys, tmp_path, alphabets, table, message):
     path = tmp_path / "pmf.json"
-    path.write_text(json.dumps({"model": "pmf", "alphabets": alphabets, "table": table}))
+    path.write_text(json.dumps({"model": "pmf", "alphabets": alphabets, "table": table}), encoding="utf-8")
     status, report = run_cli(capsys, "solve", "--input", str(path))
     assert status == EXIT_PARSE
     assert report["error"] == {"type": "SourceSpecError", "message": message}
@@ -662,7 +665,7 @@ def test_pmf_spec_values_numpy_would_read_are_parse_errors(capsys, tmp_path, alp
 def test_non_finite_pmf_entry_is_parse_error(capsys, tmp_path, entry):
     path = tmp_path / "pmf.json"
     path.write_text('{"model": "pmf", "alphabets": {"1": [0, 1], "2": [0, 1]},'
-                    f' "table": [[0.5, {entry}], [0.0, 0.5]]}}')
+                    f' "table": [[0.5, {entry}], [0.0, 0.5]]}}', encoding="utf-8")
     status, report = run_cli(capsys, "solve", "--input", str(path))
     assert status == EXIT_PARSE
     assert report["error"]["type"] == "SourceSpecError"
@@ -671,7 +674,7 @@ def test_non_finite_pmf_entry_is_parse_error(capsys, tmp_path, entry):
 
 def test_rates_from_file(capsys, spec_path, tmp_path):
     rates = tmp_path / "rates.json"
-    rates.write_text('{"1":"1","2":"1/2","3":"1/2","4":"4","5":"1/2"}')
+    rates.write_text('{"1":"1","2":"1/2","3":"1/2","4":"4","5":"1/2"}', encoding="utf-8")
     status, report = run_cli(
         capsys, "verify", "--input", spec_path, "--rates", f"@{rates}")
     assert status == 0
@@ -682,7 +685,7 @@ def test_output_file(spec_path, tmp_path, capsys):
     status = main(["solve", "--input", spec_path, "--output", str(out)])
     assert status == 0
     assert capsys.readouterr().out == ""
-    assert json.loads(out.read_text())["solution"]["R_CO"] == "13/2"
+    assert json.loads(out.read_text(encoding="utf-8"))["solution"]["R_CO"] == "13/2"
 
 
 def test_files_are_utf8_whatever_the_locale(tmp_path):
@@ -699,7 +702,7 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
         [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
          "-m", "omnifair.cli", "egalitarian", "--mode", "sda", "--input", "spec.json",
          "--rates", "@rates.json", "--trace-csv", "trace.csv", "--output", "report.json"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        cwd=tmp_path, env=env, capture_output=True, encoding="utf-8", timeout=120)
     assert done.returncode == 0, done.stderr
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert report["solution"]["R_CO"] == "1"

@@ -78,6 +78,12 @@ class TestObjective:
         scaled = {u: 7 * v for u, v in w.items()}
         assert objective_g(r, scaled) == objective_g(r, w) / 7
 
+    def test_float_weights_are_exact(self):
+        # 0.1 is 3602879701896397 / 2^55, not 1/10
+        out = objective_g(rv({1: F(1, 3), 2: 1}), {1: 0.1, 2: 0.7})
+        assert out == F(1, 9) / F(0.1) + 1 / F(0.7)
+        assert type(out) is F and out != F(1, 9) * 10 + F(10, 7)
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             objective_g(rv({1: 1}), {1: 0})
@@ -513,11 +519,25 @@ class TestContinuous:
         assert out == rv({1: F(3, 2), 2: F(1, 2), 3: F(1, 2), 4: F(3, 2), 5: F(5, 2)})
         assert is_weighted_min_norm_base(demo_ctx, out, w)
 
-    def test_float_weights_give_floats(self, demo_ctx):
-        w = {1: 6.0, 2: 1, 3: 1, 4: 3, 5: 2}
-        out = egalitarian_continuous(demo_ctx, w)
-        assert all(type(out[u]) is float for u in demo_ctx.users)
-        assert all(abs(out[u] - WEIGHTED_OPTIMUM[u]) <= 1e-12 for u in demo_ctx.users)
+    def test_float_weights_are_read_exactly(self, demo_ctx):
+        out = egalitarian_continuous(demo_ctx, {1: 6.0, 2: 1, 3: 1, 4: 3, 5: 2})
+        assert out == rv(WEIGHTED_OPTIMUM)
+        assert all(type(out[u]) is F for u in demo_ctx.users)
+
+    @pytest.mark.parametrize("kind", ["packet", "gf3"])
+    def test_float_weights_equal_their_exact_values(self, kind):
+        # a float weight is its exact rational value on a linear source: the
+        # same Fractions as the Fraction weights, at the weighted optimum
+        make = random_linear_source if kind == "packet" else random_vector_source
+        for seed in range(12):
+            ctx = min_sum_rate(make(seed))
+            rng = random.Random(f"float-weights:{seed}")
+            w = {u: rng.choice((0.3, 0.7, 1.1, 2.5)) for u in ctx.users}
+            exact = {u: F(v) for u, v in w.items()}
+            out = egalitarian_continuous(ctx, w)
+            assert out == egalitarian_continuous(ctx, exact), seed
+            assert all(type(out[u]) is F for u in ctx.users)
+            assert is_weighted_min_norm_base(ctx, out, exact), seed
 
     @pytest.mark.parametrize("bits", [58, 70])
     def test_wide_weight_denominators_stay_exact(self, demo_ctx, bits):
@@ -555,7 +575,7 @@ class TestContinuous:
         # raises instead of looping on the same minor or dividing by w(∅)
         from omnifair import egalitarian
 
-        def extend(cost, state, bit, tol, scale, weights, level):
+        def extend(cost, state, bit, scale, weights, level):
             total, blocks = state
             kept = bit if split == 0 else bit | sum(b for b, _, _ in blocks)
             return total - 1, [(kept, 0, 0 if split == 0 else -1)]

@@ -148,7 +148,7 @@ def normalized_report(name: str, workdir: Path) -> tuple[int, str]:
         status = main(argv)
     finally:
         os.chdir(previous)
-    report = json.loads(out.read_text())
+    report = json.loads(out.read_text(encoding="utf-8"))
     report.pop("timings", None)
     report["config"].update(input=spec, output=None)
     return status, json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -158,10 +158,11 @@ def normalized_report(name: str, workdir: Path) -> tuple[int, str]:
 def test_report_matches_golden(name, tmp_path):
     status, text = normalized_report(name, tmp_path)
     assert status == STATUS.get(name, 0)
-    assert text == (GOLDEN / f"{name}.json").read_text()
+    assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     if name in CSV_OUTPUTS:
         csv = CSV_OUTPUTS[name]
-        assert (tmp_path / csv).read_text() == (GOLDEN / f"{name}.csv").read_text()
+        assert ((tmp_path / csv).read_text(encoding="utf-8")
+                == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8"))
 
 
 def assert_near_previous_floats(name: str, previous: dict, workdir: Path) -> None:
@@ -233,12 +234,12 @@ def regenerate() -> None:
             stored = GOLDEN / f"{name}.json"
             changes = []
             if stored.exists():
-                before, after = json.loads(stored.read_text()), json.loads(text)
+                before, after = json.loads(stored.read_text(encoding="utf-8")), json.loads(text)
                 changes = key_changes(before, after) + float_changes(before, after)
-            stored.write_text(text)
+            stored.write_text(text, encoding="utf-8")
             if name in CSV_OUTPUTS:
-                csv = (workdir / CSV_OUTPUTS[name]).read_text()
-                (GOLDEN / f"{name}.csv").write_text(csv)
+                csv = (workdir / CSV_OUTPUTS[name]).read_text(encoding="utf-8")
+                (GOLDEN / f"{name}.csv").write_text(csv, encoding="utf-8")
             print(f"wrote {stored}", *changes, sep="\n", file=sys.stderr)
 
 

@@ -33,7 +33,7 @@ from omnifair.cli import main
 reports = []
 for argv in json.loads(sys.argv[1]):
     status = main(argv)
-    reports.append([status, json.loads(open(argv[argv.index("--output") + 1]).read())])
+    reports.append([status, json.loads(open(argv[argv.index("--output") + 1], encoding="utf-8").read())])
 print(json.dumps({"reports": reports, "numpy": "numpy" in sys.modules}))
 """
 
@@ -51,7 +51,7 @@ ARRAY_FREE = [
 def run_fresh(argvs: list[list[str]], block: bool) -> dict:
     """The output of :data:`RUNNER` in a new interpreter."""
     done = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(argvs), "block" if block else "-"],
-                          capture_output=True, text=True, timeout=120,
+                          capture_output=True, encoding="utf-8", timeout=120,
                           env={**os.environ, "PYTHONPATH": SRC})
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -69,7 +69,8 @@ def in_process(argvs: list[list[str]]) -> list:
     reports = []
     for argv in argvs:
         status = main(argv)
-        reports.append([status, comparable(json.loads(Path(argv[argv.index("--output") + 1]).read_text()))])
+        report = Path(argv[argv.index("--output") + 1]).read_text(encoding="utf-8")
+        reports.append([status, comparable(json.loads(report))])
     return reports
 
 
@@ -77,10 +78,12 @@ def in_process(argvs: list[list[str]]) -> list:
 def spec_files(tmp_path):
     packets = tmp_path / "packets.json"
     packets.write_text(json.dumps({"model": "linear", "packets": list(DEMO_PACKETS),
-                                   "users": {str(u): list(p) for u, p in DEMO_HOLDINGS.items()}}))
+                                   "users": {str(u): list(p) for u, p in DEMO_HOLDINGS.items()}}),
+                       encoding="utf-8")
     pmf = tmp_path / "pmf.json"
     pmf.write_text(json.dumps({"model": "pmf", "alphabets": {"1": [0, 1], "2": [0, 1], "3": [0, 1]},
-                               "table": [[[0.25, 0.0], [0.0, 0.25]], [[0.25, 0.0], [0.0, 0.25]]]}))
+                               "table": [[[0.25, 0.0], [0.0, 0.25]], [[0.25, 0.0], [0.0, 0.25]]]}),
+                   encoding="utf-8")
     return str(packets), str(pmf)
 
 
@@ -93,7 +96,7 @@ def with_files(runs: list[tuple[list[str], str]], tmp_path) -> list[list[str]]:
 def test_cli_import_loads_neither_numpy_nor_dataclasses():
     probe = ("import sys\nbefore = set(sys.modules)\nimport omnifair.cli\n"
              "print(' '.join(sorted(set(sys.modules) - before)))")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, encoding="utf-8",
                           timeout=120, env={**os.environ, "PYTHONPATH": SRC})
     assert done.returncode == 0, done.stderr
     added = done.stdout.split()

@@ -172,7 +172,7 @@ class TestRawTable:
             assert len(table) == 2 ** n and len(steps) == 2 ** n - 1
             masks = [sum(game.source.mask((u,)) for k, u in enumerate(game.users) if m >> k & 1)
                      for m in range(2 ** n)]
-            assert table == [omniscience._fold(game._cost, m, game.tol)[0] for m in masks]
+            assert table == [omniscience._fold(game._cost, m)[0] for m in masks]
 
 
 class TestRawMarginals:
@@ -191,7 +191,7 @@ class TestRawMarginals:
         for seed in range(8):
             ctx = min_sum_rate(RAW_TABLE_SOURCES[kind](seed))
             split += len(ctx.fundamental_partition) > 1
-            total = cache(lambda mask: _fold(ctx._cost, mask, ctx.tol)[0])
+            total = cache(lambda mask: _fold(ctx._cost, mask)[0])
             orders = list(permutations(ctx.users))
             for order, marginals in zip(orders, ctx.raw_marginals(orders)):
                 prefixes = [ctx.source.mask(order[:k]) for k in range(len(order) + 1)]

@@ -13,7 +13,7 @@ SCRIPTS = ROOT / "scripts"
 def run_script(script: Path, *args: str, cwd: Path) -> list[str]:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, str(script), *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, encoding="utf-8", timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip().splitlines()
 
@@ -32,4 +32,5 @@ def test_run_worked_example(tmp_path):
     assert ("  weighted     10 chunks/packet, chunk rates {1: 15, 2: 5, 3: 5, 4: 24, 5: 16}"
             in lines)
     assert lines[-1] == "iterations: 5, exchanges: [(5, 4), (5, 4), (1, 4), (5, 4), (5, 4)]"
-    assert (tmp_path / "sda_error_curve.csv").read_text().startswith("iteration,l1_error,objective\n")
+    curve = (tmp_path / "sda_error_curve.csv").read_text(encoding="utf-8")
+    assert curve.startswith("iteration,l1_error,objective\n")

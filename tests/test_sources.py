@@ -324,7 +324,7 @@ class TestLoadSource:
             "users": {str(u): list(p) for u, p in DEMO_HOLDINGS.items()},
         }
         path = tmp_path / "source.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(spec), encoding="utf-8")
         loaded = load_source(path)
         for X in subsets(loaded.users):
             assert loaded.entropy(X) == demo_source.entropy(X)
@@ -377,7 +377,7 @@ class TestLoadSource:
     def test_a_repeated_json_key_is_refused(self, tmp_path, text):
         # json.loads alone keeps the last value of a repeated key
         path = tmp_path / "repeat.json"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         for spec in (text, path, str(path)):
             with pytest.raises(SourceSpecError, match=r"^JSON object repeats key '(1|model|users)'$"):
                 load_source(spec)
